@@ -61,6 +61,12 @@ OUTPUT_TEMPO = 240
 MODEL_NAMES = ("markov", "rnn")
 
 
+class StaleArtifactError(click.ClickException):
+    """An upstream artifact no longer matches its inputs: one line, exit 2."""
+
+    exit_code = 2
+
+
 @dataclass
 class RnnSettings:
     """Network and training knobs, nested inside the experiment config."""
@@ -396,18 +402,33 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
         if not layout.checkpoint.exists():
             raise click.UsageError(f"missing {layout.checkpoint}; run train first")
         ckpt = load_checkpoint(layout.checkpoint)
+    seed_ids = sorted(seeds)
+    rnn_outputs = {}
+    if ckpt is not None:
+        for seed_id in seed_ids:
+            unknown = [token for token in seeds[seed_id] if token not in ckpt.vocab]
+            if unknown:
+                raise StaleArtifactError(
+                    f"seed {seed_id} has token {unknown[0]} that the checkpoint vocabulary "
+                    f"lacks; rerun train"
+                )
+        rngs = [
+            np.random.default_rng(derive_seed(config.global_seed, f"rnn-sample:{seed_id}"))
+            for seed_id in seed_ids
+        ]
+        outputs = generate_rnn(
+            ckpt, [seeds[seed_id] for seed_id in seed_ids], config.rnn_steps,
+            temperature=config.rnn.temperature, rngs=rngs,
+        )
+        rnn_outputs = dict(zip(seed_ids, outputs))
     layout.generated_dir.mkdir(parents=True, exist_ok=True)
-    for seed_id in sorted(seeds):
-        seed_tokens = seeds[seed_id]
+    for seed_id in seed_ids:
         if table is not None:
-            tokens = generate_markov(table, seed_tokens, config.markov_notes)
+            tokens = generate_markov(table, seeds[seed_id], config.markov_notes)
             _write_generation(layout, seed_id, "markov", tokens)
             click.echo(f"{seed_id} markov: {len(tokens)} tokens")
-        if ckpt is not None:
-            rng = np.random.default_rng(derive_seed(config.global_seed, f"rnn-sample:{seed_id}"))
-            tokens = generate_rnn(
-                ckpt, seed_tokens, config.rnn_steps, temperature=config.rnn.temperature, rng=rng
-            )
+        if seed_id in rnn_outputs:
+            tokens = rnn_outputs[seed_id]
             _write_generation(layout, seed_id, "rnn", tokens)
             click.echo(f"{seed_id} rnn: {len(tokens)} tokens")
 
@@ -511,6 +532,20 @@ def _check_lstm_gradients() -> None:
 
     worst = neural.gradient_check(loss_fn, tensors, grads)
     assert worst < 1e-5, f"lstm gradient error {worst:.2e}"
+
+    # token-index input: dw is scattered by index instead of a matrix product
+    params = neural.init_lstm(rng, 5, 4)
+    idx = rng.integers(0, 5, (3, 4))
+    k = rng.uniform(0.5, 1.5, (3, 4, 4)) * rng.choice([-1.0, 1.0], (3, 4, 4))
+    _, cache = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
+    _, dw, du, db = neural.lstm_backward(k.copy(), cache, params["w"], params["u"])
+
+    def index_loss_fn():
+        hs, _ = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
+        return float((hs * k).sum())
+
+    worst = neural.gradient_check(index_loss_fn, params, {"w": dw, "u": du, "b": db})
+    assert worst < 1e-5, f"index-input lstm gradient error {worst:.2e}"
 
 
 def _check_dense_gradients() -> None:

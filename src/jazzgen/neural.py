@@ -8,7 +8,8 @@ is involved.
 
 Conventions
 -----------
-Batch-first shapes: sequences are (B, L, D), activations (B, H).
+Batch-first shapes: sequences are (B, L, D) floats or (B, L) token indices,
+activations (B, H).
 LSTM gate order along the stacked axis is i, f, g, o; the forget gate bias
 starts at 1.0.  All kernels preserve the dtype of their inputs.
 """
@@ -37,10 +38,12 @@ def ensure_finite(name: str, *arrays: np.ndarray) -> None:
             raise NumericalFault(f"{name} contains non-finite values")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp only ever sees non-positive arguments, so it cannot overflow
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # exp only ever sees non-positive arguments, so it cannot overflow.  The
+    # numerator is 1 for x >= 0 and e below (e <= 1); maximum picks it without
+    # np.where, whose data-dependent select is several times slower here.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
@@ -62,90 +65,103 @@ def init_dense(rng: np.random.Generator, input_dim: int, output_dim: int, dtype=
     return {"w": w, "b": np.zeros(output_dim, dtype=dtype)}
 
 
-def lstm_cell_forward(x, h_prev, c_prev, w, u, b):
-    """One timestep.  Returns (h, c, cache) with x (B, D), h/c (B, H)."""
-    hidden = h_prev.shape[-1]
-    z = x @ w.T + h_prev @ u.T + b
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden : 2 * hidden])
-    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    o = sigmoid(z[:, 3 * hidden :])
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    ensure_finite("lstm cell output", h, c)
-    cache = (x, h_prev, c_prev, i, f, g, o, tanh_c)
-    return h, c, cache
+@dataclass
+class LstmCache:
+    """What lstm_backward needs from one lstm_forward call, time-major.
 
-
-def lstm_cell_backward(dh, dc, cache, w, u):
-    """Gradients for one timestep.
-
-    dh/dc are the gradients flowing into this step's h and c outputs.
-    Returns (dx, dh_prev, dc_prev, dw, du, db).
+    inputs is the (L*B, D) float input matrix or the (L*B,) index vector;
+    hs and cs are (L+1, B, H) with step t's predecessor state at [t];
+    gates holds the activated i, f, g, o blocks as (L, B, 4H) and tanh_cs
+    is tanh(cs[1:]).
     """
-    x, h_prev, c_prev, i, f, g, o, tanh_c = cache
-    do = dh * tanh_c
-    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    di = dc_total * g
-    df = dc_total * c_prev
-    dg = dc_total * i
-    dc_prev = dc_total * f
-    dz = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
-    dw = dz.T @ x
-    du = dz.T @ h_prev
-    db = dz.sum(axis=0)
-    dx = dz @ w
-    dh_prev = dz @ u
-    return dx, dh_prev, dc_prev, dw, du, db
+
+    inputs: np.ndarray
+    hs: np.ndarray
+    cs: np.ndarray
+    gates: np.ndarray
+    tanh_cs: np.ndarray
 
 
 def lstm_forward(xs, w, u, b):
-    """Run a whole sequence.  xs (B, L, D) -> hs (B, L, H) plus cache."""
-    batch, length, _ = xs.shape
+    """Run a whole sequence from zero state.  Returns hs (B, L, H) plus cache.
+
+    xs is either float (B, L, D) inputs or integer (B, L) token indices; an
+    index stands for the one-hot row it selects, so its input projection is
+    the column gather w.T[idx].  The input projection for every step is
+    computed before the time loop; only the h @ u.T term is recurrent.
+    """
+    batch, length = xs.shape[:2]
     hidden = u.shape[1]
-    h = np.zeros((batch, hidden), dtype=xs.dtype)
-    c = np.zeros((batch, hidden), dtype=xs.dtype)
-    hs = np.empty((batch, length, hidden), dtype=xs.dtype)
-    caches = []
+    if np.issubdtype(xs.dtype, np.integer):
+        inputs = xs.T.reshape(-1)
+        xw = w.T[inputs]
+    else:
+        inputs = xs.swapaxes(0, 1).reshape(length * batch, -1)
+        xw = inputs @ w.T
+    xw = xw.reshape(length, batch, 4 * hidden)
+    dtype = xw.dtype
+    hs = np.zeros((length + 1, batch, hidden), dtype=dtype)
+    cs = np.zeros((length + 1, batch, hidden), dtype=dtype)
+    gates = np.empty((length, batch, 4 * hidden), dtype=dtype)
+    tanh_cs = np.empty((length, batch, hidden), dtype=dtype)
+    u_t = np.ascontiguousarray(u.T)
     for t in range(length):
-        h, c, cache = lstm_cell_forward(xs[:, t, :], h, c, w, u, b)
-        hs[:, t, :] = h
-        caches.append(cache)
-    return hs, caches
+        z = xw[t] + hs[t] @ u_t + b
+        gate = sigmoid(z, out=gates[t])
+        gate[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = cs[t + 1]
+        c[...] = f * cs[t] + i * g
+        np.tanh(c, out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+    ensure_finite("lstm output", hs, cs)
+    return hs[1:].swapaxes(0, 1), LstmCache(inputs, hs, cs, gates, tanh_cs)
 
 
-def lstm_backward(dhs, caches, w, u):
+def lstm_backward(dhs, cache: LstmCache, w, u):
     """Backpropagate through time.
 
     dhs (B, L, H) carries the upstream gradient for every timestep's hidden
     output (zero-filled where a caller only consumes the final step).
-    Returns (dxs, dw, du, db).
+    Returns (dxs, dw, du, db); dxs is None when the forward pass was fed
+    token indices, which have no gradient.
     """
     batch, length, hidden = dhs.shape
-    dxs = np.empty((batch, length, w.shape[1]), dtype=dhs.dtype)
-    dw = np.zeros_like(w)
-    du = np.zeros_like(u)
-    db = np.zeros(4 * hidden, dtype=dhs.dtype)
+    dz = np.empty((length, batch, 4 * hidden), dtype=dhs.dtype)
     dh_next = np.zeros((batch, hidden), dtype=dhs.dtype)
     dc_next = np.zeros((batch, hidden), dtype=dhs.dtype)
     for t in range(length - 1, -1, -1):
-        dx, dh_next, dc_next, dw_t, du_t, db_t = lstm_cell_backward(
-            dhs[:, t, :] + dh_next, dc_next, caches[t], w, u
-        )
-        dxs[:, t, :] = dx
-        dw += dw_t
-        du += du_t
-        db += db_t
-    ensure_finite("lstm gradients", dxs, dw, du, db)
+        gate, tanh_c = cache.gates[t], cache.tanh_cs[t]
+        i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        dh = dhs[:, t, :] + dh_next
+        do = dh * tanh_c
+        dc_total = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc_total * g
+        df = dc_total * cache.cs[t]
+        dg = dc_total * i
+        dc_next = dc_total * f
+        dz_t = dz[t]
+        dz_t[:, :hidden] = di * i * (1.0 - i)
+        dz_t[:, hidden : 2 * hidden] = df * f * (1.0 - f)
+        dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
+        dz_t[:, 3 * hidden :] = do * o * (1.0 - o)
+        dh_next = dz_t @ u
+    dz = dz.reshape(length * batch, 4 * hidden)
+    du = dz.T @ cache.hs[:-1].reshape(length * batch, hidden)
+    db = dz.sum(axis=0)
+    if cache.inputs.ndim == 1:
+        dxs = None
+        dw = np.zeros_like(w)
+        # group the rows of dz by token with a stable sort, then sum each group
+        order = np.argsort(cache.inputs, kind="stable")
+        tokens = cache.inputs[order]
+        starts = np.flatnonzero(np.r_[True, tokens[1:] != tokens[:-1]])
+        dw[:, tokens[starts]] = np.add.reduceat(dz[order], starts, axis=0).T
+        ensure_finite("lstm gradients", dw, du, db)
+    else:
+        dw = dz.T @ cache.inputs
+        dxs = (dz @ w).reshape(length, batch, -1).swapaxes(0, 1)
+        ensure_finite("lstm gradients", dxs, dw, du, db)
     return dxs, dw, du, db
 
 

@@ -1,6 +1,7 @@
 """Recurrent network assembly, training loop, checkpointing, and sampling.
 
-The forward graph is fixed: one-hot window -> two stacked LSTM layers ->
+The forward graph is fixed: window of token indices -> two stacked LSTM
+layers (the first gathers its input projection by index) ->
 last timestep's hidden state -> batch norm -> dropout -> dense relu ->
 dropout -> dense to vocabulary logits.  Training minimizes softmax
 cross-entropy with Adam and keeps the parameters from the epoch with the
@@ -41,7 +42,7 @@ from .neural import (
 from .tokenizer import Vocabulary
 
 CHECKPOINT_MAGIC = b"JGCKPT01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ARGMAX_TEMPERATURE = 1e-6
 
 TRAINABLE = (
@@ -122,13 +123,10 @@ class Network:
                 "dense2/w": dense2["w"], "dense2/b": dense2["b"],
             }
 
-    def one_hot(self, windows: np.ndarray) -> np.ndarray:
-        return np.eye(self.config.n_vocab, dtype=self.dtype)[windows]
-
-    def forward(self, x, training: bool, rng: np.random.Generator | None = None):
-        """x is one-hot (B, L, V); returns (logits, cache)."""
+    def forward(self, windows, training: bool, rng: np.random.Generator | None = None):
+        """windows is integer token indices (B, L); returns (logits, cache)."""
         t = self.tensors
-        hs1, cache1 = lstm_forward(x, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
+        hs1, cache1 = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
         hs2, cache2 = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
         last = hs2[:, -1, :]
         bn_state = BatchNormState(t["norm/mean"], t["norm/var"], self.config.bn_momentum)
@@ -220,8 +218,7 @@ def train(
                 )
                 continue
             try:
-                x = net.one_hot(inputs[batch])
-                logits, cache = net.forward(x, training=True, rng=rng)
+                logits, cache = net.forward(inputs[batch], training=True, rng=rng)
                 loss, _, dlogits = softmax_cross_entropy(logits, targets[batch])
                 grads = net.backward(dlogits, cache)
                 adam_step(
@@ -251,8 +248,7 @@ def train(
 
 def next_distribution(net: Network, context: Sequence[int], temperature: float) -> np.ndarray:
     """Softmax over the next token given a full window of indices."""
-    x = net.one_hot(np.array([context], dtype=np.int64))
-    logits, _ = net.forward(x, training=False)
+    logits, _ = net.forward(np.array([context], dtype=np.int64), training=False)
     return softmax(logits[0].astype(np.float64), temperature)
 
 
@@ -270,14 +266,17 @@ def select_index(logits: np.ndarray, temperature: float, rng: np.random.Generato
 
 def generate_rnn(
     ckpt: Checkpoint,
-    seed: Sequence[str],
+    seeds: Sequence[Sequence[str]],
     steps: int,
     temperature: float | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[str]:
-    """Seed plus `steps` sampled continuation tokens.
+    rngs: Sequence[np.random.Generator] | None = None,
+) -> list[list[str]]:
+    """Each seed plus `steps` sampled continuation tokens, one list per seed.
 
-    The final window-length slice of the seed is the initial context.
+    All seeds advance together as one inference batch; seed k draws only
+    from rngs[k], and batch norm uses its running statistics, so a seed's
+    continuation does not depend on which other seeds share the batch.
+    The final window-length slice of each seed is its initial context.
     Temperatures at or below 1e-6 short-circuit to argmax, which lands on
     the lexicographically smallest token among ties because the vocabulary
     is sorted.
@@ -285,26 +284,38 @@ def generate_rnn(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     window = ckpt.config.window
-    if len(seed) < window:
-        raise ValueError(f"seed has {len(seed)} tokens; at least {window} required")
+    for seed in seeds:
+        if len(seed) < window:
+            raise ValueError(f"seed has {len(seed)} tokens; at least {window} required")
     if temperature is None:
         temperature = ckpt.config.temperature
-    if rng is None:
-        rng = np.random.default_rng(ckpt.config.seed)
+    if rngs is None:
+        rngs = [np.random.default_rng(ckpt.config.seed) for _ in seeds]
+    if len(rngs) != len(seeds):
+        raise ValueError(f"{len(rngs)} rngs for {len(seeds)} seeds")
+    outputs = [[str(token) for token in seed] for seed in seeds]
+    if not seeds:
+        return outputs
     net = Network(ckpt.config, tensors=ckpt.tensors)
-    context = [ckpt.vocab.encode(token) for token in seed][-window:]
-    output = [str(token) for token in seed]
+    contexts = np.array(
+        [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds], dtype=np.int64
+    )
     for _ in range(steps):
-        x = net.one_hot(np.array([context], dtype=np.int64))
-        logits, _ = net.forward(x, training=False)
-        index = select_index(logits[0], temperature, rng)
-        output.append(ckpt.vocab.tokens[index])
-        context = context[1:] + [index]
-    return output
+        logits, _ = net.forward(contexts, training=False)
+        picks = [select_index(row, temperature, rng) for row, rng in zip(logits, rngs)]
+        for output, index in zip(outputs, picks):
+            output.append(ckpt.vocab.tokens[index])
+        contexts = np.concatenate([contexts[:, 1:], np.array(picks, dtype=np.int64)[:, None]], axis=1)
+    return outputs
+
+
+def _stored_dtype(config: RnnConfig) -> np.dtype:
+    return np.dtype(config.dtype).newbyteorder("<")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Text manifest (JSON) plus concatenated little-endian float32 tensors."""
+    """Text manifest (JSON) plus the concatenated tensors, little-endian in
+    the config's dtype, so a reload is bit-equal."""
     names = sorted(ckpt.tensors)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
@@ -314,7 +325,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
         "tensors": [{"name": n, "shape": list(ckpt.tensors[n].shape)} for n in names],
     }
-    blob = b"".join(np.ascontiguousarray(ckpt.tensors[n], dtype="<f4").tobytes() for n in names)
+    stored = _stored_dtype(ckpt.config)
+    blob = b"".join(np.ascontiguousarray(ckpt.tensors[n], dtype=stored).tobytes() for n in names)
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
@@ -344,23 +356,24 @@ def load_checkpoint(path) -> Checkpoint:
     config = RnnConfig(**manifest["config"])
     vocab = Vocabulary(tuple(manifest["vocab"]))
     dtype = np.dtype(config.dtype)
-    expected = sum(
+    stored = _stored_dtype(config)
+    expected = stored.itemsize * sum(
         int(np.prod(entry["shape"], dtype=np.int64)) for entry in manifest["tensors"]
     )
     blob = data[offset:]
-    if len(blob) < expected * 4:
+    if len(blob) < expected:
         raise CheckpointError(
-            f"truncated checkpoint: tensor blob has {len(blob)} bytes, manifest needs {expected * 4}"
+            f"truncated checkpoint: tensor blob has {len(blob)} bytes, manifest needs {expected}"
         )
-    if len(blob) > expected * 4:
+    if len(blob) > expected:
         raise CheckpointError(
-            f"tensor blob has {len(blob)} bytes but manifest shapes account for {expected * 4}"
+            f"tensor blob has {len(blob)} bytes but manifest shapes account for {expected}"
         )
     tensors = {}
     cursor = 0
     for entry in manifest["tensors"]:
         count = int(np.prod(entry["shape"], dtype=np.int64))
-        flat = np.frombuffer(blob, dtype="<f4", count=count, offset=cursor * 4)
+        flat = np.frombuffer(blob, dtype=stored, count=count, offset=cursor * stored.itemsize)
         tensors[entry["name"]] = flat.reshape(entry["shape"]).astype(dtype)
         cursor += count
     return Checkpoint(tensors, vocab, config, float(manifest["best_loss"]), int(manifest["epoch"]))

@@ -263,7 +263,7 @@ def test_acceptance_05_memorization():
     ckpt = train(config, [tokens], vocab, on_epoch=lambda e, loss, improved: history.append(loss))
     assert len(history) == 300
     assert history[-1] < 0.1, f"final mean loss {history[-1]:.4f}"
-    generated = generate_rnn(ckpt, tokens[:16], 20, temperature=1e-9)
+    (generated,) = generate_rnn(ckpt, [tokens[:16]], 20, temperature=1e-9)
     matches = sum(1 for got, want in zip(generated[16:36], tokens[16:36]) if got == want)
     assert matches >= 18, f"only {matches}/20 continuation tokens match"
 
@@ -275,8 +275,7 @@ def test_acceptance_06_sampling():
     )
     net = Network(config)
     context = [0, 1, 2, 3]
-    x = net.one_hot(np.array([context]))
-    logits, _ = net.forward(x, training=False)
+    logits, _ = net.forward(np.array([context]), training=False)
     logits = logits[0]
     probs = neural.softmax(logits.astype(np.float64), 1.0)
     assert np.allclose(probs, next_distribution(net, context, 1.0))
@@ -365,9 +364,9 @@ def test_acceptance_08_round_trips(tmp_path):
     save_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0), path)
     loaded = load_checkpoint(path)
     contexts = np.array([[0, 1, 2], [3, 4, 0]])
-    before, _ = net.forward(net.one_hot(contexts), training=False)
+    before, _ = net.forward(contexts, training=False)
     reloaded_net = Network(loaded.config, tensors=loaded.tensors)
-    after, _ = reloaded_net.forward(reloaded_net.one_hot(contexts), training=False)
+    after, _ = reloaded_net.forward(contexts, training=False)
     assert np.array_equal(before, after)
 
 

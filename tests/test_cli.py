@@ -1,10 +1,13 @@
 import json
+import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from jazzgen.cli import derive_seed, main, resolve_config
+from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
 from jazzgen.synthetic import write_corpus, write_seeds
 
 REFERENCE = Path(__file__).parent / "data" / "reference_comparison.csv"
@@ -175,6 +178,40 @@ def test_generate_unknown_seed_id_exits_2(workspace, pipeline):
     result = invoke(["generate", *dirs(workspace), *TINY, "--seed-id", "nope"])
     assert result.exit_code == 2
     assert "unknown seed ids nope" in result.output
+
+
+def test_generate_with_stale_checkpoint_exits_2(workspace, tmp_path):
+    seeds = tmp_path / "seeds"
+    shutil.copytree(workspace / "seeds", seeds)
+    args = ["--corpus", workspace / "corpus", "--seeds", seeds, "--out", tmp_path / "out", *TINY]
+    for command in ("ingest", "train"):
+        assert invoke([command, *args]).exit_code == 0
+    # re-ingest a seed holding a token the trained checkpoint has never seen
+    events = tuple(NoteEvent(61, Fraction(3, 2), Fraction(3 * i, 2)) for i in range(16))
+    (seeds / "seed_2.mid").write_bytes(write_midi(MidiDocument(lcm_time_division(events), 240, events)))
+    assert invoke(["ingest", *args]).exit_code == 0
+    result = invoke(["generate", *args])
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == [
+        "Error: seed seed_2 has token C#4_1.5 that the checkpoint vocabulary lacks; rerun train"
+    ]
+    assert not (tmp_path / "out" / "generated").exists()
+
+
+def test_generate_seed_output_does_not_depend_on_batch(tmp_path):
+    write_corpus(tmp_path / "corpus", seed=2, n_files=3)
+    write_seeds(tmp_path / "seeds", seed=2, n_files=4)
+    args = ["--corpus", tmp_path / "corpus", "--seeds", tmp_path / "seeds", "--out", tmp_path / "out",
+            *TINY, "--rnn-steps", "250"]
+    for command in ("ingest", "train"):
+        assert invoke([command, *args]).exit_code == 0
+    outputs = []
+    for selection in ([], ["--seed-id", "seed_3"]):
+        result = invoke(["generate", *args, "--model", "rnn", *selection])
+        assert result.exit_code == 0, result.output
+        assert result.output.count(" rnn: ") == (1 if selection else 4)
+        outputs.append((tmp_path / "out" / "generated" / "seed_3_rnn.tokens").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_single_model_and_seed(workspace, pipeline, tmp_path):

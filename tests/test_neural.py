@@ -23,12 +23,83 @@ from jazzgen.neural import (
     init_dense,
     init_lstm,
     lstm_backward,
-    lstm_cell_forward,
     lstm_forward,
     sigmoid,
     softmax,
     softmax_cross_entropy,
 )
+
+
+def lstm_cell_forward(x, h_prev, c_prev, w, u, b):
+    """Reference: one timestep.  Returns (h, c, cache) with x (B, D), h/c (B, H)."""
+    hidden = h_prev.shape[-1]
+    z = x @ w.T + h_prev @ u.T + b
+    i = sigmoid(z[:, :hidden])
+    f = sigmoid(z[:, hidden : 2 * hidden])
+    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+    o = sigmoid(z[:, 3 * hidden :])
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    ensure_finite("lstm cell output", h, c)
+    cache = (x, h_prev, c_prev, i, f, g, o, tanh_c)
+    return h, c, cache
+
+
+def lstm_cell_backward(dh, dc, cache, w, u):
+    """Reference: gradients for one timestep.
+
+    dh/dc are the gradients flowing into this step's h and c outputs.
+    Returns (dx, dh_prev, dc_prev, dw, du, db).
+    """
+    x, h_prev, c_prev, i, f, g, o, tanh_c = cache
+    do = dh * tanh_c
+    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    di = dc_total * g
+    df = dc_total * c_prev
+    dg = dc_total * i
+    dc_prev = dc_total * f
+    dz = np.concatenate(
+        [
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ],
+        axis=1,
+    )
+    dw = dz.T @ x
+    du = dz.T @ h_prev
+    db = dz.sum(axis=0)
+    dx = dz @ w
+    dh_prev = dz @ u
+    return dx, dh_prev, dc_prev, dw, du, db
+
+
+def reference_lstm(xs, dhs, w, u, b):
+    """Per-cell forward and backward over a float sequence: (hs, dxs, dw, du, db)."""
+    batch, length, _ = xs.shape
+    hidden = u.shape[1]
+    h = np.zeros((batch, hidden), dtype=xs.dtype)
+    c = np.zeros((batch, hidden), dtype=xs.dtype)
+    hs = np.empty((batch, length, hidden), dtype=xs.dtype)
+    caches = []
+    for t in range(length):
+        h, c, cache = lstm_cell_forward(xs[:, t, :], h, c, w, u, b)
+        hs[:, t, :] = h
+        caches.append(cache)
+    dxs = np.empty_like(xs)
+    dw, du, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    dh_next = np.zeros((batch, hidden), dtype=xs.dtype)
+    dc_next = np.zeros((batch, hidden), dtype=xs.dtype)
+    for t in range(length - 1, -1, -1):
+        dxs[:, t, :], dh_next, dc_next, dw_t, du_t, db_t = lstm_cell_backward(
+            dhs[:, t, :] + dh_next, dc_next, caches[t], w, u
+        )
+        dw += dw_t
+        du += du_t
+        db += db_t
+    return hs, dxs, dw, du, db
 
 
 def signed_uniform(rng, shape, dtype=np.float64):
@@ -131,16 +202,16 @@ def test_lstm_forward_shapes_and_dtype():
     rng = np.random.default_rng(3)
     params = init_lstm(rng, 6, 4, dtype=np.float32)
     xs = rng.standard_normal((2, 5, 6)).astype(np.float32)
-    hs, caches = lstm_forward(xs, **params)
+    hs, cache = lstm_forward(xs, **params)
     assert hs.shape == (2, 5, 4)
     assert hs.dtype == np.float32
-    assert len(caches) == 5
+    assert cache.gates.shape == (5, 2, 16)
 
 
 def test_lstm_cell_faults_on_nonfinite():
     params = {"w": np.ones((4, 1)), "u": np.zeros((4, 1)), "b": np.zeros(4)}
     with pytest.raises(NumericalFault):
-        lstm_cell_forward(np.array([[np.nan]]), np.zeros((1, 1)), np.zeros((1, 1)), **params)
+        lstm_forward(np.array([[[np.nan]]]), **params)
 
 
 def test_lstm_zero_upstream_gives_zero_gradients():
@@ -192,6 +263,67 @@ def test_lstm_gradients_match_finite_differences(seed):
         return float((hs * k).sum())
 
     assert gradient_check(loss_fn, tensors, grads) < 1e-5
+
+
+# seed 0 is excluded for the reason above: one u coordinate of ~4e-6 magnitude,
+# where analytic and central difference agree only to ~7e-11 absolute
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_lstm_index_gradients_match_finite_differences(seed):
+    rng = np.random.default_rng(800 + seed)
+    params = init_lstm(rng, 5, 4)
+    idx = rng.integers(0, 5, (3, 4))
+    k = signed_uniform(rng, (3, 4, 4))
+    _, cache = lstm_forward(idx, **params)
+    dxs, dw, du, db = lstm_backward(k.copy(), cache, params["w"], params["u"])
+    assert dxs is None
+
+    def loss_fn():
+        hs, _ = lstm_forward(idx, **params)
+        return float((hs * k).sum())
+
+    assert gradient_check(loss_fn, params, {"w": dw, "u": du, "b": db}) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [1, 5, 16])
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_lstm_sequence_kernel_matches_per_cell_reference(batch, length, dtype):
+    rng = np.random.default_rng(1000 * batch + length)
+    params = init_lstm(rng, 6, 8, dtype=dtype)
+    xs = rng.uniform(-1.0, 1.0, (batch, length, 6)).astype(dtype)
+    dhs = rng.standard_normal((batch, length, 8)).astype(dtype)
+    hs, cache = lstm_forward(xs, **params)
+    got = (hs, *lstm_backward(dhs, cache, params["w"], params["u"]))
+    want = reference_lstm(xs, dhs, **params)
+    tol = 64 * np.finfo(dtype).eps
+    for name, fast, slow in zip(("hs", "dxs", "dw", "du", "db"), got, want):
+        assert fast.dtype == dtype, name
+        np.testing.assert_allclose(fast, slow, rtol=tol, atol=tol * np.abs(slow).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_index_input_equals_one_hot_input(dtype):
+    rng = np.random.default_rng(31)
+    vocab = 7
+    params = init_lstm(rng, vocab, 5, dtype=dtype)
+    idx = rng.integers(0, vocab, (4, 6))
+    dhs = rng.standard_normal((4, 6, 5)).astype(dtype)
+    hs_index, cache_index = lstm_forward(idx, **params)
+    hs_float, cache_float = lstm_forward(np.eye(vocab, dtype=dtype)[idx], **params)
+    np.testing.assert_array_equal(hs_index, hs_float)
+    dxs, *grads_index = lstm_backward(dhs, cache_index, params["w"], params["u"])
+    _, *grads_float = lstm_backward(dhs, cache_float, params["w"], params["u"])
+    assert dxs is None
+    tol = 64 * np.finfo(dtype).eps
+    for index_grad, float_grad in zip(grads_index, grads_float):
+        np.testing.assert_allclose(index_grad, float_grad, rtol=tol, atol=tol * np.abs(float_grad).max())
+
+
+def test_float32_sigmoid_matches_float64_at_saturation():
+    x = np.array([-20.0, -12.0, 12.0, 20.0])
+    got = sigmoid(x.astype(np.float32))
+    assert got.dtype == np.float32
+    np.testing.assert_allclose(got.astype(np.float64), sigmoid(x), rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,9 +1,13 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jazzgen.neural import NumericalFault, softmax
 from jazzgen.rnn import (
@@ -147,7 +151,7 @@ def test_best_checkpoint_bound(memorized):
 
 def test_memorized_argmax_reproduces_pattern(memorized):
     seq, _, ckpt, _ = memorized
-    out = generate_rnn(ckpt, seq[:16], 24, temperature=1e-9)
+    (out,) = generate_rnn(ckpt, [seq[:16]], 24, temperature=1e-9)
     assert out == seq[:16] + cycle_tokens(64)[16:40]
 
 
@@ -181,32 +185,32 @@ def test_numerical_fault_names_epoch_and_batch():
 
 def test_generate_zero_steps_returns_seed(memorized):
     seq, _, ckpt, _ = memorized
-    assert generate_rnn(ckpt, seq[:16], 0) == seq[:16]
+    assert generate_rnn(ckpt, [seq[:16]], 0) == [seq[:16]]
 
 
 def test_generate_length_contract(memorized):
     seq, _, ckpt, _ = memorized
     for steps in (1, 7, 30):
-        out = generate_rnn(ckpt, seq[:18], steps, rng=np.random.default_rng(0))
+        (out,) = generate_rnn(ckpt, [seq[:18]], steps, rngs=[np.random.default_rng(0)])
         assert len(out) == 18 + steps
 
 
 def test_generate_rejects_short_seed(memorized):
     _, _, ckpt, _ = memorized
     with pytest.raises(ValueError, match="at least 16"):
-        generate_rnn(ckpt, cycle_tokens(10), 5)
+        generate_rnn(ckpt, [cycle_tokens(10)], 5)
 
 
 def test_generate_names_unknown_seed_token(memorized):
     seq, _, ckpt, _ = memorized
     bad = seq[:15] + ["C#7_0.75"]
     with pytest.raises(UnknownTokenError, match="C#7_0.75"):
-        generate_rnn(ckpt, bad, 1)
+        generate_rnn(ckpt, [bad], 1)
 
 
 def test_tiny_temperature_equals_explicit_argmax(memorized):
     seq, vocab, ckpt, _ = memorized
-    sampled = generate_rnn(ckpt, seq[:16], 12, temperature=1e-9)
+    (sampled,) = generate_rnn(ckpt, [seq[:16]], 12, temperature=1e-9)
     net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
     manual = list(seq[:16])
@@ -220,8 +224,8 @@ def test_tiny_temperature_equals_explicit_argmax(memorized):
 
 def test_generation_is_deterministic_given_rng(memorized):
     seq, _, ckpt, _ = memorized
-    a = generate_rnn(ckpt, seq[:16], 20, temperature=1.2, rng=np.random.default_rng(5))
-    b = generate_rnn(ckpt, seq[:16], 20, temperature=1.2, rng=np.random.default_rng(5))
+    (a,) = generate_rnn(ckpt, [seq[:16]], 20, temperature=1.2, rngs=[np.random.default_rng(5)])
+    (b,) = generate_rnn(ckpt, [seq[:16]], 20, temperature=1.2, rngs=[np.random.default_rng(5)])
     assert a == b
 
 
@@ -241,7 +245,7 @@ def test_sampled_frequencies_match_softmax(memorized):
 
 def test_generate_uses_the_injected_rng_stream(memorized):
     seq, vocab, ckpt, _ = memorized
-    out = generate_rnn(ckpt, seq[:16], 1, temperature=1.0, rng=np.random.default_rng(9))
+    (out,) = generate_rnn(ckpt, [seq[:16]], 1, temperature=1.0, rngs=[np.random.default_rng(9)])
     net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
     probs = next_distribution(net, context, 1.0)
@@ -265,8 +269,7 @@ def test_temperature_increases_entropy(memorized):
     seq, vocab, ckpt, _ = memorized
     net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
-    x = net.one_hot(np.array([context], dtype=np.int64))
-    logits, _ = net.forward(x, training=False)
+    logits, _ = net.forward(np.array([context], dtype=np.int64), training=False)
 
     def entropy(temperature):
         p = softmax(logits[0].astype(np.float64), temperature)
@@ -287,8 +290,8 @@ def test_checkpoint_round_trip_forward_is_bitwise(memorized, tmp_path):
     context = np.array([[vocab.encode(t) for t in seq[:16]]], dtype=np.int64)
     net_a = Network(ckpt.config, tensors=ckpt.tensors)
     net_b = Network(loaded.config, tensors=loaded.tensors)
-    logits_a, _ = net_a.forward(net_a.one_hot(context), training=False)
-    logits_b, _ = net_b.forward(net_b.one_hot(context), training=False)
+    logits_a, _ = net_a.forward(context, training=False)
+    logits_b, _ = net_b.forward(context, training=False)
     assert np.array_equal(logits_a, logits_b)
 
 
@@ -357,6 +360,29 @@ def test_float64_training_works_and_reloads_as_float32(tmp_path):
     path = tmp_path / "f64.ckpt"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
-    # blob storage is float32; reload widens back to the configured dtype
     assert loaded.tensors["lstm1/w"].dtype == np.float64
     assert np.allclose(loaded.tensors["lstm1/w"], ckpt.tensors["lstm1/w"], atol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dtype=st.sampled_from(["float32", "float64"]),
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.integers(1, 6),
+)
+def test_checkpoint_round_trip_is_bit_equal_in_its_dtype(dtype, seed, hidden):
+    vocab = build_vocabulary(PATTERN)
+    config = small_config(vocab, lstm_units=hidden, dense_units=hidden, seed=seed, dtype=dtype)
+    tensors = Network(config).tensors
+    # values with bits below float32 precision, which a float32 blob would drop
+    tensors["lstm1/w"] += np.random.default_rng(seed).standard_normal(tensors["lstm1/w"].shape) * 1e-9
+    ckpt = Checkpoint(tensors, vocab, config, best_loss=0.25, epoch=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert sorted(loaded.tensors) == sorted(tensors)
+    for name, tensor in tensors.items():
+        assert loaded.tensors[name].dtype == np.dtype(dtype), name
+        assert loaded.tensors[name].tobytes() == tensor.tobytes(), name
