@@ -2,50 +2,51 @@
 
 Usage: python3 scripts/run_pipeline.py --work runs/demo --seed-rng 0
 Synthesizes a corpus under the work directory when none is there yet, then
-drives the same four stages the CLI exposes.  Everything downstream of the
-seed is deterministic, so rerunning with the same arguments reproduces every
-output byte for byte.
+drives the same four stages the CLI exposes, with the CLI's defaults and
+validation.  Everything downstream of the seed is deterministic, so rerunning
+with the same arguments reproduces every output byte for byte.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from jazzgen.cli import ExperimentConfig, MODEL_NAMES, RnnSettings, output_lock, run_evaluate, run_generate, run_ingest, run_train
+import click
+
+from jazzgen.cli import MODEL_NAMES, output_lock, resolve_config, run_evaluate, run_generate, run_ingest, run_train
 from jazzgen.synthetic import write_corpus, write_seeds
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--work", type=Path, default=Path("runs/pipeline"), help="work directory")
-    parser.add_argument("--seed-rng", type=int, default=0, help="global seed")
-    parser.add_argument("--order", type=int, default=3, help="markov order")
-    parser.add_argument("--hidden", type=int, default=64, help="LSTM units per layer")
-    parser.add_argument("--epochs", type=int, default=30, help="training epochs")
-    args = parser.parse_args()
-
-    corpus_dir = args.work / "corpus"
-    seeds_dir = args.work / "seeds"
-    if not corpus_dir.is_dir():
-        write_corpus(corpus_dir, seed=args.seed_rng)
-        print(f"synthesized corpus in {corpus_dir}")
-    if not seeds_dir.is_dir():
-        write_seeds(seeds_dir, seed=args.seed_rng)
-        print(f"synthesized seeds in {seeds_dir}")
-
-    config = ExperimentConfig(
-        corpus_dir=corpus_dir,
-        seeds_dir=seeds_dir,
-        out_dir=args.work / "out",
-        markov_order=args.order,
-        global_seed=args.seed_rng,
-        rnn=RnnSettings(hidden_units=args.hidden, epochs=args.epochs),
-    )
+def run(args: argparse.Namespace) -> None:
+    # the remaining argparse destinations are named like the CLI's flags
+    dirs = {"corpus": args.work / "corpus", "seeds": args.work / "seeds", "out": args.work / "out"}
+    config = resolve_config(None, {**vars(args), **dirs})
+    if not config.corpus_dir.is_dir():
+        write_corpus(config.corpus_dir, seed=config.global_seed)
+        print(f"synthesized corpus in {config.corpus_dir}")
+    if not config.seeds_dir.is_dir():
+        write_seeds(config.seeds_dir, seed=config.global_seed)
+        print(f"synthesized seeds in {config.seeds_dir}")
     with output_lock(config.out_dir):
         run_ingest(config)
         run_train(config)
         run_generate(config, MODEL_NAMES, ())
         run_evaluate(config)
     print(f"done; report in {config.out_dir / 'report'}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--work", type=Path, default=Path("runs/pipeline"), help="work directory")
+    parser.add_argument("--seed-rng", type=int, help="global seed")
+    parser.add_argument("--order", type=int, help="markov order")
+    parser.add_argument("--hidden", type=int, help="LSTM units per layer")
+    parser.add_argument("--epochs", type=int, help="training epochs")
+    try:
+        run(parser.parse_args())
+    except click.ClickException as err:
+        err.show()
+        sys.exit(err.exit_code)
 
 
 if __name__ == "__main__":

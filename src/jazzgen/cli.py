@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -18,23 +17,15 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import neural
+from .checks import SELF_CHECKS
 from .markov import (
     build_transition_table,
     generate_markov,
     load_transition_table,
     save_transition_table,
 )
-from .metrics import (
-    MAX_ENTROPY,
-    GroovePattern,
-    MetricError,
-    PitchHistogram,
-    evaluate_events,
-    groove_similarity,
-    histogram_entropy,
-)
-from .midi_io import MidiDocument, MidiError, NoteEvent, lcm_time_division, read_midi, write_midi
+from .metrics import MetricError, evaluate_events
+from .midi_io import MidiDocument, MidiError, lcm_time_division, read_midi, write_midi
 from .report import (
     ComparisonRow,
     bar_chart_svg,
@@ -45,14 +36,13 @@ from .report import (
     win_fractions,
     write_comparison_csv,
 )
-from .rnn import Checkpoint, RnnConfig, generate_rnn, load_checkpoint, save_checkpoint, train
+from .rnn import RnnConfig, generate_rnn, load_checkpoint, save_checkpoint, train
 from .tokenizer import (
     PITCH_CLASS_NAMES,
     TokenError,
     Vocabulary,
     build_vocabulary,
     detokenize,
-    parse_token,
     tokenize,
 )
 
@@ -129,6 +119,8 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
         if not isinstance(data, dict):
             raise click.UsageError(f"config file {config_path} must hold a JSON object")
     rnn_data = data.pop("rnn", {})
+    if not isinstance(rnn_data, dict):
+        raise click.UsageError("config key 'rnn' must hold a JSON object")
     known_top = {f.name for f in fields(ExperimentConfig)} - {"rnn"}
     known_rnn = {f.name for f in fields(RnnSettings)}
     for key in data:
@@ -147,12 +139,33 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
         if required not in data:
             flag = {v: k for k, v in _TOP_FLAGS.items()}[required]
             raise click.UsageError(f"{required} is required; pass --{flag} or set it in the config file")
-    for key in ("corpus_dir", "seeds_dir", "out_dir"):
-        data[key] = Path(data[key])
+        if not isinstance(data[required], (str, os.PathLike)):
+            raise click.UsageError(f"{required} must be a directory path, got {data[required]!r}")
+        data[required] = Path(data[required])
     try:
-        return ExperimentConfig(rnn=RnnSettings(**rnn_data), **data)
+        config = ExperimentConfig(rnn=RnnSettings(**rnn_data), **data)
+        # RnnConfig owns the network's validation; the vocabulary is not known yet
+        rnn_config(config.rnn, n_vocab=1, seed=0)
     except (TypeError, ValueError) as err:
         raise click.UsageError(str(err))
+    return config
+
+
+def rnn_config(settings: RnnSettings, n_vocab: int, seed: int) -> RnnConfig:
+    """The network configuration for a vocabulary size and training seed."""
+    return RnnConfig(
+        n_vocab=n_vocab,
+        window=settings.window,
+        lstm_units=settings.hidden_units,
+        dense_units=settings.dense_units,
+        epochs=settings.epochs,
+        batch_size=settings.batch_size,
+        temperature=settings.temperature,
+        dropout=settings.dropout,
+        seed=seed,
+        learning_rate=settings.learning_rate,
+        dtype=settings.dtype,
+    )
 
 
 def derive_seed(global_seed: int, purpose: str) -> int:
@@ -326,25 +339,13 @@ def run_train(config: ExperimentConfig) -> None:
         for entry in manifest["corpus"]
     ]
     vocab = _load_vocab(layout)
+    net_config = rnn_config(config.rnn, len(vocab), derive_seed(config.global_seed, "rnn-train"))
 
     table = build_transition_table(sequences, config.markov_order)
     layout.markov_table.parent.mkdir(parents=True, exist_ok=True)
     save_transition_table(table, layout.markov_table)
     click.echo(f"markov: order {config.markov_order}, {len(table.counts)} states")
 
-    rnn_config = RnnConfig(
-        n_vocab=len(vocab),
-        window=config.rnn.window,
-        lstm_units=config.rnn.hidden_units,
-        dense_units=config.rnn.dense_units,
-        epochs=config.rnn.epochs,
-        batch_size=config.rnn.batch_size,
-        temperature=config.rnn.temperature,
-        dropout=config.rnn.dropout,
-        seed=derive_seed(config.global_seed, "rnn-train"),
-        learning_rate=config.rnn.learning_rate,
-        dtype=config.rnn.dtype,
-    )
     log = []
 
     def on_epoch(epoch: int, mean_loss: float, improved: bool) -> None:
@@ -352,7 +353,7 @@ def run_train(config: ExperimentConfig) -> None:
         click.echo(f"epoch {epoch}: mean loss {mean_loss:.4f}" + (" *" if improved else ""))
 
     try:
-        ckpt = train(rnn_config, sequences, vocab, on_epoch=on_epoch)
+        ckpt = train(net_config, sequences, vocab, on_epoch=on_epoch)
     except (ArithmeticError, ValueError) as err:
         raise click.ClickException(f"rnn training failed: {err}")
     save_checkpoint(ckpt, layout.checkpoint)
@@ -364,9 +365,10 @@ def run_train(config: ExperimentConfig) -> None:
 
 
 def _load_seed_tokens(layout: Layout) -> dict[str, list[str]]:
-    if not layout.seeds_dir.is_dir():
+    seeds = {p.stem: read_token_file(p) for p in sorted(layout.seeds_dir.glob("*.tokens"))}
+    if not seeds:
         raise click.UsageError("no ingested seeds; run ingest first")
-    return {p.stem: read_token_file(p) for p in sorted(layout.seeds_dir.glob("*.tokens"))}
+    return seeds
 
 
 def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str]) -> None:
@@ -383,8 +385,6 @@ def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str
 def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tuple[str, ...]) -> None:
     layout = Layout(config.out_dir)
     seeds = _load_seed_tokens(layout)
-    if not seeds:
-        raise click.UsageError("no ingested seeds; run ingest first")
     if seed_ids:
         unknown = sorted(set(seed_ids) - set(seeds))
         if unknown:
@@ -436,8 +436,6 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
 def run_evaluate(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
     seeds = _load_seed_tokens(layout)
-    if not seeds:
-        raise click.UsageError("no ingested seeds; run ingest first")
     missing = [
         f"{seed_id}_{model}"
         for seed_id in sorted(seeds)
@@ -499,166 +497,6 @@ def run_evaluate(config: ExperimentConfig) -> None:
             bar_chart_svg(f"pitch class histogram: {seed_id}", histograms[seed_id], PITCH_CLASS_NAMES)
         )
     click.echo(summary)
-
-
-# ---------------------------------------------------------------------------
-# selfcheck: quick invariant sweep without pytest
-
-
-def _check_metric_oracles() -> None:
-    ones = GroovePattern((1,) * 64)
-    zeros = GroovePattern((0,) * 64)
-    assert groove_similarity(ones, ones) == 1.0
-    assert groove_similarity(ones, zeros) == 0.0
-    assert groove_similarity(ones, GroovePattern((0,) + (1,) * 63)) == 1 - 1 / 64
-    assert histogram_entropy(PitchHistogram((1.0,) + (0.0,) * 11)) == 0.0
-    uniform = PitchHistogram((1 / 12,) * 12)
-    assert abs(histogram_entropy(uniform) - MAX_ENTROPY) < 1e-9
-
-
-def _check_lstm_gradients() -> None:
-    rng = np.random.default_rng(100)
-    params = neural.init_lstm(rng, 3, 4)
-    xs = rng.uniform(-1.0, 1.0, (2, 3, 3))
-    k = rng.uniform(0.5, 1.5, (2, 3, 4)) * rng.choice([-1.0, 1.0], (2, 3, 4))
-    _, caches = neural.lstm_forward(xs, params["w"], params["u"], params["b"])
-    dxs, dw, du, db = neural.lstm_backward(k.copy(), caches, params["w"], params["u"])
-    tensors = {"w": params["w"], "u": params["u"], "b": params["b"], "x": xs}
-    grads = {"w": dw, "u": du, "b": db, "x": dxs}
-
-    def loss_fn():
-        hs, _ = neural.lstm_forward(tensors["x"], tensors["w"], tensors["u"], tensors["b"])
-        return float((hs * k).sum())
-
-    worst = neural.gradient_check(loss_fn, tensors, grads)
-    assert worst < 1e-5, f"lstm gradient error {worst:.2e}"
-
-    # token-index input: dw is scattered by index instead of a matrix product
-    params = neural.init_lstm(rng, 5, 4)
-    idx = rng.integers(0, 5, (3, 4))
-    k = rng.uniform(0.5, 1.5, (3, 4, 4)) * rng.choice([-1.0, 1.0], (3, 4, 4))
-    _, cache = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
-    _, dw, du, db = neural.lstm_backward(k.copy(), cache, params["w"], params["u"])
-
-    def index_loss_fn():
-        hs, _ = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
-        return float((hs * k).sum())
-
-    worst = neural.gradient_check(index_loss_fn, params, {"w": dw, "u": du, "b": db})
-    assert worst < 1e-5, f"index-input lstm gradient error {worst:.2e}"
-
-
-def _check_dense_gradients() -> None:
-    rng = np.random.default_rng(200)
-    params = neural.init_dense(rng, 5, 4)
-    x = rng.uniform(-1.0, 1.0, (3, 5))
-    k = rng.uniform(0.5, 1.5, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
-    _, cache = neural.dense_forward(x, params["w"], params["b"], activation="relu")
-    dx, dw, db = neural.dense_backward(k.copy(), cache, params["w"])
-    tensors = {"w": params["w"], "b": params["b"], "x": x}
-    grads = {"w": dw, "b": db, "x": dx}
-
-    def loss_fn():
-        out, _ = neural.dense_forward(tensors["x"], tensors["w"], tensors["b"], activation="relu")
-        return float((out * k).sum())
-
-    worst = neural.gradient_check(loss_fn, tensors, grads)
-    assert worst < 1e-6, f"dense gradient error {worst:.2e}"
-
-
-def _check_batchnorm_gradients() -> None:
-    rng = np.random.default_rng(300)
-    x = rng.uniform(-1.0, 1.0, (6, 5))
-    gamma = rng.uniform(0.5, 1.5, 5)
-    beta = rng.uniform(-0.5, 0.5, 5)
-    k = rng.uniform(0.5, 1.5, (6, 5)) * rng.choice([-1.0, 1.0], (6, 5))
-    state = neural.BatchNormState.fresh(5)
-    _, cache = neural.batchnorm_forward(x, gamma, beta, state, training=True)
-    dx, dgamma, dbeta = neural.batchnorm_backward(k.copy(), cache)
-    tensors = {"x": x, "gamma": gamma, "beta": beta}
-    grads = {"x": dx, "gamma": dgamma, "beta": dbeta}
-
-    def loss_fn():
-        fresh = neural.BatchNormState.fresh(5)
-        out, _ = neural.batchnorm_forward(
-            tensors["x"], tensors["gamma"], tensors["beta"], fresh, training=True
-        )
-        return float((out * k).sum())
-
-    worst = neural.gradient_check(loss_fn, tensors, grads)
-    assert worst < 1e-5, f"batchnorm gradient error {worst:.2e}"
-
-
-def _check_sce_gradients() -> None:
-    rng = np.random.default_rng(400)
-    logits = rng.normal(0.0, 2.0, (6, 9))
-    targets = rng.integers(0, 9, 6)
-    _, _, dlogits = neural.softmax_cross_entropy(logits, targets)
-    tensors = {"logits": logits}
-    grads = {"logits": dlogits}
-
-    def loss_fn():
-        loss, _, _ = neural.softmax_cross_entropy(tensors["logits"], targets)
-        return loss
-
-    worst = neural.gradient_check(loss_fn, tensors, grads)
-    assert worst < 1e-6, f"cross-entropy gradient error {worst:.2e}"
-
-
-def _check_midi_round_trip() -> None:
-    from fractions import Fraction
-
-    events = (
-        NoteEvent(60, Fraction(1), Fraction(0)),
-        NoteEvent.rest(Fraction(1, 2), Fraction(1)),
-        NoteEvent(67, Fraction(1, 6), Fraction(3, 2)),
-        NoteEvent(58, Fraction(1, 3), Fraction(5, 3)),
-    )
-    doc = MidiDocument(lcm_time_division(events), OUTPUT_TEMPO, events)
-    back = read_midi(write_midi(doc))
-    assert back == doc, "midi round trip changed the document"
-
-
-def _check_token_round_trip() -> None:
-    from fractions import Fraction
-
-    events = (
-        NoteEvent(61, Fraction(2, 3), Fraction(0)),
-        NoteEvent.rest(Fraction(1, 4), Fraction(2, 3)),
-        NoteEvent(35, Fraction(3, 8), Fraction(11, 12)),
-    )
-    tokens = tokenize(events)
-    assert detokenize(tokens) == events
-    texts = [token.text for token in tokens]
-    assert [parse_token(text) for text in texts] == tokens
-
-
-def _check_checkpoint_round_trip() -> None:
-    config = RnnConfig(n_vocab=3, window=2, lstm_units=4, dense_units=4, epochs=1, batch_size=2)
-    vocab = Vocabulary(("A4_1.0", "C4_1.0", "R_1.0"))
-    from .rnn import Network
-
-    net = Network(config)
-    ckpt = Checkpoint(net.tensors, vocab, config, best_loss=1.5, epoch=0)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "check.ckpt"
-        save_checkpoint(ckpt, path)
-        loaded = load_checkpoint(path)
-    assert loaded.vocab == vocab
-    for name, tensor in ckpt.tensors.items():
-        assert np.array_equal(loaded.tensors[name], tensor), f"tensor {name} changed"
-
-
-_SELF_CHECKS = (
-    ("metric oracles", _check_metric_oracles),
-    ("lstm gradients", _check_lstm_gradients),
-    ("dense gradients", _check_dense_gradients),
-    ("batchnorm gradients", _check_batchnorm_gradients),
-    ("cross-entropy gradients", _check_sce_gradients),
-    ("midi round trip", _check_midi_round_trip),
-    ("token round trip", _check_token_round_trip),
-    ("checkpoint round trip", _check_checkpoint_round_trip),
-)
 
 
 def config_options(fn):
@@ -742,7 +580,7 @@ def evaluate(config_path, table_path, **flags):
               help="Also validate this checkpoint file.")
 def selfcheck(ckpt_path):
     """Run the built-in invariant sweep; nonzero exit on any failure."""
-    checks = list(_SELF_CHECKS)
+    checks = list(SELF_CHECKS)
     if ckpt_path is not None:
         checks.append(("checkpoint file loads", lambda: load_checkpoint(ckpt_path)))
     failures = 0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from jazzgen import neural
+from jazzgen import checks, neural
 from jazzgen.cli import main
 from jazzgen.markov import build_transition_table, transition_probabilities
 from jazzgen.metrics import (
@@ -149,84 +149,15 @@ def test_acceptance_03_markov_oracle():
     assert distribution == {"C5_0.5": Fraction(1)}
 
 
-def _signed_uniform(rng, shape):
-    return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
-
-
-def _lstm_fd(rng, length):
-    params = neural.init_lstm(rng, 3, 4)
-    xs = rng.uniform(-1.0, 1.0, (2, length, 3))
-    k = _signed_uniform(rng, (2, length, 4))
-    _, caches = neural.lstm_forward(xs, params["w"], params["u"], params["b"])
-    dxs, dw, du, db = neural.lstm_backward(k.copy(), caches, params["w"], params["u"])
-    tensors = {"w": params["w"], "u": params["u"], "b": params["b"], "x": xs}
-    grads = {"w": dw, "u": du, "b": db, "x": dxs}
-
-    def loss_fn():
-        hs, _ = neural.lstm_forward(tensors["x"], tensors["w"], tensors["u"], tensors["b"])
-        return float((hs * k).sum())
-
-    return neural.gradient_check(loss_fn, tensors, grads)
-
-
-def _dense_fd(rng):
-    params = neural.init_dense(rng, 5, 4)
-    x = rng.uniform(-1.0, 1.0, (3, 5))
-    k = _signed_uniform(rng, (3, 4))
-    _, cache = neural.dense_forward(x, params["w"], params["b"], activation="relu")
-    dx, dw, db = neural.dense_backward(k.copy(), cache, params["w"])
-    tensors = {"w": params["w"], "b": params["b"], "x": x}
-    grads = {"w": dw, "b": db, "x": dx}
-
-    def loss_fn():
-        out, _ = neural.dense_forward(tensors["x"], tensors["w"], tensors["b"], activation="relu")
-        return float((out * k).sum())
-
-    return neural.gradient_check(loss_fn, tensors, grads)
-
-
-def _batchnorm_fd(rng):
-    x = rng.uniform(-1.0, 1.0, (6, 5))
-    gamma = rng.uniform(0.5, 1.5, 5)
-    beta = rng.uniform(-0.5, 0.5, 5)
-    k = _signed_uniform(rng, (6, 5))
-    _, cache = neural.batchnorm_forward(x, gamma, beta, neural.BatchNormState.fresh(5), training=True)
-    dx, dgamma, dbeta = neural.batchnorm_backward(k.copy(), cache)
-    tensors = {"x": x, "gamma": gamma, "beta": beta}
-    grads = {"x": dx, "gamma": dgamma, "beta": dbeta}
-
-    def loss_fn():
-        out, _ = neural.batchnorm_forward(
-            tensors["x"], tensors["gamma"], tensors["beta"], neural.BatchNormState.fresh(5), training=True
-        )
-        return float((out * k).sum())
-
-    return neural.gradient_check(loss_fn, tensors, grads)
-
-
-def _sce_fd(rng):
-    logits = rng.normal(0.0, 2.0, (6, 9))
-    targets = rng.integers(0, 9, 6)
-    _, _, dlogits = neural.softmax_cross_entropy(logits, targets)
-    tensors = {"logits": logits}
-    grads = {"logits": dlogits}
-
-    def loss_fn():
-        loss, _, _ = neural.softmax_cross_entropy(tensors["logits"], targets)
-        return loss
-
-    return neural.gradient_check(loss_fn, tensors, grads)
-
-
 # Seeds are pinned to instances whose smallest gradient coordinate stays well
 # above the ~1e-6 resolution of a central difference with step 1e-6 in float64;
 # outside that set a perfect backward pass can still read as ~1e-5 error.
 _GRADIENT_INSTANCES = (
-    ("lstm cell", 1000, (0, 1, 2, 3), lambda rng: _lstm_fd(rng, 1)),
-    ("lstm bptt T=6", 2000, (2, 3, 4, 6), lambda rng: _lstm_fd(rng, 6)),
-    ("dense", 3000, (0, 1, 2, 3), _dense_fd),
-    ("batchnorm", 4000, (0, 1, 2, 3), _batchnorm_fd),
-    ("softmax cross-entropy", 5000, (1, 2, 3, 4), _sce_fd),
+    ("lstm cell", 1000, (0, 1, 2, 3), lambda rng: checks.lstm_fd(rng, 1)),
+    ("lstm bptt T=6", 2000, (2, 3, 4, 6), lambda rng: checks.lstm_fd(rng, 6)),
+    ("dense", 3000, (0, 1, 2, 3), checks.dense_fd),
+    ("batchnorm", 4000, (0, 1, 2, 3), checks.batchnorm_fd),
+    ("softmax cross-entropy", 5000, (1, 2, 3, 4), checks.sce_fd),
 )
 
 

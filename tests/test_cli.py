@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from jazzgen import neural
 from jazzgen.cli import derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
 from jazzgen.synthetic import write_corpus, write_seeds
@@ -83,6 +84,41 @@ def test_resolve_config_rejects_bad_order():
     flags = {"corpus": "c", "seeds": "s", "out": "o", "order": 0}
     with pytest.raises(Exception, match="markov_order"):
         resolve_config(None, flags)
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": 5}, "'rnn' must hold a JSON object"),
+    ({"corpus_dir": None, "seeds_dir": "s", "out_dir": "o"}, "corpus_dir must be a directory path, got None"),
+])
+def test_malformed_config_file_exits_2(tmp_path, content, message):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(content))
+    result = invoke(["ingest", "--config", config_file])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def files_under(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("train", "--batch", "1", "batch_size must be >= 2"),
+    ("train", "--hidden", "0", "lstm_units must be positive"),
+    ("train", "--epochs", "0", "epochs must be positive"),
+    ("train", "--temperature", "0", "temperature must be positive"),
+    ("generate", "--temperature", "-3", "temperature must be positive"),
+])
+def test_bad_rnn_setting_exits_2_before_writing(workspace, pipeline, tmp_path, command, flag, value, message):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    if command == "generate":
+        shutil.copytree(pipeline / "models", out / "models")
+    before = files_under(out)
+    result = invoke([command, *dirs(workspace, out=str(out)), *TINY, flag, value])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert files_under(out) == before
 
 
 def test_derive_seed_is_stable_and_purpose_split():
@@ -291,6 +327,20 @@ def test_selfcheck_passes_and_is_repeatable():
     assert first.output == second.output
     assert "FAIL" not in first.output
     assert first.output.count("PASS") == 8
+
+
+def test_selfcheck_fails_on_broken_lstm_kernel(monkeypatch):
+    backward = neural.lstm_backward
+
+    def negated_dw(*args, **kwargs):
+        dxs, dw, du, db = backward(*args, **kwargs)
+        return dxs, -dw, du, db
+
+    monkeypatch.setattr(neural, "lstm_backward", negated_dw)
+    result = invoke(["selfcheck"])
+    assert result.exit_code == 1
+    assert "FAIL: lstm gradients: lstm gradient error" in result.output
+    assert result.output.count("PASS") == 7
 
 
 def test_selfcheck_validates_checkpoint(pipeline):

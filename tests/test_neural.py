@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jazzgen.checks import lstm_fd, lstm_index_fd
 from jazzgen.neural import (
     AdamState,
     BatchNormState,
@@ -240,48 +241,18 @@ def test_lstm_gradients_add_over_timesteps():
         assert np.allclose(whole, a + b, atol=1e-12)
 
 
-def lstm_fd_instance(seed, dtype=np.float64):
-    rng = np.random.default_rng(100 + seed)
-    params = init_lstm(rng, 3, 4, dtype=dtype)
-    xs = rng.uniform(-1.0, 1.0, (2, 3, 3)).astype(dtype)
-    k = signed_uniform(rng, (2, 3, 4), dtype)
-    _, caches = lstm_forward(xs, params["w"], params["u"], params["b"])
-    dxs, dw, du, db = lstm_backward(k.copy(), caches, params["w"], params["u"])
-    tensors = {"w": params["w"], "u": params["u"], "b": params["b"], "x": xs}
-    grads = {"w": dw, "u": du, "b": db, "x": dxs}
-    return tensors, grads, k
-
-
 # seeds 1 and 5 are excluded: they produce a gradient coordinate of ~1e-6
 # magnitude, below what a central difference with step 1e-6 resolves in float64
 @pytest.mark.parametrize("seed", [0, 2, 3, 4, 6, 7, 8, 9])
 def test_lstm_gradients_match_finite_differences(seed):
-    tensors, grads, k = lstm_fd_instance(seed)
-
-    def loss_fn():
-        hs, _ = lstm_forward(tensors["x"], tensors["w"], tensors["u"], tensors["b"])
-        return float((hs * k).sum())
-
-    assert gradient_check(loss_fn, tensors, grads) < 1e-5
+    assert lstm_fd(np.random.default_rng(100 + seed)) < 1e-5
 
 
 # seed 0 is excluded for the reason above: one u coordinate of ~4e-6 magnitude,
 # where analytic and central difference agree only to ~7e-11 absolute
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_lstm_index_gradients_match_finite_differences(seed):
-    rng = np.random.default_rng(800 + seed)
-    params = init_lstm(rng, 5, 4)
-    idx = rng.integers(0, 5, (3, 4))
-    k = signed_uniform(rng, (3, 4, 4))
-    _, cache = lstm_forward(idx, **params)
-    dxs, dw, du, db = lstm_backward(k.copy(), cache, params["w"], params["u"])
-    assert dxs is None
-
-    def loss_fn():
-        hs, _ = lstm_forward(idx, **params)
-        return float((hs * k).sum())
-
-    assert gradient_check(loss_fn, params, {"w": dw, "u": du, "b": db}) < 1e-5
+    assert lstm_index_fd(np.random.default_rng(800 + seed)) < 1e-5
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -380,16 +351,7 @@ def test_cross_entropy_gradients_match_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_float32_lstm_gradients_against_float64_oracle(seed):
-    tensors32, grads32, k = lstm_fd_instance(seed, dtype=np.float32)
-    tensors = {n: a.astype(np.float64) for n, a in tensors32.items()}
-    grads = {n: a.astype(np.float64) for n, a in grads32.items()}
-    k64 = k.astype(np.float64)
-
-    def loss_fn():
-        hs, _ = lstm_forward(tensors["x"], tensors["w"], tensors["u"], tensors["b"])
-        return float((hs * k64).sum())
-
-    assert gradient_check(loss_fn, tensors, grads) < 1e-4
+    assert lstm_fd(np.random.default_rng(100 + seed), dtype=np.float32) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(4))
