@@ -22,6 +22,12 @@ from .rnn import Checkpoint, Network, RnnConfig, load_checkpoint, save_checkpoin
 from .tokenizer import Vocabulary, detokenize, parse_token, tokenize
 
 
+def _require(condition: bool, message: str = "") -> None:
+    """Fail a check with AssertionError; unlike assert, this still runs under python -O."""
+    if not condition:
+        raise AssertionError(message)
+
+
 def _signed_uniform(rng, shape):
     """Magnitudes in [0.5, 1.5) with random sign: upstream gradients that do not
     cancel to values the finite-difference oracle cannot resolve."""
@@ -61,7 +67,7 @@ def lstm_index_fd(rng) -> float:
     k = _signed_uniform(rng, (3, 4, 4))
     _, cache = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
     dxs, dw, du, db = neural.lstm_backward(k.copy(), cache, params["w"], params["u"])
-    assert dxs is None, "index input produced an input gradient"
+    _require(dxs is None, "index input produced an input gradient")
 
     def loss_fn():
         hs, _ = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
@@ -128,35 +134,35 @@ def sce_fd(rng) -> float:
 def _check_metric_oracles() -> None:
     ones = GroovePattern((1,) * 64)
     zeros = GroovePattern((0,) * 64)
-    assert groove_similarity(ones, ones) == 1.0
-    assert groove_similarity(ones, zeros) == 0.0
-    assert groove_similarity(ones, GroovePattern((0,) + (1,) * 63)) == 1 - 1 / 64
-    assert histogram_entropy(PitchHistogram((1.0,) + (0.0,) * 11)) == 0.0
+    _require(groove_similarity(ones, ones) == 1.0)
+    _require(groove_similarity(ones, zeros) == 0.0)
+    _require(groove_similarity(ones, GroovePattern((0,) + (1,) * 63)) == 1 - 1 / 64)
+    _require(histogram_entropy(PitchHistogram((1.0,) + (0.0,) * 11)) == 0.0)
     uniform = PitchHistogram((1 / 12,) * 12)
-    assert abs(histogram_entropy(uniform) - MAX_ENTROPY) < 1e-9
+    _require(abs(histogram_entropy(uniform) - MAX_ENTROPY) < 1e-9)
 
 
 def _check_lstm_gradients() -> None:
     rng = np.random.default_rng(100)
     worst = lstm_fd(rng)
-    assert worst < 1e-5, f"lstm gradient error {worst:.2e}"
+    _require(worst < 1e-5, f"lstm gradient error {worst:.2e}")
     worst = lstm_index_fd(rng)
-    assert worst < 1e-5, f"index-input lstm gradient error {worst:.2e}"
+    _require(worst < 1e-5, f"index-input lstm gradient error {worst:.2e}")
 
 
 def _check_dense_gradients() -> None:
     worst = dense_fd(np.random.default_rng(200))
-    assert worst < 1e-6, f"dense gradient error {worst:.2e}"
+    _require(worst < 1e-6, f"dense gradient error {worst:.2e}")
 
 
 def _check_batchnorm_gradients() -> None:
     worst = batchnorm_fd(np.random.default_rng(300))
-    assert worst < 1e-5, f"batchnorm gradient error {worst:.2e}"
+    _require(worst < 1e-5, f"batchnorm gradient error {worst:.2e}")
 
 
 def _check_sce_gradients() -> None:
     worst = sce_fd(np.random.default_rng(400))
-    assert worst < 1e-6, f"cross-entropy gradient error {worst:.2e}"
+    _require(worst < 1e-6, f"cross-entropy gradient error {worst:.2e}")
 
 
 def _check_midi_round_trip() -> None:
@@ -168,7 +174,7 @@ def _check_midi_round_trip() -> None:
     )
     doc = MidiDocument(lcm_time_division(events), 240, events)
     back = read_midi(write_midi(doc))
-    assert back == doc, "midi round trip changed the document"
+    _require(back == doc, "midi round trip changed the document")
 
 
 def _check_token_round_trip() -> None:
@@ -178,9 +184,9 @@ def _check_token_round_trip() -> None:
         NoteEvent(35, Fraction(3, 8), Fraction(11, 12)),
     )
     tokens = tokenize(events)
-    assert detokenize(tokens) == events
+    _require(detokenize(tokens) == events)
     texts = [token.text for token in tokens]
-    assert [parse_token(text) for text in texts] == tokens
+    _require([parse_token(text) for text in texts] == tokens)
 
 
 def _check_checkpoint_round_trip() -> None:
@@ -192,9 +198,9 @@ def _check_checkpoint_round_trip() -> None:
         path = Path(tmp) / "check.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-    assert loaded.vocab == vocab
+    _require(loaded.vocab == vocab)
     for name, tensor in ckpt.tensors.items():
-        assert np.array_equal(loaded.tensors[name], tensor), f"tensor {name} changed"
+        _require(np.array_equal(loaded.tensors[name], tensor), f"tensor {name} changed")
 
 
 SELF_CHECKS = (

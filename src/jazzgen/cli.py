@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from .checks import SELF_CHECKS
+from .files import atomic_open
 from .markov import (
     build_transition_table,
     generate_markov,
@@ -242,14 +243,18 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def write_json(path: Path, obj) -> None:
+def write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    with atomic_open(path) as handle:
+        handle.write(text)
+
+
+def write_json(path: Path, obj) -> None:
+    write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
 def write_token_file(path: Path, tokens) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(tokens) + "\n")
+    write_text(path, "\n".join(tokens) + "\n")
 
 
 def read_token_file(path: Path) -> list[str]:
@@ -378,8 +383,8 @@ def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str
         doc = MidiDocument(lcm_time_division(events), OUTPUT_TEMPO, events)
     except MidiError as err:
         raise click.ClickException(f"{seed_id} {model}: cannot render MIDI: {err}")
-    path = layout.generation(seed_id, model, "mid")
-    path.write_bytes(write_midi(doc))
+    with atomic_open(layout.generation(seed_id, model, "mid"), "wb") as handle:
+        handle.write(write_midi(doc))
 
 
 def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tuple[str, ...]) -> None:
@@ -460,7 +465,8 @@ def run_evaluate(config: ExperimentConfig) -> None:
                 raise click.ClickException(f"{seed_id}_{model}: {err}")
             lengths[seed_id][model] = {
                 "tokens": len(tokens),
-                "quarters": float(sum(event.duration for event in events)),
+                # detokenize's events are contiguous from 0
+                "quarters": float(events[-1].end) if events else 0.0,
             }
         rows.append(
             ComparisonRow(
@@ -473,8 +479,7 @@ def run_evaluate(config: ExperimentConfig) -> None:
         )
         gs_series[seed_id] = {m: list(reports[m].gs_series) for m in MODEL_NAMES}
         histograms[seed_id] = {m: list(reports[m].histogram) for m in MODEL_NAMES}
-    layout.report_dir.mkdir(parents=True, exist_ok=True)
-    (layout.report_dir / "comparison.csv").write_text(write_comparison_csv(rows))
+    write_text(layout.report_dir / "comparison.csv", write_comparison_csv(rows))
     write_json(layout.report_dir / "comparison.json", {"rows": rows_as_dicts(rows), "lengths": lengths})
     write_json(layout.report_dir / "gs_series.json", gs_series)
     write_json(layout.report_dir / "histograms.json", histograms)
@@ -488,13 +493,14 @@ def run_evaluate(config: ExperimentConfig) -> None:
             "summary": summary,
         },
     )
-    layout.figures_dir.mkdir(parents=True, exist_ok=True)
     for seed_id in sorted(seeds):
-        (layout.figures_dir / f"gs_{seed_id}.svg").write_text(
-            line_chart_svg(f"groove similarity by bar pair: {seed_id}", gs_series[seed_id])
+        write_text(
+            layout.figures_dir / f"gs_{seed_id}.svg",
+            line_chart_svg(f"groove similarity by bar pair: {seed_id}", gs_series[seed_id]),
         )
-        (layout.figures_dir / f"hist_{seed_id}.svg").write_text(
-            bar_chart_svg(f"pitch class histogram: {seed_id}", histograms[seed_id], PITCH_CLASS_NAMES)
+        write_text(
+            layout.figures_dir / f"hist_{seed_id}.svg",
+            bar_chart_svg(f"pitch class histogram: {seed_id}", histograms[seed_id], PITCH_CLASS_NAMES),
         )
     click.echo(summary)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .files import atomic_open
+
 State = tuple[str, ...]
 
 
@@ -98,7 +100,7 @@ def save_transition_table(table: TransitionTable, path) -> None:
             for state, successors in sorted(table.counts.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path) as handle:
         json.dump(payload, handle, sort_keys=True, indent=1)
         handle.write("\n")
 

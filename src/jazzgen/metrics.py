@@ -56,12 +56,17 @@ class PitchHistogram:
         return all(value == 0 for value in self.h)
 
 
-def _grid_index(onset: Fraction, bar_length: Fraction) -> int:
-    """Nearest of 64 evenly spaced slots, ties rounding up, clamped to 63."""
-    within = onset % bar_length
-    scaled = GRID * within / bar_length
-    index = math.floor(scaled + Fraction(1, 2))
-    return min(index, GRID - 1)
+def _bar_and_slot(onset: Fraction, bar_length: Fraction) -> tuple[int, int]:
+    """Bar holding onset, and the nearest of 64 evenly spaced slots within it,
+    ties rounding up, clamped to 63.
+
+    onset / bar_length = num / den exactly; divmod splits it into the bar and
+    rem / den, and floor(GRID * rem / den + 1/2) is one integer division.
+    """
+    num = onset.numerator * bar_length.denominator
+    den = onset.denominator * bar_length.numerator
+    bar, rem = divmod(num, den)
+    return bar, min((2 * GRID * rem + den) // (2 * den), GRID - 1)
 
 
 def bar_patterns(events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH) -> list[GroovePattern]:
@@ -75,8 +80,8 @@ def bar_patterns(events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH)
     for event in events:
         if event.is_rest:
             continue
-        bar = math.floor(event.onset / bar_length)
-        bars[bar][_grid_index(event.onset, bar_length)] = 1
+        bar, slot = _bar_and_slot(event.onset, bar_length)
+        bars[bar][slot] = 1
     return [GroovePattern(tuple(bits)) for bits in bars]
 
 

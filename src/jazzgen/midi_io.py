@@ -46,7 +46,8 @@ class NoteEvent:
     """One monophonic note or rest.
 
     pitch is a MIDI note number 0..127, or None for a rest. duration and
-    onset are exact rationals in quarter-note units.
+    onset are exact rationals in quarter-note units; end (onset + duration)
+    is computed once, at construction.
     """
 
     pitch: int | None
@@ -54,22 +55,26 @@ class NoteEvent:
     onset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "duration", Fraction(self.duration))
-        object.__setattr__(self, "onset", Fraction(self.onset))
+        # a Fraction is immutable, so one passed in is kept rather than rebuilt
+        duration, onset = self.duration, self.onset
+        if type(duration) is not Fraction:
+            duration = Fraction(duration)
+            object.__setattr__(self, "duration", duration)
+        if type(onset) is not Fraction:
+            onset = Fraction(onset)
+            object.__setattr__(self, "onset", onset)
         if self.pitch is not None and not 0 <= int(self.pitch) <= 127:
             raise ValueError(f"pitch {self.pitch} outside MIDI range 0..127")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.onset < 0:
-            raise ValueError(f"onset must be nonnegative, got {self.onset}")
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        if duration.numerator <= 0:
+            raise ValueError(f"duration must be positive, got {duration}")
+        if onset.numerator < 0:
+            raise ValueError(f"onset must be nonnegative, got {onset}")
+        object.__setattr__(self, "end", onset + duration)
 
     @property
     def is_rest(self) -> bool:
         return self.pitch is None
-
-    @property
-    def end(self) -> Fraction:
-        return self.onset + self.duration
 
     @classmethod
     def rest(cls, duration, onset=Fraction(0)) -> "NoteEvent":
@@ -102,11 +107,14 @@ class MidiDocument:
             raise ValueError(f"tempo must be an integer BPM in 4..60000000, got {self.tempo!r}")
         cursor = Fraction(0)
         for ev in self.events:
-            if ev.onset != cursor:
+            # detokenize passes each event's end on as the next onset, so for
+            # its events identity settles the comparison
+            if ev.onset is not cursor and ev.onset != cursor:
                 raise ValueError(
                     f"events must be contiguous from onset 0: expected onset {cursor}, got {ev.onset}"
                 )
-            if (ev.duration * self.time_division).denominator != 1:
+            # duration is in lowest terms: whole ticks iff its denominator divides the division
+            if self.time_division % ev.duration.denominator:
                 raise TickResolutionError(
                     f"duration {ev.duration} of event at onset {ev.onset} "
                     f"is not a whole number of ticks at division {self.time_division}"
@@ -327,13 +335,13 @@ def write_midi(doc: MidiDocument) -> bytes:
     division = doc.time_division
 
     def ticks(value: Fraction, ev: NoteEvent) -> int:
-        scaled = value * division
-        if scaled.denominator != 1:
+        whole, part = divmod(value.numerator * division, value.denominator)
+        if part:
             raise TickResolutionError(
                 f"event (pitch={ev.pitch}, duration={ev.duration}, onset={ev.onset}) "
                 f"is not representable at division {division}"
             )
-        return int(scaled)
+        return whole
 
     track = bytearray()
     mpqn = round(60_000_000 / doc.tempo)

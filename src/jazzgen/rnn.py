@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .files import atomic_open
 from .neural import (
     AdamState,
     BatchNormState,
@@ -76,8 +77,12 @@ class RnnConfig:
 
     def __post_init__(self):
         for name in ("n_vocab", "window", "lstm_units", "dense_units", "epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # sizes index and shape arrays: 8.0 or true (a JSON bool) is not a size
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for batch normalization")
         if self.temperature <= 0.0:
@@ -328,7 +333,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     stored = _stored_dtype(ckpt.config)
     blob = b"".join(np.ascontiguousarray(ckpt.tensors[n], dtype=stored).tobytes() for n in names)
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
+    with atomic_open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<I", len(encoded)))
         handle.write(encoded)

@@ -12,6 +12,7 @@ strict and rejects any spelling other than the canonical one.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,9 +105,9 @@ class Token:
     def __post_init__(self):
         if self.pitch is not None and not 0 <= self.pitch <= 127:
             raise TokenError(f"MIDI pitch {self.pitch} outside 0..127")
-        if not isinstance(self.duration, Fraction):
+        if type(self.duration) is not Fraction:
             object.__setattr__(self, "duration", Fraction(self.duration))
-        if self.duration <= 0:
+        if self.duration.numerator <= 0:
             raise TokenError(f"duration must be positive, got {self.duration}")
 
     @property
@@ -129,6 +130,10 @@ class Token:
         return self.text
 
 
+# A corpus spells a few hundred distinct tokens, each read thousands of times.
+# Token is immutable, so one parse per text can be shared; a text that raises
+# is not cached and raises again on every call.
+@functools.lru_cache(maxsize=4096)
 def parse_token(text: str) -> Token:
     head, sep, tail = text.partition("_")
     if not sep or not tail:
@@ -156,8 +161,9 @@ def detokenize(tokens: Iterable[TokenLike]) -> tuple[NoteEvent, ...]:
             token = _as_token(value)
         except TokenError as err:
             raise TokenError(f"token {position} ({value!r}): {err}") from None
-        events.append(NoteEvent(token.pitch, token.duration, onset))
-        onset += token.duration
+        event = NoteEvent(token.pitch, token.duration, onset)
+        events.append(event)
+        onset = event.end
     return tuple(events)
 
 

@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from jazzgen.cli import derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
 from jazzgen.synthetic import write_corpus, write_seeds
 
-REFERENCE = Path(__file__).parent / "data" / "reference_comparison.csv"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "tests" / "data" / "reference_comparison.csv"
 
 # small settings so the pipeline tests stay fast
 TINY = [
@@ -89,6 +93,10 @@ def test_resolve_config_rejects_bad_order():
 @pytest.mark.parametrize("content, message", [
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": 5}, "'rnn' must hold a JSON object"),
     ({"corpus_dir": None, "seeds_dir": "s", "out_dir": "o"}, "corpus_dir must be a directory path, got None"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"hidden_units": 8.5}},
+     "lstm_units must be an integer, got 8.5"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"epochs": True}},
+     "epochs must be an integer, got True"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, content, message):
     config_file = tmp_path / "config.json"
@@ -341,6 +349,28 @@ def test_selfcheck_fails_on_broken_lstm_kernel(monkeypatch):
     assert result.exit_code == 1
     assert "FAIL: lstm gradients: lstm gradient error" in result.output
     assert result.output.count("PASS") == 7
+
+
+def test_selfcheck_fails_on_broken_lstm_kernel_under_optimize():
+    # python -O strips assert statements; selfcheck must still catch the fault
+    script = (
+        "from jazzgen import neural\n"
+        "from jazzgen.cli import main\n"
+        "backward = neural.lstm_backward\n"
+        "def negated_dw(*args, **kwargs):\n"
+        "    dxs, dw, du, db = backward(*args, **kwargs)\n"
+        "    return dxs, -dw, du, db\n"
+        "neural.lstm_backward = negated_dw\n"
+        "main(['selfcheck'])\n"
+    )
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "FAIL: lstm gradients: lstm gradient error" in result.stdout
+    assert result.stdout.count("PASS") == 7
 
 
 def test_selfcheck_validates_checkpoint(pipeline):
