@@ -18,7 +18,7 @@ import numpy as np
 from . import neural
 from .metrics import MAX_ENTROPY, GroovePattern, PitchHistogram, groove_similarity, histogram_entropy
 from .midi_io import MidiDocument, NoteEvent, lcm_time_division, read_midi, write_midi
-from .rnn import Checkpoint, Network, RnnConfig, load_checkpoint, save_checkpoint
+from .rnn import Checkpoint, RnnConfig, init_tensors, load_checkpoint, save_checkpoint
 from .tokenizer import Vocabulary, detokenize, parse_token, tokenize
 
 
@@ -190,10 +190,9 @@ def _check_token_round_trip() -> None:
 
 
 def _check_checkpoint_round_trip() -> None:
-    config = RnnConfig(n_vocab=3, window=2, lstm_units=4, dense_units=4, epochs=1, batch_size=2)
+    config = RnnConfig(window=2, hidden_units=4, dense_units=4, epochs=1, batch_size=2)
     vocab = Vocabulary(("A4_1.0", "C4_1.0", "R_1.0"))
-    net = Network(config)
-    ckpt = Checkpoint(net.tensors, vocab, config, best_loss=1.5, epoch=0)
+    ckpt = Checkpoint(init_tensors(config, len(vocab), 0), vocab, config, best_loss=1.5, epoch=0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "check.ckpt"
         save_checkpoint(ckpt, path)

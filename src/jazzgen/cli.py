@@ -37,7 +37,15 @@ from .report import (
     win_fractions,
     write_comparison_csv,
 )
-from .rnn import RnnConfig, generate_rnn, load_checkpoint, save_checkpoint, train
+from .rnn import (
+    CheckpointError,
+    RnnConfig,
+    check_setting_types,
+    generate_rnn,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from .tokenizer import (
     PITCH_CLASS_NAMES,
     TokenError,
@@ -58,19 +66,8 @@ class StaleArtifactError(click.ClickException):
     exit_code = 2
 
 
-@dataclass
-class RnnSettings:
-    """Network and training knobs, nested inside the experiment config."""
-
-    window: int = 16
-    hidden_units: int = 64
-    dense_units: int = 64
-    epochs: int = 30
-    batch_size: int = 64
-    temperature: float = 1.0
-    dropout: float = 0.3
-    learning_rate: float = 1e-3
-    dtype: str = "float32"
+# bench/child.py builds its config with cli.RnnSettings(epochs=...)
+RnnSettings = RnnConfig
 
 
 @dataclass
@@ -82,13 +79,18 @@ class ExperimentConfig:
     global_seed: int = 0
     markov_notes: int = 200
     rnn_steps: int = 250
-    rnn: RnnSettings = field(default_factory=RnnSettings)
+    rnn: RnnConfig = field(default_factory=RnnConfig)
 
     def __post_init__(self):
+        check_setting_types(self)
         if self.markov_order < 1:
             raise ValueError(f"markov_order must be >= 1, got {self.markov_order}")
         if self.markov_notes < 0 or self.rnn_steps < 0:
             raise ValueError("generation lengths must be >= 0")
+        if self.rnn.window > SEED_TOKEN_COUNT:
+            raise ValueError(
+                f"rnn.window must be at most {SEED_TOKEN_COUNT} (the seed length), got {self.rnn.window}"
+            )
 
 
 # flag name -> config field, for flags that override the config file
@@ -123,7 +125,7 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
     if not isinstance(rnn_data, dict):
         raise click.UsageError("config key 'rnn' must hold a JSON object")
     known_top = {f.name for f in fields(ExperimentConfig)} - {"rnn"}
-    known_rnn = {f.name for f in fields(RnnSettings)}
+    known_rnn = {f.name for f in fields(RnnConfig)}
     for key in data:
         if key not in known_top:
             raise click.UsageError(f"unknown config key {key!r}")
@@ -144,29 +146,10 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
             raise click.UsageError(f"{required} must be a directory path, got {data[required]!r}")
         data[required] = Path(data[required])
     try:
-        config = ExperimentConfig(rnn=RnnSettings(**rnn_data), **data)
-        # RnnConfig owns the network's validation; the vocabulary is not known yet
-        rnn_config(config.rnn, n_vocab=1, seed=0)
+        config = ExperimentConfig(rnn=RnnConfig(**rnn_data), **data)
     except (TypeError, ValueError) as err:
         raise click.UsageError(str(err))
     return config
-
-
-def rnn_config(settings: RnnSettings, n_vocab: int, seed: int) -> RnnConfig:
-    """The network configuration for a vocabulary size and training seed."""
-    return RnnConfig(
-        n_vocab=n_vocab,
-        window=settings.window,
-        lstm_units=settings.hidden_units,
-        dense_units=settings.dense_units,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        temperature=settings.temperature,
-        dropout=settings.dropout,
-        seed=seed,
-        learning_rate=settings.learning_rate,
-        dtype=settings.dtype,
-    )
 
 
 def derive_seed(global_seed: int, purpose: str) -> int:
@@ -326,25 +309,32 @@ def run_ingest(config: ExperimentConfig) -> None:
     )
 
 
-def _require_manifest(layout: Layout) -> dict:
+def _read_ingested(path: Path, parse):
+    """One ingest output, read and passed through parse; a missing or corrupt one exits 2."""
+    try:
+        return parse(path.read_text())
+    except (OSError, ValueError, LookupError, TypeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else f"{type(err).__name__}: {err}"
+        raise StaleArtifactError(f"cannot read {path} ({reason}); rerun ingest") from None
+
+
+def _require_manifest(layout: Layout) -> list[str]:
+    """The ingested corpus file stems, in manifest order."""
     if not layout.manifest.exists():
         raise click.UsageError(f"missing corpus manifest {layout.manifest}; run ingest first")
-    return json.loads(layout.manifest.read_text())
+    return _read_ingested(layout.manifest, lambda text: [e["file"] for e in json.loads(text)["corpus"]])
 
 
 def _load_vocab(layout: Layout) -> Vocabulary:
-    return Vocabulary(tuple(json.loads(layout.vocab_file.read_text())))
+    return _read_ingested(layout.vocab_file, lambda text: Vocabulary(tuple(json.loads(text))))
 
 
 def run_train(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
-    manifest = _require_manifest(layout)
     sequences = [
-        read_token_file(layout.tokens_dir / f"{entry['file']}.tokens")
-        for entry in manifest["corpus"]
+        _read_ingested(layout.tokens_dir / f"{stem}.tokens", str.split) for stem in _require_manifest(layout)
     ]
     vocab = _load_vocab(layout)
-    net_config = rnn_config(config.rnn, len(vocab), derive_seed(config.global_seed, "rnn-train"))
 
     table = build_transition_table(sequences, config.markov_order)
     layout.markov_table.parent.mkdir(parents=True, exist_ok=True)
@@ -358,7 +348,7 @@ def run_train(config: ExperimentConfig) -> None:
         click.echo(f"epoch {epoch}: mean loss {mean_loss:.4f}" + (" *" if improved else ""))
 
     try:
-        ckpt = train(net_config, sequences, vocab, on_epoch=on_epoch)
+        ckpt = train(config.rnn, sequences, vocab, derive_seed(config.global_seed, "rnn-train"), on_epoch)
     except (ArithmeticError, ValueError) as err:
         raise click.ClickException(f"rnn training failed: {err}")
     save_checkpoint(ckpt, layout.checkpoint)
@@ -406,7 +396,10 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
     if "rnn" in models:
         if not layout.checkpoint.exists():
             raise click.UsageError(f"missing {layout.checkpoint}; run train first")
-        ckpt = load_checkpoint(layout.checkpoint)
+        try:
+            ckpt = load_checkpoint(layout.checkpoint)
+        except CheckpointError as err:
+            raise StaleArtifactError(f"cannot load {layout.checkpoint} ({err}); rerun train") from None
     seed_ids = sorted(seeds)
     rnn_outputs = {}
     if ckpt is not None:

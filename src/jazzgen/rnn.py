@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import struct
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .neural import (
 from .tokenizer import Vocabulary
 
 CHECKPOINT_MAGIC = b"JGCKPT01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 ARGMAX_TEMPERATURE = 1e-6
 
 TRAINABLE = (
@@ -60,27 +60,38 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable: bad magic, version, size, or shapes."""
 
 
+# annotation -> (accepted types, noun); no setting takes a bool (JSON true/false)
+_SETTING_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def check_setting_types(settings) -> None:
+    """TypeError unless each int, float and str field of a settings dataclass holds that type."""
+    for f in fields(settings):
+        rule = _SETTING_TYPES.get(getattr(f.type, "__name__", f.type))
+        value = getattr(settings, f.name)
+        if rule is not None and (not isinstance(value, rule[0]) or isinstance(value, bool)):
+            raise TypeError(f"{f.name} must be {rule[1]}, got {value!r}")
+
+
 @dataclass
 class RnnConfig:
-    n_vocab: int
+    """Network and training settings: the config file's `rnn` section and
+    what a checkpoint stores. The vocabulary sets the input and output size."""
+
     window: int = 16
-    lstm_units: int = 64
+    hidden_units: int = 64
     dense_units: int = 64
     epochs: int = 30
     batch_size: int = 64
     temperature: float = 1.0
     dropout: float = 0.3
-    seed: int = 0
     learning_rate: float = 1e-3
-    bn_momentum: float = 0.99
     dtype: str = "float32"
 
     def __post_init__(self):
-        for name in ("n_vocab", "window", "lstm_units", "dense_units", "epochs", "batch_size"):
+        check_setting_types(self)
+        for name in ("window", "hidden_units", "dense_units", "epochs", "batch_size"):
             value = getattr(self, name)
-            # sizes index and shape arrays: 8.0 or true (a JSON bool) is not a size
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.batch_size < 2:
@@ -102,31 +113,33 @@ class Checkpoint:
     epoch: int
 
 
+def init_tensors(config: RnnConfig, n_vocab: int, seed: int) -> dict:
+    """Fresh parameters and batch-norm statistics for an n_vocab-token vocabulary."""
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(config.dtype)
+    v, h, d = n_vocab, config.hidden_units, config.dense_units
+    lstm1 = init_lstm(rng, v, h, dtype)
+    lstm2 = init_lstm(rng, h, h, dtype)
+    dense1 = init_dense(rng, h, d, dtype)
+    dense2 = init_dense(rng, d, v, dtype)
+    return {
+        "lstm1/w": lstm1["w"], "lstm1/u": lstm1["u"], "lstm1/b": lstm1["b"],
+        "lstm2/w": lstm2["w"], "lstm2/u": lstm2["u"], "lstm2/b": lstm2["b"],
+        "norm/gamma": np.ones(h, dtype=dtype),
+        "norm/beta": np.zeros(h, dtype=dtype),
+        "norm/mean": np.zeros(h, dtype=dtype),
+        "norm/var": np.ones(h, dtype=dtype),
+        "dense1/w": dense1["w"], "dense1/b": dense1["b"],
+        "dense2/w": dense2["w"], "dense2/b": dense2["b"],
+    }
+
+
 class Network:
     """Parameter container plus the fixed forward/backward wiring."""
 
-    def __init__(self, config: RnnConfig, tensors: dict | None = None):
+    def __init__(self, config: RnnConfig, tensors: dict):
         self.config = config
-        self.dtype = np.dtype(config.dtype)
-        if tensors is not None:
-            self.tensors = tensors
-        else:
-            rng = np.random.default_rng(config.seed)
-            v, h, d = config.n_vocab, config.lstm_units, config.dense_units
-            lstm1 = init_lstm(rng, v, h, self.dtype)
-            lstm2 = init_lstm(rng, h, h, self.dtype)
-            dense1 = init_dense(rng, h, d, self.dtype)
-            dense2 = init_dense(rng, d, v, self.dtype)
-            self.tensors = {
-                "lstm1/w": lstm1["w"], "lstm1/u": lstm1["u"], "lstm1/b": lstm1["b"],
-                "lstm2/w": lstm2["w"], "lstm2/u": lstm2["u"], "lstm2/b": lstm2["b"],
-                "norm/gamma": np.ones(h, dtype=self.dtype),
-                "norm/beta": np.zeros(h, dtype=self.dtype),
-                "norm/mean": np.zeros(h, dtype=self.dtype),
-                "norm/var": np.ones(h, dtype=self.dtype),
-                "dense1/w": dense1["w"], "dense1/b": dense1["b"],
-                "dense2/w": dense2["w"], "dense2/b": dense2["b"],
-            }
+        self.tensors = tensors
 
     def forward(self, windows, training: bool, rng: np.random.Generator | None = None):
         """windows is integer token indices (B, L); returns (logits, cache)."""
@@ -134,7 +147,7 @@ class Network:
         hs1, cache1 = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
         hs2, cache2 = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
         last = hs2[:, -1, :]
-        bn_state = BatchNormState(t["norm/mean"], t["norm/var"], self.config.bn_momentum)
+        bn_state = BatchNormState(t["norm/mean"], t["norm/var"])
         normed, bn_cache = batchnorm_forward(
             last, t["norm/gamma"], t["norm/beta"], bn_state, training
         )
@@ -191,21 +204,21 @@ def train(
     config: RnnConfig,
     sequences: Iterable[Sequence[str]],
     vocab: Vocabulary,
+    seed: int,
     on_epoch: Callable[[int, float, bool], None] | None = None,
 ) -> Checkpoint:
     """Adam + cross-entropy over shuffled windows; returns the best epoch.
 
-    on_epoch, when given, is called after every epoch with
-    (epoch index, mean loss, improved flag).
+    seed starts two separate generators: one draws the initial parameters,
+    the other the shuffles and dropout masks. on_epoch, when given, is called
+    after every epoch with (epoch index, mean loss, improved flag).
     """
-    if len(vocab) != config.n_vocab:
-        raise ValueError(f"vocab size {len(vocab)} != config n_vocab {config.n_vocab}")
     windows = make_training_windows(sequences, vocab, config.window)
     inputs = np.array([w for w, _ in windows], dtype=np.int64)
     targets = np.array([t for _, t in windows], dtype=np.int64)
 
-    net = Network(config)
-    rng = np.random.default_rng(config.seed)
+    net = Network(config, init_tensors(config, len(vocab), seed))
+    rng = np.random.default_rng(seed)
     adam = AdamState()
     best_loss = float("inf")
     best_epoch = -1
@@ -284,7 +297,7 @@ def generate_rnn(
     The final window-length slice of each seed is its initial context.
     Temperatures at or below 1e-6 short-circuit to argmax, which lands on
     the lexicographically smallest token among ties because the vocabulary
-    is sorted.
+    is sorted; without rngs, only argmax sampling works.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -294,14 +307,13 @@ def generate_rnn(
             raise ValueError(f"seed has {len(seed)} tokens; at least {window} required")
     if temperature is None:
         temperature = ckpt.config.temperature
-    if rngs is None:
-        rngs = [np.random.default_rng(ckpt.config.seed) for _ in seeds]
+    rngs = [None] * len(seeds) if rngs is None else rngs
     if len(rngs) != len(seeds):
         raise ValueError(f"{len(rngs)} rngs for {len(seeds)} seeds")
     outputs = [[str(token) for token in seed] for seed in seeds]
     if not seeds:
         return outputs
-    net = Network(ckpt.config, tensors=ckpt.tensors)
+    net = Network(ckpt.config, ckpt.tensors)
     contexts = np.array(
         [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds], dtype=np.int64
     )
@@ -366,14 +378,8 @@ def load_checkpoint(path) -> Checkpoint:
         int(np.prod(entry["shape"], dtype=np.int64)) for entry in manifest["tensors"]
     )
     blob = data[offset:]
-    if len(blob) < expected:
-        raise CheckpointError(
-            f"truncated checkpoint: tensor blob has {len(blob)} bytes, manifest needs {expected}"
-        )
-    if len(blob) > expected:
-        raise CheckpointError(
-            f"tensor blob has {len(blob)} bytes but manifest shapes account for {expected}"
-        )
+    if len(blob) != expected:
+        raise CheckpointError(f"tensor blob has {len(blob)} bytes but manifest shapes account for {expected}")
     tensors = {}
     cursor = 0
     for entry in manifest["tensors"]:

@@ -34,6 +34,7 @@ from jazzgen.rnn import (
     Network,
     RnnConfig,
     generate_rnn,
+    init_tensors,
     load_checkpoint,
     next_distribution,
     save_checkpoint,
@@ -180,18 +181,16 @@ def test_acceptance_05_memorization():
     tokens = (MEMO_PATTERN * 5)[:40]
     vocab = build_vocabulary(tokens)
     config = RnnConfig(
-        n_vocab=len(vocab),
         window=16,
-        lstm_units=32,
+        hidden_units=32,
         dense_units=32,
         epochs=300,
         batch_size=64,
         dropout=0.0,
-        seed=7,
         learning_rate=1e-2,
     )
     history = []
-    ckpt = train(config, [tokens], vocab, on_epoch=lambda e, loss, improved: history.append(loss))
+    ckpt = train(config, [tokens], vocab, 7, on_epoch=lambda e, loss, improved: history.append(loss))
     assert len(history) == 300
     assert history[-1] < 0.1, f"final mean loss {history[-1]:.4f}"
     (generated,) = generate_rnn(ckpt, [tokens[:16]], 20, temperature=1e-9)
@@ -201,10 +200,8 @@ def test_acceptance_05_memorization():
 
 @criterion(6, 60.0, "sampling: 10^4 draws within TV 0.05 of softmax; tiny temperature = argmax")
 def test_acceptance_06_sampling():
-    config = RnnConfig(
-        n_vocab=8, window=4, lstm_units=8, dense_units=8, epochs=1, batch_size=2, dropout=0.0, seed=3
-    )
-    net = Network(config)
+    config = RnnConfig(window=4, hidden_units=8, dense_units=8, epochs=1, batch_size=2, dropout=0.0)
+    net = Network(config, init_tensors(config, 8, 3))
     context = [0, 1, 2, 3]
     logits, _ = net.forward(np.array([context]), training=False)
     logits = logits[0]
@@ -286,11 +283,9 @@ def test_acceptance_08_round_trips(tmp_path):
         assert detokenize(tokenize(events)) == events
         doc = MidiDocument(lcm_time_division(events), rng.randint(4, 1000), events)
         assert read_midi(write_midi(doc)) == doc
-    config = RnnConfig(
-        n_vocab=5, window=3, lstm_units=6, dense_units=6, epochs=1, batch_size=2, dropout=0.0, seed=1
-    )
+    config = RnnConfig(window=3, hidden_units=6, dense_units=6, epochs=1, batch_size=2, dropout=0.0)
     vocab = Vocabulary(("A4_1.0", "C4_1.0", "D4_0.5", "E4_0.25", "R_1.0"))
-    net = Network(config)
+    net = Network(config, init_tensors(config, len(vocab), 1))
     path = tmp_path / "roundtrip.ckpt"
     save_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0), path)
     loaded = load_checkpoint(path)

@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from jazzgen import neural
 from jazzgen.cli import derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
+from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
 from jazzgen.synthetic import write_corpus, write_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,16 +98,28 @@ def test_resolve_config_rejects_bad_order():
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": 5}, "'rnn' must hold a JSON object"),
     ({"corpus_dir": None, "seeds_dir": "s", "out_dir": "o"}, "corpus_dir must be a directory path, got None"),
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"hidden_units": 8.5}},
-     "lstm_units must be an integer, got 8.5"),
+     "hidden_units must be an integer, got 8.5"),
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"epochs": True}},
      "epochs must be an integer, got True"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "markov_order": 2.5},
+     "markov_order must be an integer, got 2.5"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn_steps": 2.5},
+     "rnn_steps must be an integer, got 2.5"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "markov_notes": 2.5},
+     "markov_notes must be an integer, got 2.5"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"learning_rate": "x"}},
+     "learning_rate must be a number, got 'x'"),
 ])
-def test_malformed_config_file_exits_2(tmp_path, content, message):
+def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
+    monkeypatch.chdir(tmp_path)
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(content))
     result = invoke(["ingest", "--config", config_file])
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    # click's usage hint, then the one-line reason; no traceback
+    assert message in result.output.strip().splitlines()[-1]
+    assert "Traceback" not in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def files_under(root):
@@ -112,7 +128,7 @@ def files_under(root):
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("train", "--batch", "1", "batch_size must be >= 2"),
-    ("train", "--hidden", "0", "lstm_units must be positive"),
+    ("train", "--hidden", "0", "hidden_units must be positive"),
     ("train", "--epochs", "0", "epochs must be positive"),
     ("train", "--temperature", "0", "temperature must be positive"),
     ("generate", "--temperature", "-3", "temperature must be positive"),
@@ -127,6 +143,26 @@ def test_bad_rnn_setting_exits_2_before_writing(workspace, pipeline, tmp_path, c
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert files_under(out) == before
+
+
+def test_rnn_window_longer_than_a_seed_exits_2_before_writing(workspace, pipeline, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    before = files_under(out)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"rnn": {"window": 20}}))
+    result = invoke(["train", "--config", config_file, *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines()[-1] == (
+        "Error: rnn.window must be at most 16 (the seed length), got 20"
+    )
+    assert files_under(out) == before
+
+
+def test_readme_lists_every_rnn_config_key_with_its_default():
+    readme = (ROOT / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `rnn\.(\w+)` \| `([^`]*)` \|", readme, re.MULTILINE))
+    assert rows == {f.name: json.dumps(f.default) for f in fields(RnnConfig)}
 
 
 def test_derive_seed_is_stable_and_purpose_split():
@@ -240,6 +276,53 @@ def test_generate_with_stale_checkpoint_exits_2(workspace, tmp_path):
         "Error: seed seed_2 has token C#4_1.5 that the checkpoint vocabulary lacks; rerun train"
     ]
     assert not (tmp_path / "out" / "generated").exists()
+
+
+def _as_version_2(raw: bytes) -> bytes:
+    """The same checkpoint in format version 2, whose config also held the
+    vocabulary size, the training seed and the batch-norm momentum."""
+    offset = len(CHECKPOINT_MAGIC)
+    (manifest_len,) = struct.unpack_from("<I", raw, offset)
+    manifest = json.loads(raw[offset + 4 : offset + 4 + manifest_len])
+    config = manifest["config"]
+    config["lstm_units"] = config.pop("hidden_units")
+    config.update(n_vocab=len(manifest["vocab"]), seed=0, bn_momentum=0.99)
+    manifest["format_version"] = 2
+    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(encoded)) + encoded + raw[offset + 4 + manifest_len :]
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda raw: raw[:1000], "truncated checkpoint"),
+    (_as_version_2, "format version 2 not supported"),
+], ids=["truncated", "version-2"])
+def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    ckpt = out / "models" / "rnn.ckpt"
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--model", "rnn"])
+    assert result.exit_code == 2, result.output
+    (line,) = result.output.strip().splitlines()
+    assert str(ckpt) in line and reason in line and line.endswith("rerun train")
+    assert not (out / "generated").exists()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda ingest: next((ingest / "tokens").glob("*.tokens")).unlink(),
+    lambda ingest: (ingest / "manifest.json").write_text((ingest / "manifest.json").read_text()[:40]),
+], ids=["token-file-deleted", "manifest-truncated"])
+def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path, damage):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    damage(out / "ingest")
+    before = files_under(out)
+    result = invoke(["train", *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 2, result.output
+    (line,) = result.output.strip().splitlines()
+    assert line.startswith("Error: cannot read ") and line.endswith("rerun ingest")
+    assert files_under(out) == before
 
 
 def test_generate_seed_output_does_not_depend_on_batch(tmp_path):

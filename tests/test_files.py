@@ -21,11 +21,11 @@ WRITERS = {
     "save_transition_table": "from jazzgen.markov import build_transition_table, save_transition_table\n"
                              "table = build_transition_table([[f'C4_{i}.0' for i in range(1, 300)]], 1)\n"
                              "write = lambda path: save_transition_table(table, path)\n",
-    "save_checkpoint": "from jazzgen.rnn import Checkpoint, Network, RnnConfig, save_checkpoint\n"
+    "save_checkpoint": "from jazzgen.rnn import Checkpoint, RnnConfig, init_tensors, save_checkpoint\n"
                        "from jazzgen.tokenizer import Vocabulary\n"
-                       "config = RnnConfig(n_vocab=50, window=2, lstm_units=8, dense_units=8, epochs=1, batch_size=2)\n"
+                       "config = RnnConfig(window=2, hidden_units=8, dense_units=8, epochs=1, batch_size=2)\n"
                        "vocab = Vocabulary(tuple(sorted(f'C4_{i}.0' for i in range(1, 51))))\n"
-                       "ckpt = Checkpoint(Network(config).tensors, vocab, config, best_loss=1.0, epoch=0)\n"
+                       "ckpt = Checkpoint(init_tensors(config, len(vocab), 0), vocab, config, best_loss=1.0, epoch=0)\n"
                        "write = lambda path: save_checkpoint(ckpt, path)\n",
 }
 

@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tempfile
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from jazzgen.rnn import (
     Network,
     RnnConfig,
     generate_rnn,
+    init_tensors,
     load_checkpoint,
     make_training_windows,
     next_distribution,
@@ -32,17 +34,18 @@ def cycle_tokens(n):
     return (PATTERN * (n // len(PATTERN) + 1))[:n]
 
 
-def small_config(vocab, **overrides):
+SMALL_SEED = 11
+
+
+def small_config(**overrides):
     defaults = dict(
-        n_vocab=len(vocab),
         window=16,
-        lstm_units=16,
+        hidden_units=16,
         dense_units=16,
         epochs=3,
         batch_size=8,
         dropout=0.0,
         learning_rate=1e-2,
-        seed=11,
     )
     defaults.update(overrides)
     return RnnConfig(**defaults)
@@ -54,34 +57,51 @@ def memorized():
     seq = cycle_tokens(40)
     vocab = build_vocabulary(seq)
     config = RnnConfig(
-        n_vocab=len(vocab),
         window=16,
-        lstm_units=32,
+        hidden_units=32,
         dense_units=32,
         epochs=300,
         batch_size=64,
         dropout=0.0,
         learning_rate=1e-2,
-        seed=7,
     )
     history = []
-    ckpt = train(config, [seq], vocab, on_epoch=lambda e, loss, imp: history.append(loss))
+    ckpt = train(config, [seq], vocab, 7, on_epoch=lambda e, loss, imp: history.append(loss))
     return seq, vocab, ckpt, history
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=0)
+        RnnConfig(hidden_units=0)
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=5, batch_size=1)
+        RnnConfig(batch_size=1)
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=5, temperature=0.0)
+        RnnConfig(temperature=0.0)
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=5, dropout=1.0)
+        RnnConfig(dropout=1.0)
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=5, dtype="float16")
+        RnnConfig(dtype="float16")
     with pytest.raises(ValueError):
-        RnnConfig(n_vocab=5, window=0)
+        RnnConfig(window=0)
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("window", 2.0, "window must be an integer, got 2.0"),
+    ("epochs", True, "epochs must be an integer, got True"),
+    ("learning_rate", "x", "learning_rate must be a number, got 'x'"),
+    ("dropout", False, "dropout must be a number, got False"),
+    ("dtype", 32, "dtype must be a string, got 32"),
+])
+def test_config_type_rule(setting, value, message):
+    with pytest.raises(TypeError, match=message):
+        RnnConfig(**{setting: value})
+
+
+def test_config_holds_only_user_settings():
+    assert [f.name for f in fields(RnnConfig)] == [
+        "window", "hidden_units", "dense_units", "epochs", "batch_size",
+        "temperature", "dropout", "learning_rate", "dtype",
+    ]
 
 
 def test_twenty_token_file_gives_four_windows():
@@ -119,17 +139,17 @@ def test_short_files_are_skipped_but_all_short_is_an_error():
 
 def test_network_tensor_inventory():
     vocab = build_vocabulary(cycle_tokens(8))
-    net = Network(small_config(vocab))
-    names = set(net.tensors)
+    tensors = init_tensors(small_config(), len(vocab), SMALL_SEED)
+    names = set(tensors)
     assert names == {
         "lstm1/w", "lstm1/u", "lstm1/b",
         "lstm2/w", "lstm2/u", "lstm2/b",
         "norm/gamma", "norm/beta", "norm/mean", "norm/var",
         "dense1/w", "dense1/b", "dense2/w", "dense2/b",
     }
-    assert net.tensors["lstm1/w"].shape == (64, len(vocab))
-    assert net.tensors["dense2/w"].shape == (len(vocab), 16)
-    assert all(a.dtype == np.float32 for a in net.tensors.values())
+    assert tensors["lstm1/w"].shape == (64, len(vocab))
+    assert tensors["dense2/w"].shape == (len(vocab), 16)
+    assert all(a.dtype == np.float32 for a in tensors.values())
 
 
 def test_memorization_reaches_low_loss(memorized):
@@ -160,7 +180,7 @@ def test_training_is_deterministic(tmp_path):
     vocab = build_vocabulary(seq)
     paths = []
     for name in ("a.ckpt", "b.ckpt"):
-        ckpt = train(small_config(vocab), [seq], vocab)
+        ckpt = train(small_config(), [seq], vocab, SMALL_SEED)
         path = tmp_path / name
         save_checkpoint(ckpt, path)
         paths.append(path)
@@ -171,21 +191,28 @@ def test_size_one_trailing_batch_is_skipped_with_warning():
     seq = cycle_tokens(16 + 9)  # 9 windows; batch 8 leaves a 1-item tail
     vocab = build_vocabulary(seq)
     with pytest.warns(UserWarning, match="size-1 batch"):
-        train(small_config(vocab, epochs=1), [seq], vocab)
+        train(small_config(epochs=1), [seq], vocab, SMALL_SEED)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_numerical_fault_names_epoch_and_batch():
     seq = cycle_tokens(24)
     vocab = build_vocabulary(seq)
-    config = small_config(vocab, learning_rate=float("inf"), epochs=4)
+    config = small_config(learning_rate=float("inf"), epochs=4)
     with pytest.raises(NumericalFault, match=r"epoch \d+, batch \d+"):
-        train(config, [seq], vocab)
+        train(config, [seq], vocab, SMALL_SEED)
 
 
 def test_generate_zero_steps_returns_seed(memorized):
     seq, _, ckpt, _ = memorized
     assert generate_rnn(ckpt, [seq[:16]], 0) == [seq[:16]]
+
+
+def test_generate_without_rngs_only_takes_argmax(memorized):
+    seq, _, ckpt, _ = memorized
+    assert generate_rnn(ckpt, [seq[:16]], 3, temperature=1e-9) == [seq[:19]]
+    with pytest.raises(ValueError, match="requires an rng"):
+        generate_rnn(ckpt, [seq[:16]], 1, temperature=1.0)
 
 
 def test_generate_length_contract(memorized):
@@ -295,6 +322,17 @@ def test_checkpoint_round_trip_forward_is_bitwise(memorized, tmp_path):
     assert np.array_equal(logits_a, logits_b)
 
 
+def test_checkpoint_manifest_stores_version_3_and_the_config(memorized, tmp_path):
+    _, _, ckpt, _ = memorized
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    manifest = json.loads(raw[len(CHECKPOINT_MAGIC) + 4 : len(CHECKPOINT_MAGIC) + 4 + manifest_len])
+    assert manifest["format_version"] == 3
+    assert manifest["config"] == asdict(ckpt.config)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
@@ -354,7 +392,7 @@ def test_checkpoint_rejects_shape_blob_disagreement(memorized, tmp_path):
 def test_float64_training_works_and_reloads_as_float32(tmp_path):
     seq = cycle_tokens(24)
     vocab = build_vocabulary(seq)
-    ckpt = train(small_config(vocab, dtype="float64", epochs=2), [seq], vocab)
+    ckpt = train(small_config(dtype="float64", epochs=2), [seq], vocab, SMALL_SEED)
     assert ckpt.tensors["lstm1/w"].dtype == np.float64
     assert math.isfinite(ckpt.best_loss)
     path = tmp_path / "f64.ckpt"
@@ -372,8 +410,8 @@ def test_float64_training_works_and_reloads_as_float32(tmp_path):
 )
 def test_checkpoint_round_trip_is_bit_equal_in_its_dtype(dtype, seed, hidden):
     vocab = build_vocabulary(PATTERN)
-    config = small_config(vocab, lstm_units=hidden, dense_units=hidden, seed=seed, dtype=dtype)
-    tensors = Network(config).tensors
+    config = small_config(hidden_units=hidden, dense_units=hidden, dtype=dtype)
+    tensors = init_tensors(config, len(vocab), seed)
     # values with bits below float32 precision, which a float32 blob would drop
     tensors["lstm1/w"] += np.random.default_rng(seed).standard_normal(tensors["lstm1/w"].shape) * 1e-9
     ckpt = Checkpoint(tensors, vocab, config, best_loss=0.25, epoch=1)
