@@ -20,13 +20,14 @@ import numpy as np
 from .checks import SELF_CHECKS
 from .files import atomic_open
 from .markov import (
+    TableError,
     build_transition_table,
     generate_markov,
     load_transition_table,
     save_transition_table,
 )
-from .metrics import MetricError, evaluate_events
-from .midi_io import MidiDocument, MidiError, lcm_time_division, read_midi, write_midi
+from .metrics import MetricError, evaluate_line
+from .midi_io import MidiError, read_midi, write_line
 from .report import (
     ComparisonRow,
     bar_chart_svg,
@@ -51,7 +52,7 @@ from .tokenizer import (
     TokenError,
     Vocabulary,
     build_vocabulary,
-    detokenize,
+    tick_line,
     tokenize,
 )
 
@@ -368,13 +369,12 @@ def _load_seed_tokens(layout: Layout) -> dict[str, list[str]]:
 
 def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str]) -> None:
     write_token_file(layout.generation(seed_id, model, "tokens"), tokens)
-    events = detokenize(tokens)
     try:
-        doc = MidiDocument(lcm_time_division(events), OUTPUT_TEMPO, events)
+        data = write_line(tick_line(tokens), OUTPUT_TEMPO)
     except MidiError as err:
         raise click.ClickException(f"{seed_id} {model}: cannot render MIDI: {err}")
     with atomic_open(layout.generation(seed_id, model, "mid"), "wb") as handle:
-        handle.write(write_midi(doc))
+        handle.write(data)
 
 
 def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tuple[str, ...]) -> None:
@@ -392,7 +392,10 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
     if "markov" in models:
         if not layout.markov_table.exists():
             raise click.UsageError(f"missing {layout.markov_table}; run train first")
-        table = load_transition_table(layout.markov_table)
+        try:
+            table = load_transition_table(layout.markov_table)
+        except TableError as err:
+            raise StaleArtifactError(f"cannot load {layout.markov_table} ({err}); rerun train") from None
     if "rnn" in models:
         if not layout.checkpoint.exists():
             raise click.UsageError(f"missing {layout.checkpoint}; run train first")
@@ -451,15 +454,14 @@ def run_evaluate(config: ExperimentConfig) -> None:
         lengths[seed_id] = {}
         for model in MODEL_NAMES:
             tokens = read_token_file(layout.generation(seed_id, model, "tokens"))
-            events = detokenize(tokens)
+            line = tick_line(tokens)
             try:
-                reports[model] = evaluate_events(f"{seed_id}_{model}", events)
+                reports[model] = evaluate_line(f"{seed_id}_{model}", line)
             except MetricError as err:
                 raise click.ClickException(f"{seed_id}_{model}: {err}")
             lengths[seed_id][model] = {
                 "tokens": len(tokens),
-                # detokenize's events are contiguous from 0
-                "quarters": float(events[-1].end) if events else 0.0,
+                "quarters": sum(line.ticks) / line.division,
             }
         rows.append(
             ComparisonRow(

@@ -22,6 +22,10 @@ class EmptyTableError(ValueError):
     """No transitions could be counted from the training sequences."""
 
 
+class TableError(ValueError):
+    """A saved table is unreadable: malformed JSON or the wrong payload shape."""
+
+
 @dataclass
 class TransitionTable:
     order: int
@@ -106,11 +110,20 @@ def save_transition_table(table: TransitionTable, path) -> None:
 
 
 def load_transition_table(path) -> TransitionTable:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    counts = {
-        tuple(entry["state"]): {k: int(v) for k, v in entry["next"].items()}
-        for entry in payload["counts"]
-    }
-    unigram = {k: int(v) for k, v in payload["unigram"].items()}
-    return TransitionTable(order=int(payload["order"]), counts=counts, unigram=unigram)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        payload = json.loads(data)
+        counts = {
+            tuple(entry["state"]): {k: int(v) for k, v in entry["next"].items()}
+            for entry in payload["counts"]
+        }
+        unigram = {k: int(v) for k, v in payload["unigram"].items()}
+        table = TransitionTable(order=int(payload["order"]), counts=counts, unigram=unigram)
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
+        # JSON and Unicode decoding errors are ValueErrors; a wrong shape
+        # fails on a missing key, a non-container or a non-integer count
+        raise TableError(f"{type(err).__name__}: {err}") from None
+    if not table.unigram:
+        raise TableError("table holds no symbols")
+    return table

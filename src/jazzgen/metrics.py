@@ -3,8 +3,15 @@
 A groove pattern is a 64-slot binary onset grid per bar; similarity between
 two bars is one minus the mean XOR of their grids.  The pitch histogram
 counts note onsets per pitch class (octave-free), and its base-2 entropy
-summarizes pitch diversity.  Positions and scores are accumulated as exact
-rationals; floats appear only in returned values.
+summarizes pitch diversity.
+
+Every score comes from one integer core: onsets are ticks on a grid of
+`division` ticks per quarter note, bars are 64-bit masks and disagreements
+are popcounts.  A tokenized line arrives on that grid already (`evaluate_line`);
+arbitrary events, gaps and overlaps included, are put on the coarsest grid
+that holds their onsets and ends first.  Floats appear only in returned
+values: each GS value and histogram entry is the correctly rounded value
+of an exact ratio.
 """
 
 from __future__ import annotations
@@ -13,9 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .midi_io import NoteEvent
+from .midi_io import NoteEvent, TickLine
 
 GRID = 64
 PITCH_CLASSES = 12
@@ -56,33 +64,63 @@ class PitchHistogram:
         return all(value == 0 for value in self.h)
 
 
-def _bar_and_slot(onset: Fraction, bar_length: Fraction) -> tuple[int, int]:
-    """Bar holding onset, and the nearest of 64 evenly spaced slots within it,
-    ties rounding up, clamped to 63.
+def _bar_masks(onsets: Iterable[int], span: int, division: int, bar_length: Fraction) -> list[int]:
+    """One 64-bit onset mask per bar, tiled from tick 0 to span; a trailing
+    partial bar counts.
 
-    onset / bar_length = num / den exactly; divmod splits it into the bar and
-    rem / den, and floor(GRID * rem / den + 1/2) is one integer division.
+    Tick t lies t * b / (division * a) bars in, for bar_length a / b; divmod
+    splits that into the bar and rem / den, and the nearest of 64 evenly
+    spaced slots, ties rounding up, is floor(GRID * rem / den + 1/2),
+    clamped to 63.
     """
-    num = onset.numerator * bar_length.denominator
-    den = onset.denominator * bar_length.numerator
-    bar, rem = divmod(num, den)
-    return bar, min((2 * GRID * rem + den) // (2 * den), GRID - 1)
+    den = division * bar_length.numerator
+    scale = bar_length.denominator
+    masks = [0] * -(-span * scale // den)
+    for tick in onsets:
+        bar, rem = divmod(tick * scale, den)
+        slot = (2 * GRID * rem + den) // (2 * den)
+        masks[bar] |= 1 << (slot if slot < GRID else GRID - 1)
+    return masks
+
+
+def _groove(masks: Sequence[int]) -> tuple[float, list[float]]:
+    """Mean and series of GS over adjacent bar pairs; needs >= 2 bars."""
+    if len(masks) < 2:
+        raise MetricError(f"groove similarity needs at least 2 bars, composition has {len(masks)}")
+    agreements = [GRID - (a ^ b).bit_count() for a, b in zip(masks, masks[1:])]
+    return sum(agreements) / (GRID * len(agreements)), [count / GRID for count in agreements]
+
+
+def _histogram(pitches: Iterable[int]) -> PitchHistogram:
+    counts = [0] * PITCH_CLASSES
+    for pitch in pitches:
+        counts[pitch % PITCH_CLASSES] += 1
+    total = sum(counts)
+    if total == 0:
+        return PitchHistogram((0.0,) * PITCH_CLASSES)
+    return PitchHistogram(tuple(count / total for count in counts))
+
+
+def _on_ticks(events: Sequence[NoteEvent]) -> tuple[int, int, list[int], list[int]]:
+    """(division, span, pitched onsets, their pitches) on the coarsest grid
+    holding every onset and end."""
+    division = math.lcm(*{d for ev in events for d in (ev.onset.denominator, ev.end.denominator)})
+
+    def ticks(value: Fraction) -> int:
+        return value.numerator * (division // value.denominator)
+
+    pitched = [ev for ev in events if not ev.is_rest]
+    span = ticks(max(ev.end for ev in events)) if events else 0
+    return division, span, [ticks(ev.onset) for ev in pitched], [ev.pitch for ev in pitched]
 
 
 def bar_patterns(events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH) -> list[GroovePattern]:
     """One pattern per bar, tiled from 0; a trailing partial bar counts."""
-    events = list(events)
-    if not events:
-        return []
-    span = max(event.end for event in events)
-    n_bars = math.ceil(span / bar_length)
-    bars = [[0] * GRID for _ in range(n_bars)]
-    for event in events:
-        if event.is_rest:
-            continue
-        bar, slot = _bar_and_slot(event.onset, bar_length)
-        bars[bar][slot] = 1
-    return [GroovePattern(tuple(bits)) for bits in bars]
+    division, span, onsets, _ = _on_ticks(list(events))
+    return [
+        GroovePattern(tuple((mask >> slot) & 1 for slot in range(GRID)))
+        for mask in _bar_masks(onsets, span, division, bar_length)
+    ]
 
 
 def groove_similarity(a: GroovePattern, b: GroovePattern) -> float:
@@ -90,45 +128,23 @@ def groove_similarity(a: GroovePattern, b: GroovePattern) -> float:
     if len(a.bits) != len(b.bits):
         raise ValueError("groove patterns differ in dimension")
     disagreements = sum(x ^ y for x, y in zip(a.bits, b.bits))
-    return float(1 - Fraction(disagreements, GRID))
+    return (GRID - disagreements) / GRID
 
 
 def mean_groove_similarity(
     events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH
 ) -> tuple[float, list[float]]:
     """Mean and series of GS over adjacent bar pairs; needs >= 2 bars."""
-    patterns = bar_patterns(events, bar_length)
-    if len(patterns) < 2:
-        raise MetricError(
-            f"groove similarity needs at least 2 bars, composition has {len(patterns)}"
-        )
-    series = [
-        groove_similarity(patterns[i], patterns[i + 1]) for i in range(len(patterns) - 1)
-    ]
-    mean = float(sum(Fraction(value) for value in series) / len(series))
-    return mean, series
+    division, span, onsets, _ = _on_ticks(list(events))
+    return _groove(_bar_masks(onsets, span, division, bar_length))
 
 
-def pitch_class_histogram(
-    events: Iterable[NoteEvent],
-    window: tuple[Fraction, Fraction] | None = None,
-) -> PitchHistogram:
+def pitch_class_histogram(events: Iterable[NoteEvent]) -> PitchHistogram:
     """Onset-count histogram over the 12 pitch classes; rests are ignored.
 
-    window, when given, restricts to events with onset in [start, end).
     A composition with no pitched notes yields the all-zero sentinel.
     """
-    counts = [0] * PITCH_CLASSES
-    for event in events:
-        if event.is_rest:
-            continue
-        if window is not None and not window[0] <= event.onset < window[1]:
-            continue
-        counts[event.pitch % PITCH_CLASSES] += 1
-    total = sum(counts)
-    if total == 0:
-        return PitchHistogram((0.0,) * PITCH_CLASSES)
-    return PitchHistogram(tuple(float(Fraction(count, total)) for count in counts))
+    return _histogram(event.pitch for event in events if not event.is_rest)
 
 
 def histogram_entropy(histogram: PitchHistogram) -> float:
@@ -148,13 +164,12 @@ class MetricReport:
     entropy: float
 
 
-def evaluate_events(
-    composition_id: str,
-    events: Sequence[NoteEvent],
-    bar_length: Fraction = BAR_LENGTH,
+def _report(
+    composition_id: str, division: int, span: int, onsets: Sequence[int], pitches: Sequence[int],
+    bar_length: Fraction,
 ) -> MetricReport:
-    mean_gs, series = mean_groove_similarity(events, bar_length)
-    histogram = pitch_class_histogram(events)
+    mean_gs, series = _groove(_bar_masks(onsets, span, division, bar_length))
+    histogram = _histogram(pitches)
     return MetricReport(
         composition_id=composition_id,
         mean_gs=mean_gs,
@@ -162,3 +177,19 @@ def evaluate_events(
         histogram=histogram.h,
         entropy=histogram_entropy(histogram),
     )
+
+
+def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
+    """Scores of a tokenized line, equal to evaluate_events on its events."""
+    starts = list(accumulate(line.ticks, initial=0))
+    onsets = [start for start, pitch in zip(starts, line.pitches) if pitch is not None]
+    pitches = [pitch for pitch in line.pitches if pitch is not None]
+    return _report(composition_id, line.division, starts[-1], onsets, pitches, bar_length)
+
+
+def evaluate_events(
+    composition_id: str,
+    events: Sequence[NoteEvent],
+    bar_length: Fraction = BAR_LENGTH,
+) -> MetricReport:
+    return _report(composition_id, *_on_ticks(list(events)), bar_length)

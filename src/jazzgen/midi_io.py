@@ -2,11 +2,14 @@
 
 Reads SMF format 0 and 1, emits format 0 only. Durations and onsets are exact
 rationals in quarter-note units so triplet and sextuplet values (1/3, 1/6, 2/3)
-survive round trips without float drift.
+survive round trips without float drift. A line already on an integer grid
+(`TickLine`) is written without going through rationals at all; both writers
+share one track encoder.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -102,9 +105,7 @@ class MidiDocument:
         object.__setattr__(self, "events", _merge_adjacent_rests(self.events))
         if not 1 <= self.time_division <= MAX_DIVISION:
             raise ValueError(f"time division {self.time_division} outside 1..{MAX_DIVISION}")
-        # round(60e6 / bpm) must fit the 3-byte tempo meta payload, so bpm >= 4
-        if not (isinstance(self.tempo, int) and 4 <= self.tempo <= 60_000_000):
-            raise ValueError(f"tempo must be an integer BPM in 4..60000000, got {self.tempo!r}")
+        _check_tempo(self.tempo)
         cursor = Fraction(0)
         for ev in self.events:
             # detokenize passes each event's end on as the next onset, so for
@@ -121,9 +122,24 @@ class MidiDocument:
                 )
             cursor = ev.end
 
-    @property
-    def total_quarters(self) -> Fraction:
-        return self.events[-1].end if self.events else Fraction(0)
+
+def _check_tempo(tempo) -> None:
+    # round(60e6 / bpm) must fit the 3-byte tempo meta payload, so bpm >= 4
+    if not (isinstance(tempo, int) and 4 <= tempo <= 60_000_000):
+        raise ValueError(f"tempo must be an integer BPM in 4..60000000, got {tempo!r}")
+
+
+@dataclass(frozen=True)
+class TickLine:
+    """A contiguous line from tick 0 on an integer grid.
+
+    division is ticks per quarter note; each note or rest has a MIDI pitch
+    (None for a rest) and a whole number of ticks.
+    """
+
+    division: int
+    pitches: tuple[int | None, ...]
+    ticks: tuple[int, ...]
 
 
 def _merge_adjacent_rests(events: Sequence[NoteEvent]) -> tuple[NoteEvent, ...]:
@@ -136,15 +152,19 @@ def _merge_adjacent_rests(events: Sequence[NoteEvent]) -> tuple[NoteEvent, ...]:
     return tuple(merged)
 
 
+def _division_overflow(division: int) -> TickResolutionError:
+    return TickResolutionError(
+        f"time division {division} overflows the 15-bit SMF field (max {MAX_DIVISION})"
+    )
+
+
 def lcm_time_division(events: Iterable[NoteEvent]) -> int:
     """Smallest ticks-per-quarter making every duration and onset integral."""
     division = 1
     for ev in events:
         division = math.lcm(division, ev.duration.denominator, ev.onset.denominator)
         if division > MAX_DIVISION:
-            raise TickResolutionError(
-                f"time division {division} overflows the 15-bit SMF field (max {MAX_DIVISION})"
-            )
+            raise _division_overflow(division)
     return division
 
 
@@ -325,38 +345,63 @@ def read_midi(data: bytes) -> MidiDocument:
     return MidiDocument(time_division=division, tempo=tempo, events=tuple(events))
 
 
-def write_midi(doc: MidiDocument) -> bytes:
-    """Emit SMF format 0: tempo meta, contiguous note on/off pairs, end-of-track.
+# the encoder's repeated pieces: delta-times recur, and note messages differ only by pitch
+@functools.lru_cache(maxsize=4096)
+def _cached_vlq(value: int) -> bytes:
+    return encode_vlq(value)
+
+
+_NOTE_ON = tuple(bytes((0x90, pitch, WRITE_VELOCITY)) for pitch in range(128))
+_NOTE_OFF = tuple(bytes((0x80, pitch, 0)) for pitch in range(128))
+
+
+def _encode_track(division: int, tempo: int, pitches: Sequence[int | None], ticks: Sequence[int]) -> bytes:
+    """SMF format 0: tempo meta, contiguous note on/off pairs, end-of-track.
 
     Rests emit no messages; their time passes through delta-times, and the
-    end-of-track event is stamped at the document's total end so trailing
-    rests survive a round trip.
+    end-of-track event is stamped at the line's total end so trailing rests
+    survive a round trip.
     """
-    division = doc.time_division
-
-    def ticks(value: Fraction, ev: NoteEvent) -> int:
-        whole, part = divmod(value.numerator * division, value.denominator)
-        if part:
-            raise TickResolutionError(
-                f"event (pitch={ev.pitch}, duration={ev.duration}, onset={ev.onset}) "
-                f"is not representable at division {division}"
-            )
-        return whole
-
-    track = bytearray()
-    mpqn = round(60_000_000 / doc.tempo)
-    track += encode_vlq(0) + bytes([0xFF, _META_TEMPO, 0x03]) + mpqn.to_bytes(3, "big")
-    cursor = 0
-    for ev in doc.events:
-        if ev.is_rest:
-            continue
-        on = ticks(ev.onset, ev)
-        off = ticks(ev.end, ev)
-        track += encode_vlq(on - cursor) + bytes([0x90, ev.pitch, WRITE_VELOCITY])
-        track += encode_vlq(off - on) + bytes([0x80, ev.pitch, 0])
-        cursor = off
-    total = ticks(doc.total_quarters, doc.events[-1]) if doc.events else 0
-    track += encode_vlq(total - cursor) + bytes([0xFF, _META_END_OF_TRACK, 0x00])
+    mpqn = round(60_000_000 / tempo)
+    track = bytearray(encode_vlq(0) + bytes([0xFF, _META_TEMPO, 0x03]) + mpqn.to_bytes(3, "big"))
+    tick = 0
+    cursor = 0  # tick of the last message written
+    for pitch, length in zip(pitches, ticks):
+        if pitch is not None:
+            track += _cached_vlq(tick - cursor) + _NOTE_ON[pitch] + _cached_vlq(length) + _NOTE_OFF[pitch]
+            cursor = tick + length
+        tick += length
+    track += encode_vlq(tick - cursor) + bytes([0xFF, _META_END_OF_TRACK, 0x00])
 
     header = _HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, division)
     return header + _TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
+
+
+def write_midi(doc: MidiDocument) -> bytes:
+    """The document as SMF format 0 bytes.
+
+    The document's checks guarantee contiguous events from onset 0, each a
+    whole number of ticks at its time division.
+    """
+    division = doc.time_division
+    ticks = [ev.duration.numerator * (division // ev.duration.denominator) for ev in doc.events]
+    return _encode_track(division, doc.tempo, [ev.pitch for ev in doc.events], ticks)
+
+
+def write_line(line: TickLine, tempo: int) -> bytes:
+    """The line as SMF format 0 bytes, as write_midi writes the same notes.
+
+    A division beyond the 15-bit header field raises the TickResolutionError
+    lcm_time_division raises for the same notes: it names the running lcm of
+    the duration denominators, in order, at the note where it first overflows.
+    """
+    _check_tempo(tempo)
+    division = line.division
+    if division > MAX_DIVISION:
+        running = 1
+        for length in line.ticks:
+            # length / division in lowest terms has denominator division / gcd
+            running = math.lcm(running, division // math.gcd(length, division))
+            if running > MAX_DIVISION:
+                raise _division_overflow(running)
+    return _encode_track(division, tempo, line.pitches, line.ticks)

@@ -14,6 +14,7 @@ them to the contiguous indices the network consumes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -96,8 +97,10 @@ class RnnConfig:
                 raise ValueError(f"{name} must be positive, got {value}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for batch normalization")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("temperature", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float32", "float64"):
@@ -270,16 +273,40 @@ def next_distribution(net: Network, context: Sequence[int], temperature: float) 
     return softmax(logits[0].astype(np.float64), temperature)
 
 
-def select_index(logits: np.ndarray, temperature: float, rng: np.random.Generator | None = None) -> int:
-    """One sampling step: argmax at or below the temperature floor, else a
-    draw from the tempered softmax computed in float64."""
+def select_index(
+    logits: np.ndarray,
+    temperature: float,
+    rngs: np.random.Generator | Sequence[np.random.Generator | None] | None = None,
+) -> int | np.ndarray:
+    """One sampling step for a (B, V) batch of logits, row k drawing from
+    rngs[k]; a single (V,) row takes a single generator and returns one int.
+
+    At or below the temperature floor each row takes its argmax. Otherwise
+    each row is drawn from its tempered softmax, computed in float64, exactly
+    as Generator.choice(V, p=probs) draws: one rng.random() per row, placed
+    by searchsorted(side="right") on the row's cumsum normalized by its last
+    entry.
+    """
+    rows = np.asarray(logits)
+    single = rows.ndim == 1
+    if single:
+        rows, rngs = rows[None], [rngs]
     if temperature <= ARGMAX_TEMPERATURE:
-        return int(np.argmax(logits))
-    if rng is None:
-        raise ValueError("sampling at temperature > 0 requires an rng")
-    probs = softmax(np.asarray(logits, dtype=np.float64), temperature)
-    probs = probs / probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+        picks = rows.argmax(axis=1)
+    else:
+        if rngs is None or any(rng is None for rng in rngs):
+            raise ValueError("sampling at temperature > 0 requires an rng")
+        probs = softmax(rows.astype(np.float64), temperature)
+        probs /= probs.sum(axis=1, keepdims=True)
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities contain non-finite values")
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        uniforms = np.array([rng.random() for rng in rngs])
+        # a cumsum of nonnegative terms never decreases, so the count of
+        # entries <= u is searchsorted(cdf, u, side="right"), for all rows at once
+        picks = (cdf <= uniforms[:, None]).sum(axis=1)
+    return int(picks[0]) if single else picks
 
 
 def generate_rnn(
@@ -319,10 +346,10 @@ def generate_rnn(
     )
     for _ in range(steps):
         logits, _ = net.forward(contexts, training=False)
-        picks = [select_index(row, temperature, rng) for row, rng in zip(logits, rngs)]
-        for output, index in zip(outputs, picks):
+        picks = select_index(logits, temperature, rngs)
+        for output, index in zip(outputs, picks.tolist()):
             output.append(ckpt.vocab.tokens[index])
-        contexts = np.concatenate([contexts[:, 1:], np.array(picks, dtype=np.int64)[:, None]], axis=1)
+        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
     return outputs
 
 

@@ -8,17 +8,21 @@ digit); anything else renders as a reduced fraction, e.g. ``D5_1/6``.
 
 Rendering and parsing are inverse bijections on their domains; parsing is
 strict and rejects any spelling other than the canonical one.
+
+`detokenize` turns tokens into exact-rational events; `tick_line` puts the
+same tokens on an integer grid, which is all writing MIDI and scoring need.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .midi_io import NoteEvent
+from .midi_io import NoteEvent, TickLine
 
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 REST_NAME = "R"
@@ -152,19 +156,49 @@ def tokenize(events: Iterable[NoteEvent]) -> list[Token]:
     return [Token(ev.pitch, ev.duration) for ev in events]
 
 
+def _parse_distinct(values: list[TokenLike]) -> dict[TokenLike, Token]:
+    """Each distinct value parsed once, in order of first appearance, so the
+    first bad one is the earliest: TokenError names its position."""
+    parsed = {}
+    for value in dict.fromkeys(values):
+        try:
+            parsed[value] = _as_token(value)
+        except TokenError as err:
+            raise TokenError(f"token {values.index(value)} ({value!r}): {err}") from None
+    return parsed
+
+
 def detokenize(tokens: Iterable[TokenLike]) -> tuple[NoteEvent, ...]:
     """Tokens back to contiguous events, onsets accumulated from zero."""
+    values = list(tokens)
+    parsed = _parse_distinct(values)
     events = []
     onset = Fraction(0)
-    for position, value in enumerate(tokens):
-        try:
-            token = _as_token(value)
-        except TokenError as err:
-            raise TokenError(f"token {position} ({value!r}): {err}") from None
+    for value in values:
+        token = parsed[value]
         event = NoteEvent(token.pitch, token.duration, onset)
         events.append(event)
         onset = event.end
     return tuple(events)
+
+
+def tick_line(tokens: Iterable[TokenLike]) -> TickLine:
+    """Tokens on the coarsest integer grid that holds them.
+
+    The division is the lcm of the duration denominators. Every onset is a
+    sum of earlier durations, so its denominator divides that lcm too, and
+    the division equals lcm_time_division(detokenize(tokens)); it is not
+    capped at the SMF limit here, write_line checks that.
+    """
+    values = list(tokens)
+    parsed = _parse_distinct(values)
+    division = math.lcm(*{token.duration.denominator for token in parsed.values()})
+    cells = {
+        value: (token.pitch, token.duration.numerator * (division // token.duration.denominator))
+        for value, token in parsed.items()
+    }
+    pitches, ticks = zip(*map(cells.__getitem__, values)) if values else ((), ())
+    return TickLine(division, pitches, ticks)
 
 
 @dataclass(frozen=True)
@@ -200,11 +234,6 @@ class Vocabulary:
             return self._index[text]
         except KeyError:
             raise UnknownTokenError(text) from None
-
-    def decode(self, index: int) -> Token:
-        if not 0 <= index < len(self.tokens):
-            raise UnknownTokenError(f"index {index} outside 0..{len(self.tokens) - 1}")
-        return parse_token(self.tokens[index])
 
 
 def build_vocabulary(*sequences: Iterable[TokenLike]) -> Vocabulary:

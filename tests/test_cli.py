@@ -145,6 +145,32 @@ def test_bad_rnn_setting_exits_2_before_writing(workspace, pipeline, tmp_path, c
     assert files_under(out) == before
 
 
+@pytest.mark.parametrize("command, config, flags, message", [
+    *[
+        pytest.param(command, {"rnn": {setting: value}}, [], f"{setting} must be positive and finite, got {value}",
+                     id=f"{setting}={value}")
+        for command, setting in (("generate", "temperature"), ("train", "learning_rate"))
+        for value in (float("nan"), float("inf"), -1.0, 0)  # json writes NaN and Infinity as Python reads them
+    ],
+    pytest.param("generate", {}, ["--temperature", "nan"], "temperature must be positive and finite, got nan",
+                 id="--temperature nan"),
+])
+def test_nonfinite_or_nonpositive_rate_exits_2_before_writing(
+    workspace, pipeline, tmp_path, command, config, flags, message
+):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    before = files_under(out)
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(config))
+    result = invoke([command, "--config", config_file, *dirs(workspace, out=str(out)), *TINY, *flags])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines()[-1] == f"Error: {message}"
+    assert "Traceback" not in result.output
+    assert files_under(out) == before
+
+
 def test_rnn_window_longer_than_a_seed_exits_2_before_writing(workspace, pipeline, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -306,6 +332,24 @@ def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_pa
     assert result.exit_code == 2, result.output
     (line,) = result.output.strip().splitlines()
     assert str(ckpt) in line and reason in line and line.endswith("rerun train")
+    assert not (out / "generated").exists()
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda raw: raw[:100], "JSONDecodeError"),
+    (lambda raw: bytes(range(128, 256)) * 4, "UnicodeDecodeError"),
+    (lambda raw: b"[]", "TypeError"),
+], ids=["truncated", "garbage", "list"])
+def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_path, damage, reason):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    table = out / "models" / "markov.json"
+    table.write_bytes(damage(table.read_bytes()))
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--model", "markov"])
+    assert result.exit_code == 2, result.output
+    (line,) = result.output.strip().splitlines()
+    assert str(table) in line and reason in line and line.endswith("rerun train")
     assert not (out / "generated").exists()
 
 

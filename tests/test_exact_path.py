@@ -1,19 +1,23 @@
-"""The token -> event -> MIDI/metric path against a plain-Fraction reference.
+"""The token -> MIDI/metric path against plain-Fraction references.
 
-The program does its timing arithmetic on integer numerators and
-denominators; the references below do it the obvious way, with Fraction
-operators, and every result must agree exactly.
+The program puts a token list on an integer tick grid once and takes both
+the MIDI bytes and the scores from there; events are put on a grid before
+scoring too. The references below are the NoteEvent/Fraction computations
+that path replaced, kept here the way tests/test_neural.py keeps the
+per-cell LSTM: every result must agree exactly, errors and warnings included.
 """
 
 import math
+import random
 import struct
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jazzgen.metrics import GRID, _bar_and_slot, bar_patterns
+from jazzgen.metrics import GRID, MetricError, MetricReport, bar_patterns, evaluate_events, evaluate_line
 from jazzgen.midi_io import (
     MAX_DIVISION,
     MidiDocument,
@@ -21,9 +25,10 @@ from jazzgen.midi_io import (
     TickResolutionError,
     encode_vlq,
     lcm_time_division,
+    write_line,
     write_midi,
 )
-from jazzgen.tokenizer import Token, TokenError, detokenize, parse_token
+from jazzgen.tokenizer import Token, TokenError, detokenize, parse_token, tick_line
 
 TRIPLETS = tuple(Fraction(n, d) for n, d in ((1, 3), (2, 3), (4, 3), (1, 6), (5, 6), (1, 12)))
 DOTTED = tuple(Fraction(n, d) for n, d in ((3, 16), (3, 8), (3, 4), (3, 2), (3, 1)))
@@ -34,7 +39,14 @@ durations = st.one_of(
 )
 pitches = st.one_of(st.none(), st.integers(0, 127))
 notes = st.lists(st.tuples(pitches, durations), min_size=1, max_size=40)
-bar_lengths = st.sampled_from((Fraction(4), Fraction(3), Fraction(7, 2), Fraction(5, 3), Fraction(6)))
+BAR_LENGTHS = (Fraction(4), Fraction(3), Fraction(7, 2), Fraction(5, 3), Fraction(6))
+bar_lengths = st.sampled_from(BAR_LENGTHS)
+
+# durations of generated token lists: decimals, triplets and sextuplets
+DECIMALS = tuple(Fraction(n, d) for d in (1, 2, 4, 8, 16) for n in range(1, 9))
+LINE_DURATIONS = DECIMALS + TRIPLETS + DOTTED + (Fraction(7, 6), Fraction(5, 3))
+BAD_TOKENS = ("C4_0.50", "H4_1.0", "C4", "C4_2/4", "R_0.0", "G#9_1.0")
+OVERFLOW_DENOMINATORS = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def reference_events(pairs):
@@ -46,6 +58,18 @@ def reference_events(pairs):
     return events
 
 
+def reference_detokenize(texts):
+    """Token texts to (pitch, duration, onset), naming the first bad token."""
+    pairs = []
+    for position, text in enumerate(texts):
+        try:
+            token = parse_token(text)
+        except TokenError as err:
+            raise TokenError(f"token {position} ({text!r}): {err}") from None
+        pairs.append((token.pitch, token.duration))
+    return reference_events(pairs)
+
+
 def reference_merged(events):
     """Adjacent rests summed into one, as an SMF stream would carry them."""
     merged = []
@@ -55,6 +79,18 @@ def reference_merged(events):
         else:
             merged.append((pitch, duration, onset))
     return merged
+
+
+def reference_division(events):
+    """Running lcm of duration and onset denominators, capped at the SMF field."""
+    division = 1
+    for _, duration, onset in events:
+        division = math.lcm(division, duration.denominator, onset.denominator)
+        if division > MAX_DIVISION:
+            raise TickResolutionError(
+                f"time division {division} overflows the 15-bit SMF field (max {MAX_DIVISION})"
+            )
+    return division
 
 
 def reference_ticks(value, division):
@@ -73,10 +109,16 @@ def reference_write_midi(division, tempo, events):
         track += encode_vlq(on - cursor) + bytes([0x90, pitch, 64])
         track += encode_vlq(off - on) + bytes([0x80, pitch, 0])
         cursor = off
-    pitch, duration, onset = events[-1]
-    track += encode_vlq(reference_ticks(onset + duration, division) - cursor) + bytes([0xFF, 0x2F, 0x00])
+    end = events[-1][2] + events[-1][1] if events else Fraction(0)
+    track += encode_vlq(reference_ticks(end, division) - cursor) + bytes([0xFF, 0x2F, 0x00])
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)
     return header + b"MTrk" + struct.pack(">I", len(track)) + bytes(track)
+
+
+def reference_render(texts, tempo):
+    """MIDI bytes of a token list, the way the event path rendered them."""
+    events = reference_detokenize(texts)
+    return reference_write_midi(reference_division(events), tempo, reference_merged(events))
 
 
 def reference_grid_index(onset, bar_length):
@@ -91,6 +133,53 @@ def reference_bar_bits(events, bar_length):
         if pitch is not None:
             bars[math.floor(onset / bar_length)][reference_grid_index(onset, bar_length)] = 1
     return [tuple(bits) for bits in bars]
+
+
+def reference_report(composition_id, events, bar_length):
+    """GS and PCH entropy of (pitch, duration, onset) events, in Fractions."""
+    bars = reference_bar_bits(events, bar_length) if events else []
+    if len(bars) < 2:
+        raise MetricError(f"groove similarity needs at least 2 bars, composition has {len(bars)}")
+    series = [float(1 - Fraction(sum(x ^ y for x, y in zip(a, b)), GRID)) for a, b in zip(bars, bars[1:])]
+    mean = float(sum(Fraction(value) for value in series) / len(series))
+    counts = [0] * 12
+    for pitch, _, _ in events:
+        if pitch is not None:
+            counts[pitch % 12] += 1
+    total = sum(counts)
+    if total == 0:
+        histogram = (0.0,) * 12
+        warnings.warn("entropy of an empty composition is reported as 0")
+        entropy = 0.0
+    else:
+        histogram = tuple(float(Fraction(count, total)) for count in counts)
+        entropy = -sum(value * math.log2(value) for value in histogram if value > 0)
+    return MetricReport(composition_id, mean, tuple(series), histogram, entropy)
+
+
+def outcome(compute):
+    """What compute() returns or raises, with the warnings it issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("value", compute())
+        except (MetricError, TickResolutionError, TokenError) as err:
+            result = ("error", type(err), str(err))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def random_texts(rnd, length, durations=LINE_DURATIONS):
+    return [
+        Token(None if rnd.random() < 0.15 else rnd.randint(0, 127), rnd.choice(durations)).text
+        for _ in range(length)
+    ]
+
+
+def bar_and_slot(onset, bar_length):
+    """The one (bar, slot) bar_patterns marks for a single note at onset."""
+    patterns = bar_patterns([NoteEvent(60, Fraction(1, onset.denominator), onset)], bar_length)
+    (marked,) = [(bar, slot) for bar, p in enumerate(patterns) for slot, bit in enumerate(p.bits) if bit]
+    return marked
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,16 +235,91 @@ def test_bar_and_grid_indices_match_fraction_reference(pairs, bar_length):
     events = detokenize([Token(pitch, duration).text for pitch, duration in pairs])
     for ev in events:
         expected = (math.floor(ev.onset / bar_length), reference_grid_index(ev.onset, bar_length))
-        assert _bar_and_slot(ev.onset, bar_length) == expected
+        assert bar_and_slot(ev.onset, bar_length) == expected
     patterns = bar_patterns(events, bar_length)
     assert [pattern.bits for pattern in patterns] == reference_bar_bits(reference_events(pairs), bar_length)
 
 
 def test_grid_slot_ties_round_up_and_clamp():
     # 4/128 into the second 4/4 bar is exactly half a slot: the tie goes to slot 1
-    assert _bar_and_slot(Fraction(4, 128) + 4, Fraction(4)) == (1, 1)
+    assert bar_and_slot(Fraction(4, 128) + 4, Fraction(4)) == (1, 1)
     # just short of the bar line rounds to slot 64, which clamps to 63
-    assert _bar_and_slot(Fraction(4) - Fraction(1, 1000), Fraction(4)) == (0, GRID - 1)
+    assert bar_and_slot(Fraction(4) - Fraction(1, 1000), Fraction(4)) == (0, GRID - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 600), st.randoms(use_true_random=False), bar_lengths, st.integers(4, 400))
+def test_tick_line_bytes_and_scores_match_event_reference(length, rnd, bar_length, tempo):
+    texts = random_texts(rnd, length)
+    line = tick_line(texts)
+    events = reference_detokenize(texts)
+    assert line.division == reference_division(events) == lcm_time_division(detokenize(texts))
+    assert write_line(line, tempo) == reference_render(texts, tempo)
+    want = outcome(lambda: reference_report("x", events, bar_length))
+    assert outcome(lambda: evaluate_line("x", line, bar_length)) == want
+    assert outcome(lambda: evaluate_events("x", detokenize(texts), bar_length)) == want
+
+
+@pytest.mark.parametrize("texts", [
+    [],
+    ["C4_4.0"],
+    ["R_4.0", "R_4.0", "R_0.5"],
+    ["C4_1.0", "R_3.0", "R_4.0"],
+    ["E4_8.0"],
+    ["D5_1/6", "R_4.0"],
+], ids=["empty", "one-bar", "only-rests", "trailing-rests", "two-bar-note", "sextuplet-then-rest"])
+def test_short_and_silent_lines_fail_and_warn_like_the_reference(texts):
+    events = reference_detokenize(texts)
+    want = outcome(lambda: reference_report("x", events, Fraction(4)))
+    assert outcome(lambda: evaluate_line("x", tick_line(texts))) == want
+    assert write_line(tick_line(texts), 240) == reference_render(texts, 240)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 80), st.randoms(use_true_random=False), st.sampled_from(BAD_TOKENS))
+def test_bad_token_error_names_the_same_position(length, rnd, bad):
+    texts = random_texts(rnd, length)
+    texts.insert(rnd.randint(0, length), bad)
+    if rnd.random() < 0.5:
+        texts.insert(rnd.randint(0, len(texts)), rnd.choice(BAD_TOKENS))
+    want = outcome(lambda: reference_detokenize(texts))
+    assert want[0][0] == "error"
+    assert outcome(lambda: tick_line(texts)) == want
+    assert outcome(lambda: detokenize(texts)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.randoms(use_true_random=False), bar_lengths)
+def test_division_overflow_matches_reference_and_scoring_ignores_it(length, rnd, bar_length):
+    durations = LINE_DURATIONS + tuple(Fraction(1, d) for d in OVERFLOW_DENOMINATORS)
+    texts = random_texts(rnd, length, durations)
+    events = reference_detokenize(texts)
+    assert outcome(lambda: write_line(tick_line(texts), 240)) == outcome(lambda: reference_render(texts, 240))
+    # the SMF limit bounds MIDI only; scores take any grid
+    want = outcome(lambda: reference_report("x", events, bar_length))
+    assert outcome(lambda: evaluate_line("x", tick_line(texts), bar_length)) == want
+
+
+def test_division_overflow_names_the_first_running_lcm():
+    # the lcm runs 7, 77, 1001, 17017, then overflows at 17017 * 19
+    texts = ["C4_1/7", "D4_1/11", "E4_1/13", "F4_1/17", "G4_1/19", "A4_1/23"]
+    with pytest.raises(TickResolutionError, match=f"time division {17017 * 19} overflows"):
+        write_line(tick_line(texts), 240)
+    assert tick_line(texts).division == 17017 * 19 * 23
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(pitches, durations, st.builds(Fraction, st.integers(0, 200), st.sampled_from((1, 2, 3, 4, 6, 7, 8)))),
+        max_size=40,
+    ),
+    bar_lengths,
+)
+def test_events_with_gaps_and_overlaps_score_like_the_reference(triples, bar_length):
+    events = [NoteEvent(pitch, duration, onset) for pitch, duration, onset in triples]
+    want = outcome(lambda: reference_report("x", triples, bar_length))
+    assert outcome(lambda: evaluate_events("x", events, bar_length)) == want
 
 
 def test_parse_token_memoizes_canonical_texts():
@@ -168,3 +332,10 @@ def test_memoized_parse_token_rejects_noncanonical_spelling_every_call(text):
     for _ in range(3):
         with pytest.raises(TokenError):
             parse_token(text)
+
+
+def test_random_texts_cover_rests_triplets_and_long_lines():
+    texts = random_texts(random.Random(0), 600)
+    assert len(texts) == 600
+    assert any(text.startswith("R_") for text in texts)
+    assert any(text.endswith("/3") for text in texts) and any(text.endswith("/6") for text in texts)

@@ -213,13 +213,6 @@ def test_histogram_ignores_rests_and_durations():
     assert histogram.h[7] == 0.5
 
 
-def test_histogram_window_restricts_by_onset():
-    events = contiguous((60, 1), (62, 1), (64, 1), (65, 1), (67, 4))
-    histogram = pitch_class_histogram(events, window=(Fraction(0), Fraction(4)))
-    assert histogram.h[7] == 0.0
-    assert histogram.h[0] == 0.25
-
-
 def test_histogram_sentinel_for_rest_only():
     histogram = pitch_class_histogram(contiguous((None, 4)))
     assert histogram.is_sentinel

@@ -23,6 +23,7 @@ from jazzgen.rnn import (
     make_training_windows,
     next_distribution,
     save_checkpoint,
+    select_index,
     train,
 )
 from jazzgen.tokenizer import UnknownTokenError, build_vocabulary
@@ -195,10 +196,12 @@ def test_size_one_trailing_batch_is_skipped_with_warning():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_numerical_fault_names_epoch_and_batch():
     seq = cycle_tokens(24)
     vocab = build_vocabulary(seq)
-    config = small_config(learning_rate=float("inf"), epochs=4)
+    # finite, so the config accepts it, but the first Adam step overflows float32
+    config = small_config(learning_rate=1e300, epochs=4)
     with pytest.raises(NumericalFault, match=r"epoch \d+, batch \d+"):
         train(config, [seq], vocab, SMALL_SEED)
 
@@ -279,6 +282,65 @@ def test_generate_uses_the_injected_rng_stream(memorized):
     probs = probs / probs.sum()
     want = int(np.random.default_rng(9).choice(len(probs), p=probs))
     assert out[-1] == vocab.tokens[want]
+
+
+def reference_pick(row, temperature, rng):
+    """One row at a time through Generator.choice, as seeds were once drawn."""
+    if temperature <= 1e-6:
+        return int(np.argmax(row))
+    probs = softmax(np.asarray(row, dtype=np.float64), temperature)
+    probs = probs / probs.sum()
+    return int(rng.choice(len(probs), p=probs))
+
+
+# at and around the 1e-6 argmax floor, then ordinary sampling temperatures
+SELECT_TEMPERATURES = (1e-9, 1e-6, 2e-6, 1e-3, 0.1, 0.7, 1.0, 3.0)
+
+
+def test_batched_select_index_draws_like_per_row_choice():
+    cases = 0
+    for seed in range(30):
+        for temperature in SELECT_TEMPERATURES:
+            case = np.random.default_rng([seed, cases])
+            batch = int(case.integers(1, 18))
+            vocab = int(case.choice([2, 5, 126, 672]))
+            dtype = case.choice([np.float32, np.float64])
+            logits = case.normal(0.0, 3.0, (batch, vocab))
+            ties = case.integers(1, vocab + 1, batch)
+            for row, count in zip(logits, ties):
+                if case.random() < 0.5:  # tied maxima, sometimes the whole row
+                    row[case.choice(vocab, count, replace=False)] = row.max() + 1.0
+            logits = logits.astype(dtype)
+            batched = [np.random.default_rng([seed, 1000 + k]) for k in range(batch)]
+            single = [np.random.default_rng([seed, 1000 + k]) for k in range(batch)]
+            for _ in range(3):
+                got = select_index(logits, temperature, batched)
+                want = [reference_pick(row, temperature, rng) for row, rng in zip(logits, single)]
+                assert got.tolist() == want, (seed, temperature)
+            # neither path drew more or fewer numbers than the other
+            assert [rng.random() for rng in batched] == [rng.random() for rng in single]
+            cases += 1
+    assert cases >= 200
+
+
+def test_select_index_on_one_row_returns_one_int():
+    logits = np.random.default_rng(4).normal(0.0, 2.0, 9).astype(np.float32)
+    pick = select_index(logits, 1.0, np.random.default_rng(6))
+    assert type(pick) is int
+    assert pick == reference_pick(logits, 1.0, np.random.default_rng(6))
+    assert select_index(logits, 1e-9) == int(np.argmax(logits))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_select_index_rejects_nonfinite_probabilities_and_missing_rngs():
+    logits = np.zeros((2, 4))
+    logits[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        select_index(logits, 1.0, [np.random.default_rng(0), np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="non-finite"):
+        select_index(np.zeros(4), float("nan"), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="requires an rng"):
+        select_index(np.zeros((2, 4)), 1.0, [np.random.default_rng(0), None])
 
 
 def test_distributions_are_valid_probability_vectors(memorized):
