@@ -12,6 +12,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import click
@@ -20,14 +21,13 @@ import numpy as np
 from .checks import SELF_CHECKS
 from .files import atomic_open
 from .markov import (
-    TableError,
     build_transition_table,
     generate_markov,
     load_transition_table,
     save_transition_table,
 )
 from .metrics import MetricError, evaluate_line
-from .midi_io import MidiError, read_midi, write_line
+from .midi_io import MidiError, TickLine, read_midi, write_line
 from .report import (
     ComparisonRow,
     bar_chart_svg,
@@ -39,7 +39,6 @@ from .report import (
     write_comparison_csv,
 )
 from .rnn import (
-    CheckpointError,
     RnnConfig,
     check_setting_types,
     generate_rnn,
@@ -62,9 +61,13 @@ MODEL_NAMES = ("markov", "rnn")
 
 
 class StaleArtifactError(click.ClickException):
-    """An upstream artifact no longer matches its inputs: one line, exit 2."""
+    """An upstream artifact is missing or unreadable: one line, exit 2."""
 
     exit_code = 2
+
+
+# top directory under the output directory -> the stage that writes it
+WRITERS = {"ingest": "ingest", "models": "train", "generated": "generate"}
 
 
 # bench/child.py builds its config with cli.RnnSettings(epochs=...)
@@ -208,6 +211,19 @@ class Layout:
     def generation(self, seed_id: str, model: str, extension: str) -> Path:
         return self.generated_dir / f"{seed_id}_{model}.{extension}"
 
+    def load(self, path: Path, load):
+        """load(path) for an artifact under out; StaleArtifactError naming the stage
+        that writes it if that stage never ran ("run X first") or load fails ("rerun X")."""
+        top = path.relative_to(self.out).parts[0]
+        stage = WRITERS[top]
+        if not (self.out / top).is_dir():
+            raise StaleArtifactError(f"missing {path}; run {stage} first")
+        try:
+            return load(path)
+        except (OSError, ValueError, LookupError, TypeError) as err:
+            reason = getattr(err, "strerror", None) or f"{type(err).__name__}: {err}"
+            raise StaleArtifactError(f"cannot read {path} ({reason}); rerun {stage}") from None
+
 
 @contextmanager
 def output_lock(out_dir: Path):
@@ -241,8 +257,26 @@ def write_token_file(path: Path, tokens) -> None:
     write_text(path, "\n".join(tokens) + "\n")
 
 
-def read_token_file(path: Path) -> list[str]:
-    return path.read_text().split()
+def read_tokens(path: Path, vocab: Vocabulary | None = None, count: int | None = None) -> tuple[list[str], TickLine]:
+    """A token file and its TickLine; every token canonical and, when given,
+    in vocab and exactly count of them."""
+    tokens = path.read_text().split()
+    line = tick_line(tokens)
+    if count is not None and len(tokens) != count:
+        raise ValueError(f"token count {len(tokens)}, expected {count}")
+    if vocab is not None:
+        for token in dict.fromkeys(tokens):
+            vocab.encode(token)
+    return tokens, line
+
+
+def read_manifest(path: Path) -> tuple[list[str], list[str]]:
+    """The ingested corpus file stems, in manifest order, and the sorted seed ids."""
+    manifest = json.loads(path.read_text())
+    corpus, seeds = [entry["file"] for entry in manifest["corpus"]], sorted(manifest["seeds"])
+    if not corpus or not seeds:
+        raise ValueError("no corpus files or no seeds listed")
+    return corpus, seeds
 
 
 def _midi_paths(directory: Path) -> list[Path]:
@@ -310,32 +344,13 @@ def run_ingest(config: ExperimentConfig) -> None:
     )
 
 
-def _read_ingested(path: Path, parse):
-    """One ingest output, read and passed through parse; a missing or corrupt one exits 2."""
-    try:
-        return parse(path.read_text())
-    except (OSError, ValueError, LookupError, TypeError) as err:
-        reason = err.strerror if isinstance(err, OSError) else f"{type(err).__name__}: {err}"
-        raise StaleArtifactError(f"cannot read {path} ({reason}); rerun ingest") from None
-
-
-def _require_manifest(layout: Layout) -> list[str]:
-    """The ingested corpus file stems, in manifest order."""
-    if not layout.manifest.exists():
-        raise click.UsageError(f"missing corpus manifest {layout.manifest}; run ingest first")
-    return _read_ingested(layout.manifest, lambda text: [e["file"] for e in json.loads(text)["corpus"]])
-
-
-def _load_vocab(layout: Layout) -> Vocabulary:
-    return _read_ingested(layout.vocab_file, lambda text: Vocabulary(tuple(json.loads(text))))
-
-
 def run_train(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
+    corpus, _ = layout.load(layout.manifest, read_manifest)
+    vocab = layout.load(layout.vocab_file, lambda path: Vocabulary(tuple(json.loads(path.read_text()))))
     sequences = [
-        _read_ingested(layout.tokens_dir / f"{stem}.tokens", str.split) for stem in _require_manifest(layout)
+        layout.load(layout.tokens_dir / f"{stem}.tokens", partial(read_tokens, vocab=vocab))[0] for stem in corpus
     ]
-    vocab = _load_vocab(layout)
 
     table = build_transition_table(sequences, config.markov_order)
     layout.markov_table.parent.mkdir(parents=True, exist_ok=True)
@@ -360,13 +375,6 @@ def run_train(config: ExperimentConfig) -> None:
     click.echo(f"rnn: best epoch {ckpt.epoch}, loss {ckpt.best_loss:.4f}")
 
 
-def _load_seed_tokens(layout: Layout) -> dict[str, list[str]]:
-    seeds = {p.stem: read_token_file(p) for p in sorted(layout.seeds_dir.glob("*.tokens"))}
-    if not seeds:
-        raise click.UsageError("no ingested seeds; run ingest first")
-    return seeds
-
-
 def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str]) -> None:
     write_token_file(layout.generation(seed_id, model, "tokens"), tokens)
     try:
@@ -379,31 +387,16 @@ def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str
 
 def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tuple[str, ...]) -> None:
     layout = Layout(config.out_dir)
-    seeds = _load_seed_tokens(layout)
-    if seed_ids:
-        unknown = sorted(set(seed_ids) - set(seeds))
-        if unknown:
-            raise click.UsageError(
-                f"unknown seed ids {', '.join(unknown)}; available: {', '.join(sorted(seeds))}"
-            )
-        seeds = {seed_id: seeds[seed_id] for seed_id in seed_ids}
-    table = None
-    ckpt = None
-    if "markov" in models:
-        if not layout.markov_table.exists():
-            raise click.UsageError(f"missing {layout.markov_table}; run train first")
-        try:
-            table = load_transition_table(layout.markov_table)
-        except TableError as err:
-            raise StaleArtifactError(f"cannot load {layout.markov_table} ({err}); rerun train") from None
-    if "rnn" in models:
-        if not layout.checkpoint.exists():
-            raise click.UsageError(f"missing {layout.checkpoint}; run train first")
-        try:
-            ckpt = load_checkpoint(layout.checkpoint)
-        except CheckpointError as err:
-            raise StaleArtifactError(f"cannot load {layout.checkpoint} ({err}); rerun train") from None
-    seed_ids = sorted(seeds)
+    _, ingested = layout.load(layout.manifest, read_manifest)
+    unknown = sorted(set(seed_ids) - set(ingested))
+    if unknown:
+        raise click.UsageError(f"unknown seed ids {', '.join(unknown)}; available: {', '.join(ingested)}")
+    seed_ids = sorted(set(seed_ids)) if seed_ids else ingested
+    read_seed = partial(read_tokens, count=SEED_TOKEN_COUNT)
+    seeds = {seed_id: layout.load(layout.seeds_dir / f"{seed_id}.tokens", read_seed)[0] for seed_id in seed_ids}
+    # passed by their names in this module, where bench/spans.py wraps them
+    table = layout.load(layout.markov_table, load_transition_table) if "markov" in models else None
+    ckpt = layout.load(layout.checkpoint, load_checkpoint) if "rnn" in models else None
     rnn_outputs = {}
     if ckpt is not None:
         for seed_id in seed_ids:
@@ -436,31 +429,28 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
 
 def run_evaluate(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
-    seeds = _load_seed_tokens(layout)
-    missing = [
-        f"{seed_id}_{model}"
-        for seed_id in sorted(seeds)
-        for model in MODEL_NAMES
-        if not layout.generation(seed_id, model, "tokens").exists()
-    ]
+    _, seed_ids = layout.load(layout.manifest, read_manifest)
+    paths = {(s, m): layout.generation(s, m, "tokens") for s in seed_ids for m in MODEL_NAMES}
+    missing = [str(path) for path in paths.values() if not path.exists()]
     if missing:
-        raise click.UsageError("missing generations: " + ", ".join(missing))
+        advice = "rerun generate" if layout.generated_dir.is_dir() else "run generate first"
+        raise StaleArtifactError(f"missing generations: {', '.join(missing)}; {advice}")
+    lines = {key: layout.load(path, read_tokens)[1] for key, path in paths.items()}
     rows = []
     gs_series: dict[str, dict[str, list[float]]] = {}
     histograms: dict[str, dict[str, list[float]]] = {}
     lengths: dict[str, dict[str, dict]] = {}
-    for seed_id in sorted(seeds):
+    for seed_id in seed_ids:
         reports = {}
         lengths[seed_id] = {}
         for model in MODEL_NAMES:
-            tokens = read_token_file(layout.generation(seed_id, model, "tokens"))
-            line = tick_line(tokens)
+            line = lines[seed_id, model]
             try:
                 reports[model] = evaluate_line(f"{seed_id}_{model}", line)
             except MetricError as err:
                 raise click.ClickException(f"{seed_id}_{model}: {err}")
             lengths[seed_id][model] = {
-                "tokens": len(tokens),
+                "tokens": len(line.ticks),
                 "quarters": sum(line.ticks) / line.division,
             }
         rows.append(
@@ -488,7 +478,7 @@ def run_evaluate(config: ExperimentConfig) -> None:
             "summary": summary,
         },
     )
-    for seed_id in sorted(seeds):
+    for seed_id in seed_ids:
         write_text(
             layout.figures_dir / f"gs_{seed_id}.svg",
             line_chart_svg(f"groove similarity by bar pair: {seed_id}", gs_series[seed_id]),

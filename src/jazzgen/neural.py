@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GATE_ORDER = ("i", "f", "g", "o")
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.99
 ADAM_BETA1 = 0.9

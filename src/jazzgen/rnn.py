@@ -391,27 +391,31 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("truncated checkpoint: manifest cut short")
     try:
         manifest = json.loads(data[offset : offset + manifest_len])
-    except json.JSONDecodeError as err:
-        raise CheckpointError(f"manifest is not valid JSON: {err}") from err
+    except ValueError as err:
+        raise CheckpointError(f"manifest is not valid JSON: {err}") from None
     offset += manifest_len
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"format version {version} not supported (expected {CHECKPOINT_VERSION})")
-    config = RnnConfig(**manifest["config"])
-    vocab = Vocabulary(tuple(manifest["vocab"]))
+    try:
+        config = RnnConfig(**manifest["config"])
+        vocab = Vocabulary(tuple(manifest["vocab"]))
+        shapes = [(entry["name"], tuple(map(int, entry["shape"]))) for entry in manifest["tensors"]]
+        best_loss, epoch = float(manifest["best_loss"]), int(manifest["epoch"])
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
+        # a missing key, a non-container or a setting RnnConfig rejects
+        raise CheckpointError(f"{type(err).__name__}: {err}") from None
     dtype = np.dtype(config.dtype)
     stored = _stored_dtype(config)
-    expected = stored.itemsize * sum(
-        int(np.prod(entry["shape"], dtype=np.int64)) for entry in manifest["tensors"]
-    )
+    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in shapes]
+    expected = stored.itemsize * sum(counts)
     blob = data[offset:]
     if len(blob) != expected:
         raise CheckpointError(f"tensor blob has {len(blob)} bytes but manifest shapes account for {expected}")
     tensors = {}
     cursor = 0
-    for entry in manifest["tensors"]:
-        count = int(np.prod(entry["shape"], dtype=np.int64))
+    for (name, shape), count in zip(shapes, counts):
         flat = np.frombuffer(blob, dtype=stored, count=count, offset=cursor * stored.itemsize)
-        tensors[entry["name"]] = flat.reshape(entry["shape"]).astype(dtype)
+        tensors[name] = flat.reshape(shape).astype(dtype)
         cursor += count
-    return Checkpoint(tensors, vocab, config, float(manifest["best_loss"]), int(manifest["epoch"]))
+    return Checkpoint(tensors, vocab, config, best_loss, epoch)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from jazzgen import neural
+from jazzgen import cli, neural
 from jazzgen.cli import derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
 from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
@@ -304,24 +304,32 @@ def test_generate_with_stale_checkpoint_exits_2(workspace, tmp_path):
     assert not (tmp_path / "out" / "generated").exists()
 
 
-def _as_version_2(raw: bytes) -> bytes:
-    """The same checkpoint in format version 2, whose config also held the
-    vocabulary size, the training seed and the batch-norm momentum."""
+def _edit_manifest(raw: bytes, edit) -> bytes:
+    """The checkpoint raw with edit applied to its JSON manifest."""
     offset = len(CHECKPOINT_MAGIC)
     (manifest_len,) = struct.unpack_from("<I", raw, offset)
     manifest = json.loads(raw[offset + 4 : offset + 4 + manifest_len])
-    config = manifest["config"]
-    config["lstm_units"] = config.pop("hidden_units")
-    config.update(n_vocab=len(manifest["vocab"]), seed=0, bn_momentum=0.99)
-    manifest["format_version"] = 2
+    edit(manifest)
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
     return CHECKPOINT_MAGIC + struct.pack("<I", len(encoded)) + encoded + raw[offset + 4 + manifest_len :]
 
 
+def _as_version_2(manifest: dict) -> None:
+    """The same manifest in format version 2, whose config also held the
+    vocabulary size, the training seed and the batch-norm momentum."""
+    config = manifest["config"]
+    config["lstm_units"] = config.pop("hidden_units")
+    config.update(n_vocab=len(manifest["vocab"]), seed=0, bn_momentum=0.99)
+    manifest["format_version"] = 2
+
+
 @pytest.mark.parametrize("damage, reason", [
     (lambda raw: raw[:1000], "truncated checkpoint"),
-    (_as_version_2, "format version 2 not supported"),
-], ids=["truncated", "version-2"])
+    (lambda raw: _edit_manifest(raw, _as_version_2), "format version 2 not supported"),
+    (lambda raw: _edit_manifest(raw, lambda manifest: manifest.pop("vocab")), "KeyError: 'vocab'"),
+    (lambda raw: _edit_manifest(raw, lambda manifest: manifest["config"].update(epochs=0)),
+     "epochs must be positive"),
+], ids=["truncated", "version-2", "no-vocab", "zero-epochs"])
 def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -356,7 +364,8 @@ def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_pat
 @pytest.mark.parametrize("damage", [
     lambda ingest: next((ingest / "tokens").glob("*.tokens")).unlink(),
     lambda ingest: (ingest / "manifest.json").write_text((ingest / "manifest.json").read_text()[:40]),
-], ids=["token-file-deleted", "manifest-truncated"])
+    lambda ingest: next((ingest / "tokens").glob("*.tokens")).write_text("C#-1_1/7\n"),
+], ids=["token-file-deleted", "manifest-truncated", "token-outside-vocab"])
 def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path, damage):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -367,6 +376,81 @@ def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path
     (line,) = result.output.strip().splitlines()
     assert line.startswith("Error: cannot read ") and line.endswith("rerun ingest")
     assert files_under(out) == before
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _truncate_to_half(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+FAULTS = {
+    "deleted": Path.unlink,
+    "directory": _replace_with_directory,
+    "garbage": lambda path: path.write_bytes(b"\xff\xfe{ Q9_1.0"),
+    "truncated": _truncate_to_half,
+    "bad-token": lambda path: path.write_text("C4_1.0 Q9_1.0\n"),
+    "one-token": lambda path: path.write_text("C4_1.0\n"),
+}
+# a truncated token file can still be a valid one
+PARSED_FILE = ("deleted", "directory", "garbage", "truncated")
+TOKEN_FILE = ("deleted", "directory", "garbage", "bad-token")
+GENERATE = ("generate", "--model", "both")
+# artifact -> (faults, commands that read it)
+ARTIFACTS = {
+    "ingest/manifest.json": (PARSED_FILE, [("train",), GENERATE, ("evaluate",)]),
+    "ingest/vocab.json": (PARSED_FILE, [("train",)]),
+    "ingest/tokens/corpus_01.tokens": (TOKEN_FILE, [("train",)]),
+    "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE]),
+    "models/markov.json": (PARSED_FILE, [("generate", "--model", "markov")]),
+    "models/rnn.ckpt": (PARSED_FILE, [("generate", "--model", "rnn")]),
+    "generated/seed_1_rnn.tokens": (TOKEN_FILE, [("evaluate",)]),
+}
+STAGE_WRITING = {"ingest": "ingest", "models": "train", "generated": "generate"}
+FAULT_MATRIX = [
+    pytest.param(artifact, fault, command, id=f"{artifact}-{fault}-{command[-1]}")
+    for artifact, (faults, commands) in ARTIFACTS.items()
+    for fault in faults
+    for command in commands
+]
+
+
+@pytest.mark.parametrize("artifact, fault, command", FAULT_MATRIX)
+def test_damaged_artifact_exits_2_naming_the_stage_to_rerun(workspace, pipeline, tmp_path, artifact, fault, command):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    path = out / artifact
+    FAULTS[fault](path)
+    before = files_under(out)
+    result = invoke([*command, *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    (line,) = result.output.strip().splitlines()
+    assert str(path) in line and line.endswith(f"rerun {STAGE_WRITING[artifact.split('/')[0]]}"), line
+    assert files_under(out) == before
+
+
+def test_generate_loads_models_through_the_names_a_trace_wraps(workspace, pipeline, tmp_path, monkeypatch):
+    # bench/spans.py times markov.load and rnn.load_checkpoint by wrapping
+    # these two cli attributes; a read that bypasses them would read as 0
+    calls = {"load_transition_table": 0, "load_checkpoint": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 0, result.output
+    assert calls == {"load_transition_table": 1, "load_checkpoint": 1}
 
 
 def test_generate_seed_output_does_not_depend_on_batch(tmp_path):
@@ -507,13 +591,18 @@ def test_selfcheck_validates_checkpoint(pipeline):
 
 
 def test_selfcheck_fails_on_corrupted_checkpoint(pipeline, tmp_path):
+    raw = (pipeline / "models" / "rnn.ckpt").read_bytes()
     corrupt = tmp_path / "corrupt.ckpt"
-    # extra trailing bytes no manifest shape accounts for
-    corrupt.write_bytes((pipeline / "models" / "rnn.ckpt").read_bytes() + b"\x00\x00\x00\x00")
-    result = invoke(["selfcheck", "--ckpt", corrupt])
-    assert result.exit_code == 1
-    assert "FAIL: checkpoint file loads" in result.output
-    assert "shapes" in result.output
+    for damaged, reason in [
+        # extra trailing bytes no manifest shape accounts for
+        (raw + b"\x00\x00\x00\x00", "shapes"),
+        (_edit_manifest(raw, lambda manifest: manifest.pop("vocab")), "KeyError: 'vocab'"),
+    ]:
+        corrupt.write_bytes(damaged)
+        result = invoke(["selfcheck", "--ckpt", corrupt])
+        assert result.exit_code == 1
+        assert "FAIL: checkpoint file loads" in result.output
+        assert reason in result.output
 
 
 def test_pipeline_rerun_is_byte_identical(workspace, tmp_path):
