@@ -18,7 +18,7 @@ from jazzgen.metrics import (
 )
 from jazzgen.midi_io import MidiDocument, NoteEvent, read_midi, write_midi
 from jazzgen.rnn import Checkpoint, RnnConfig, generate_rnn, load_checkpoint, save_checkpoint, train
-from jazzgen.tokenizer import Token, Vocabulary, build_vocabulary, detokenize, tokenize
+from jazzgen.tokenizer import Vocabulary, build_vocabulary, detokenize, tokenize
 
 __all__ = [
     "Checkpoint",
@@ -26,7 +26,6 @@ __all__ = [
     "MidiDocument",
     "NoteEvent",
     "RnnConfig",
-    "Token",
     "TransitionTable",
     "Vocabulary",
     "build_transition_table",

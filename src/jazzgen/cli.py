@@ -285,7 +285,7 @@ def _midi_paths(directory: Path) -> list[Path]:
 
 def _read_tokens_from_midi(path: Path) -> list[str]:
     doc = read_midi(path.read_bytes())
-    return [token.text for token in tokenize(doc.events)]
+    return tokenize(doc.events)
 
 
 def run_ingest(config: ExperimentConfig) -> None:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .files import atomic_open
+from .tokenizer import parse_token
 
 State = tuple[str, ...]
 
@@ -120,9 +121,13 @@ def load_transition_table(path) -> TransitionTable:
         }
         unigram = {k: int(v) for k, v in payload["unigram"].items()}
         table = TransitionTable(order=int(payload["order"]), counts=counts, unigram=unigram)
+        # generate writes every symbol out as a token, so each must parse
+        for symbol in sorted(set(unigram).union(*counts, *counts.values())):
+            parse_token(symbol)
     except (ValueError, LookupError, TypeError, AttributeError) as err:
-        # JSON and Unicode decoding errors are ValueErrors; a wrong shape
-        # fails on a missing key, a non-container or a non-integer count
+        # JSON and Unicode decoding errors are ValueErrors, and so is a
+        # symbol that is no token; a wrong shape fails on a missing key, a
+        # non-container or a non-integer count
         raise TableError(f"{type(err).__name__}: {err}") from None
     if not table.unigram:
         raise TableError("table holds no symbols")

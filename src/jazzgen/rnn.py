@@ -337,7 +337,7 @@ def generate_rnn(
     rngs = [None] * len(seeds) if rngs is None else rngs
     if len(rngs) != len(seeds):
         raise ValueError(f"{len(rngs)} rngs for {len(seeds)} seeds")
-    outputs = [[str(token) for token in seed] for seed in seeds]
+    outputs = [list(seed) for seed in seeds]
     if not seeds:
         return outputs
     net = Network(ckpt.config, ckpt.tensors)
@@ -401,10 +401,16 @@ def load_checkpoint(path) -> Checkpoint:
         config = RnnConfig(**manifest["config"])
         vocab = Vocabulary(tuple(manifest["vocab"]))
         shapes = [(entry["name"], tuple(map(int, entry["shape"]))) for entry in manifest["tensors"]]
+        names = sorted(name for name, _ in shapes)
         best_loss, epoch = float(manifest["best_loss"]), int(manifest["epoch"])
     except (ValueError, LookupError, TypeError, AttributeError) as err:
         # a missing key, a non-container or a setting RnnConfig rejects
         raise CheckpointError(f"{type(err).__name__}: {err}") from None
+    expected = sorted(TRAINABLE + RUNNING_STATS)
+    if names != expected:
+        extra = [name for name in names if name not in expected]
+        missing = [name for name in expected if name not in names]
+        raise CheckpointError(f"tensor names differ from the network's (extra {extra}, missing {missing})")
     dtype = np.dtype(config.dtype)
     stored = _stored_dtype(config)
     counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in shapes]

@@ -6,6 +6,9 @@ and C4 = MIDI 60.  Durations are quarter-note multiples: 1.0 is a quarter,
 64 renders as the shortest exact decimal (always at least one fractional
 digit); anything else renders as a reduced fraction, e.g. ``D5_1/6``.
 
+A token is its text, everywhere: `tokenize` returns token texts,
+`parse_token` reads one back as a ``(pitch, duration)`` pair (``None`` for a
+rest, an exact `Fraction` duration) and `render_token` writes it again.
 Rendering and parsing are inverse bijections on their domains; parsing is
 strict and rejects any spelling other than the canonical one.
 
@@ -20,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .midi_io import NoteEvent, TickLine
 
@@ -40,7 +43,7 @@ class TokenError(ValueError):
 
 
 class UnknownTokenError(KeyError):
-    """Token text absent from a vocabulary."""
+    """A token text absent from a vocabulary."""
 
 
 def render_pitch(pitch: int | None) -> str:
@@ -99,90 +102,54 @@ def parse_duration(text: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class Token:
-    """One note or rest with its quarter-note duration."""
-
-    pitch: int | None
-    duration: Fraction
-
-    def __post_init__(self):
-        if self.pitch is not None and not 0 <= self.pitch <= 127:
-            raise TokenError(f"MIDI pitch {self.pitch} outside 0..127")
-        if type(self.duration) is not Fraction:
-            object.__setattr__(self, "duration", Fraction(self.duration))
-        if self.duration.numerator <= 0:
-            raise TokenError(f"duration must be positive, got {self.duration}")
-
-    @property
-    def is_rest(self) -> bool:
-        return self.pitch is None
-
-    @property
-    def pitch_class(self) -> int | None:
-        return None if self.pitch is None else self.pitch % 12
-
-    @property
-    def octave(self) -> int | None:
-        return None if self.pitch is None else self.pitch // 12 - 1
-
-    @property
-    def text(self) -> str:
-        return f"{render_pitch(self.pitch)}_{render_duration(self.duration)}"
-
-    def __str__(self) -> str:
-        return self.text
+def render_token(pitch: int | None, duration: Fraction) -> str:
+    """Canonical text for a note (or a rest when pitch is None)."""
+    return f"{render_pitch(pitch)}_{render_duration(duration)}"
 
 
 # A corpus spells a few hundred distinct tokens, each read thousands of times.
-# Token is immutable, so one parse per text can be shared; a text that raises
-# is not cached and raises again on every call.
+# The pair is immutable, so one parse per text can be shared; a text that
+# raises is not cached and raises again on every call.
 @functools.lru_cache(maxsize=4096)
-def parse_token(text: str) -> Token:
+def parse_token(text: str) -> tuple[int | None, Fraction]:
+    """(pitch, duration) of a canonical token text, pitch None for a rest."""
     head, sep, tail = text.partition("_")
     if not sep or not tail:
         raise TokenError(f"token {text!r} is not <pitch>_<duration>")
-    return Token(parse_pitch(head), parse_duration(tail))
+    return parse_pitch(head), parse_duration(tail)
 
 
-TokenLike = Union[str, Token]
+def tokenize(events: Iterable[NoteEvent]) -> list[str]:
+    return [render_token(ev.pitch, ev.duration) for ev in events]
 
 
-def _as_token(value: TokenLike) -> Token:
-    return value if isinstance(value, Token) else parse_token(value)
-
-
-def tokenize(events: Iterable[NoteEvent]) -> list[Token]:
-    return [Token(ev.pitch, ev.duration) for ev in events]
-
-
-def _parse_distinct(values: list[TokenLike]) -> dict[TokenLike, Token]:
-    """Each distinct value parsed once, in order of first appearance, so the
+def _parse_distinct(texts: list[str]) -> dict[str, tuple[int | None, Fraction]]:
+    """Each distinct text parsed once, in order of first appearance, so the
     first bad one is the earliest: TokenError names its position."""
     parsed = {}
-    for value in dict.fromkeys(values):
+    for text in dict.fromkeys(texts):
         try:
-            parsed[value] = _as_token(value)
+            parsed[text] = parse_token(text)
         except TokenError as err:
-            raise TokenError(f"token {values.index(value)} ({value!r}): {err}") from None
+            raise TokenError(f"token {texts.index(text)} ({text!r}): {err}") from None
     return parsed
 
 
-def detokenize(tokens: Iterable[TokenLike]) -> tuple[NoteEvent, ...]:
+def detokenize(tokens: Iterable[str]) -> tuple[NoteEvent, ...]:
     """Tokens back to contiguous events, onsets accumulated from zero."""
-    values = list(tokens)
-    parsed = _parse_distinct(values)
+    texts = list(tokens)
+    parsed = _parse_distinct(texts)
     events = []
     onset = Fraction(0)
-    for value in values:
-        token = parsed[value]
-        event = NoteEvent(token.pitch, token.duration, onset)
+    for text in texts:
+        pitch, duration = parsed[text]
+        event = NoteEvent(pitch, duration, onset)
         events.append(event)
         onset = event.end
     return tuple(events)
 
 
-def tick_line(tokens: Iterable[TokenLike]) -> TickLine:
+def tick_line(tokens: Iterable[str]) -> TickLine:
     """Tokens on the coarsest integer grid that holds them.
 
     The division is the lcm of the duration denominators. Every onset is a
@@ -190,22 +157,22 @@ def tick_line(tokens: Iterable[TokenLike]) -> TickLine:
     the division equals lcm_time_division(detokenize(tokens)); it is not
     capped at the SMF limit here, write_line checks that.
     """
-    values = list(tokens)
-    parsed = _parse_distinct(values)
-    division = math.lcm(*{token.duration.denominator for token in parsed.values()})
+    texts = list(tokens)
+    parsed = _parse_distinct(texts)
+    division = math.lcm(*{duration.denominator for _, duration in parsed.values()})
     cells = {
-        value: (token.pitch, token.duration.numerator * (division // token.duration.denominator))
-        for value, token in parsed.items()
+        text: (pitch, duration.numerator * (division // duration.denominator))
+        for text, (pitch, duration) in parsed.items()
     }
-    pitches, ticks = zip(*map(cells.__getitem__, values)) if values else ((), ())
+    pitches, ticks = zip(*map(cells.__getitem__, texts)) if texts else ((), ())
     return TickLine(division, pitches, ticks)
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable token inventory with contiguous indices.
+    """Immutable inventory of canonical token texts with contiguous indices.
 
-    Token texts are stored sorted lexicographically, so index order is
+    The texts are stored sorted lexicographically, so index order is
     reproducible from the token set alone.
     """
 
@@ -215,32 +182,29 @@ class Vocabulary:
         if list(self.tokens) != sorted(set(self.tokens)):
             raise ValueError("vocabulary tokens must be unique and sorted")
         for text in self.tokens:
+            if not isinstance(text, str):
+                raise TokenError(f"vocabulary entry {text!r} is not a token text")
             parse_token(text)
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, value: TokenLike) -> bool:
-        text = value.text if isinstance(value, Token) else value
+    def __contains__(self, text: str) -> bool:
         return text in self._index
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.tokens)
 
-    def encode(self, value: TokenLike) -> int:
-        text = value.text if isinstance(value, Token) else value
+    def encode(self, text: str) -> int:
         try:
             return self._index[text]
         except KeyError:
             raise UnknownTokenError(text) from None
 
 
-def build_vocabulary(*sequences: Iterable[TokenLike]) -> Vocabulary:
-    texts = set()
-    for sequence in sequences:
-        for value in sequence:
-            texts.add(_as_token(value).text)
+def build_vocabulary(*sequences: Iterable[str]) -> Vocabulary:
+    texts = set().union(*sequences)
     if not texts:
         raise ValueError("cannot build a vocabulary from zero tokens")
     return Vocabulary(tuple(sorted(texts)))

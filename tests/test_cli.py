@@ -329,7 +329,9 @@ def _as_version_2(manifest: dict) -> None:
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest.pop("vocab")), "KeyError: 'vocab'"),
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest["config"].update(epochs=0)),
      "epochs must be positive"),
-], ids=["truncated", "version-2", "no-vocab", "zero-epochs"])
+    (lambda raw: _edit_manifest(raw, lambda manifest: manifest["tensors"][0].update(name="nope")),
+     "extra ['nope'], missing ['dense1/b']"),
+], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor"])
 def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -347,7 +349,8 @@ def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_pa
     (lambda raw: raw[:100], "JSONDecodeError"),
     (lambda raw: bytes(range(128, 256)) * 4, "UnicodeDecodeError"),
     (lambda raw: b"[]", "TypeError"),
-], ids=["truncated", "garbage", "list"])
+    (lambda raw: b'{"order": 2, "unigram": {"Q9": 1}, "counts": []}', "TokenError"),
+], ids=["truncated", "garbage", "list", "non-token-symbol"])
 def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -365,7 +368,8 @@ def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_pat
     lambda ingest: next((ingest / "tokens").glob("*.tokens")).unlink(),
     lambda ingest: (ingest / "manifest.json").write_text((ingest / "manifest.json").read_text()[:40]),
     lambda ingest: next((ingest / "tokens").glob("*.tokens")).write_text("C#-1_1/7\n"),
-], ids=["token-file-deleted", "manifest-truncated", "token-outside-vocab"])
+    lambda ingest: (ingest / "vocab.json").write_text("[1]"),
+], ids=["token-file-deleted", "manifest-truncated", "token-outside-vocab", "vocab-non-text"])
 def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path, damage):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")

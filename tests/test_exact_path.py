@@ -28,7 +28,7 @@ from jazzgen.midi_io import (
     write_line,
     write_midi,
 )
-from jazzgen.tokenizer import Token, TokenError, detokenize, parse_token, tick_line
+from jazzgen.tokenizer import TokenError, detokenize, parse_token, render_token, tick_line
 
 TRIPLETS = tuple(Fraction(n, d) for n, d in ((1, 3), (2, 3), (4, 3), (1, 6), (5, 6), (1, 12)))
 DOTTED = tuple(Fraction(n, d) for n, d in ((3, 16), (3, 8), (3, 4), (3, 2), (3, 1)))
@@ -63,10 +63,9 @@ def reference_detokenize(texts):
     pairs = []
     for position, text in enumerate(texts):
         try:
-            token = parse_token(text)
+            pairs.append(parse_token(text))
         except TokenError as err:
             raise TokenError(f"token {position} ({text!r}): {err}") from None
-        pairs.append((token.pitch, token.duration))
     return reference_events(pairs)
 
 
@@ -170,7 +169,7 @@ def outcome(compute):
 
 def random_texts(rnd, length, durations=LINE_DURATIONS):
     return [
-        Token(None if rnd.random() < 0.15 else rnd.randint(0, 127), rnd.choice(durations)).text
+        render_token(None if rnd.random() < 0.15 else rnd.randint(0, 127), rnd.choice(durations))
         for _ in range(length)
     ]
 
@@ -185,18 +184,15 @@ def bar_and_slot(onset, bar_length):
 @settings(max_examples=200, deadline=None)
 @given(notes)
 def test_detokenize_matches_fraction_reference(pairs):
-    texts = [Token(pitch, duration).text for pitch, duration in pairs]
-    events = detokenize(texts)
+    events = detokenize([render_token(pitch, duration) for pitch, duration in pairs])
     assert [(ev.pitch, ev.duration, ev.onset) for ev in events] == reference_events(pairs)
     assert all(ev.end == ev.onset + ev.duration for ev in events)
-    # Token values and texts take the same path
-    assert detokenize([parse_token(text) for text in texts]) == events
 
 
 @settings(max_examples=200, deadline=None)
 @given(notes, st.integers(1, 48), st.integers(4, 400))
 def test_document_validation_and_bytes_match_fraction_reference(pairs, scale, tempo):
-    events = detokenize([Token(pitch, duration).text for pitch, duration in pairs])
+    events = detokenize([render_token(pitch, duration) for pitch, duration in pairs])
     unmerged = reference_events(pairs)
     merged = reference_merged(unmerged)
     lcm = 1
@@ -219,7 +215,7 @@ def test_document_validation_and_bytes_match_fraction_reference(pairs, scale, te
 @settings(max_examples=100, deadline=None)
 @given(notes, st.integers(0, 39), st.sampled_from((Fraction(1, 7), Fraction(1), Fraction(-1, 3))))
 def test_document_rejects_gap_like_fraction_reference(pairs, at, shift):
-    events = list(detokenize([Token(pitch, duration).text for pitch, duration in pairs]))
+    events = list(detokenize([render_token(pitch, duration) for pitch, duration in pairs]))
     at %= len(events)
     moved = events[at].onset + shift
     if moved < 0:
@@ -232,7 +228,7 @@ def test_document_rejects_gap_like_fraction_reference(pairs, at, shift):
 @settings(max_examples=200, deadline=None)
 @given(notes, bar_lengths)
 def test_bar_and_grid_indices_match_fraction_reference(pairs, bar_length):
-    events = detokenize([Token(pitch, duration).text for pitch, duration in pairs])
+    events = detokenize([render_token(pitch, duration) for pitch, duration in pairs])
     for ev in events:
         expected = (math.floor(ev.onset / bar_length), reference_grid_index(ev.onset, bar_length))
         assert bar_and_slot(ev.onset, bar_length) == expected

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jazzgen.midi_io import NoteEvent
 from jazzgen.tokenizer import (
-    Token,
     TokenError,
     UnknownTokenError,
     Vocabulary,
@@ -17,6 +16,7 @@ from jazzgen.tokenizer import (
     parse_token,
     render_duration,
     render_pitch,
+    render_token,
     tokenize,
 )
 
@@ -70,20 +70,11 @@ def test_non_canonical_duration_rejected(bad):
 
 
 def test_parse_token_examples():
-    assert parse_token("C4_0.5") == Token(60, Fraction(1, 2))
-    assert parse_token("R_1.0") == Token(None, Fraction(1))
-    assert parse_token("D5_1/6") == Token(74, Fraction(1, 6))
-    assert parse_token("A4_2/3") == Token(69, Fraction(2, 3))
+    assert parse_token("C4_0.5") == (60, Fraction(1, 2))
+    assert parse_token("R_1.0") == (None, Fraction(1))
+    assert parse_token("D5_1/6") == (74, Fraction(1, 6))
+    assert parse_token("A4_2/3") == (69, Fraction(2, 3))
     assert render_duration(Fraction(3, 8)) == "0.375"
-
-
-def test_token_pitch_class_and_octave():
-    token = Token(74, Fraction(1, 6))
-    assert token.pitch_class == 2
-    assert token.octave == 5
-    rest = Token(None, Fraction(1))
-    assert rest.pitch_class is None
-    assert rest.octave is None
 
 
 def test_detokenize_error_names_token_and_position():
@@ -99,10 +90,9 @@ def test_build_vocabulary_requires_tokens():
 
 
 def test_token_text_round_trip():
-    token = Token(61, Fraction(2, 3))
-    assert token.text == "C#4_2/3"
-    assert parse_token(token.text) == token
-    assert str(token) == token.text
+    assert render_token(61, Fraction(2, 3)) == "C#4_2/3"
+    assert parse_token("C#4_2/3") == (61, Fraction(2, 3))
+    assert render_token(None, Fraction(1, 4)) == "R_0.25"
 
 
 @pytest.mark.parametrize("bad", ["C4", "C4_", "_0.5", "C4 0.5", "C4_0.5_x"])
@@ -120,8 +110,7 @@ pitches = st.one_of(st.none(), st.integers(0, 127))
 
 @given(pitches, durations)
 def test_token_text_bijective(pitch, duration):
-    token = Token(pitch, duration)
-    assert parse_token(token.text) == token
+    assert parse_token(render_token(pitch, duration)) == (pitch, duration)
 
 
 @given(durations)
@@ -138,9 +127,9 @@ def test_tokenize_detokenize_round_trip():
         NoteEvent(74, Fraction(1, 6), Fraction(3, 2)),
     )
     tokens = tokenize(events)
-    assert [t.text for t in tokens] == ["C4_1.0", "R_0.5", "D5_1/6"]
+    assert tokens == ["C4_1.0", "R_0.5", "D5_1/6"]
     assert detokenize(tokens) == events
-    assert detokenize(t.text for t in tokens) == events
+    assert detokenize(iter(tokens)) == events
 
 
 def test_detokenize_accumulates_onsets():
@@ -154,7 +143,7 @@ def test_vocabulary_is_sorted_and_contiguous():
     assert [vocab.encode(t) for t in vocab.tokens] == [0, 1, 2]
     assert len(vocab) == 3
     assert "R_1.0" in vocab
-    assert Token(57, Fraction(1, 2)) in vocab
+    assert render_token(57, Fraction(1, 2)) in vocab
     assert "B7_1.0" not in vocab
 
 
@@ -175,3 +164,5 @@ def test_vocabulary_rejects_unsorted_or_invalid():
         Vocabulary(("C4_1.0", "A3_1.0"))
     with pytest.raises(TokenError):
         Vocabulary(("A3_1/2",))
+    with pytest.raises(TokenError, match="not a token text"):
+        Vocabulary((1,))
