@@ -10,6 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import shlex
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -121,8 +124,8 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
     if config_path:
         try:
             data = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as err:
-            raise click.UsageError(f"config file {config_path} is not valid JSON: {err}")
+        except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
+            raise click.UsageError(f"cannot read config file {config_path}: {err}")
         if not isinstance(data, dict):
             raise click.UsageError(f"config file {config_path} must hold a JSON object")
     rnn_data = data.pop("rnn", {})
@@ -225,19 +228,40 @@ class Layout:
             raise StaleArtifactError(f"cannot read {path} ({reason}); rerun {stage}") from None
 
 
+def _lock_holder(lock: Path) -> str:
+    """Who holds lock, read from the "<pid> <command>" line output_lock writes."""
+    try:
+        holder = re.fullmatch(r"([1-9][0-9]{0,8}) (.+)", lock.read_text().strip())
+    except (OSError, ValueError):
+        holder = None
+    if holder is None:  # unreadable, or empty as older versions left it
+        return "another command"
+    try:
+        if os.name == "posix":  # elsewhere signal 0 is not a no-op
+            os.kill(int(holder[1]), 0)  # sends nothing; only asks whether the pid exists
+    except ProcessLookupError:
+        return f"process {holder[1]} ({holder[2]}), which is no longer running"
+    except OSError:  # PermissionError: running under another user
+        pass
+    return f"process {holder[1]} ({holder[2]})"
+
+
 @contextmanager
 def output_lock(out_dir: Path):
-    """One writer per output directory, enforced with an exclusive lock file."""
+    """One writer per output directory, enforced with an exclusive lock file
+    that names the holder's pid and command. A lock is never taken over, even
+    when its holder is gone; the error says so and the user removes it."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     try:
         handle = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise click.ClickException(
-            f"{out_dir} is locked by another command; remove {lock} if that run is gone"
+            f"{out_dir} is locked by {_lock_holder(lock)}; remove {lock} if that run is gone"
         ) from None
-    os.close(handle)
     try:
+        with os.fdopen(handle, "w") as stamp:
+            stamp.write(f"{os.getpid()} {shlex.join(sys.argv)}\n")
         yield
     finally:
         lock.unlink(missing_ok=True)

@@ -1,10 +1,9 @@
 """Hand-written neural network kernels on numpy arrays.
 
 Everything here is explicit forward/backward arithmetic: LSTM cells unrolled
-through time, dense layers, batch normalization, inverted dropout, a
-temperature-scaled softmax cross-entropy, and Adam.  numpy supplies array
-storage and elementwise/matrix arithmetic only; no autograd or layer library
-is involved.
+through time, dense layers, batch normalization, inverted dropout, softmax
+cross-entropy, and Adam.  numpy supplies array storage and elementwise/matrix
+arithmetic only; no autograd or layer library is involved.
 
 Conventions
 -----------
@@ -25,6 +24,8 @@ BN_MOMENTUM = 0.99
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_CHECK_EPS = 1e-6
+GRAD_CHECK_ZERO_TOL = 1e-12
 
 
 class NumericalFault(ArithmeticError):
@@ -184,31 +185,20 @@ def dense_backward(dy, cache, w):
     return dx, dw, db
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics carried across batches for inference."""
+def batchnorm_forward(x, gamma, beta, mean, var, training: bool):
+    """Normalize features over the batch axis (biased variance, eps 1e-5).
 
-    mean: np.ndarray
-    var: np.ndarray
-    momentum: float = BN_MOMENTUM
-
-    @classmethod
-    def fresh(cls, dim: int, momentum: float = BN_MOMENTUM, dtype=np.float64) -> "BatchNormState":
-        return cls(np.zeros(dim, dtype=dtype), np.ones(dim, dtype=dtype), momentum)
-
-
-def batchnorm_forward(x, gamma, beta, state: BatchNormState, training: bool):
-    """Normalize features over the batch axis (biased variance, eps 1e-5)."""
+    Inference uses the running statistics mean and var; training uses the
+    batch's own and folds them into mean and var in place (BN_MOMENTUM).
+    """
     if training:
         if x.shape[0] < 2:
             raise ValueError("batch normalization needs batch size >= 2 in training mode")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        state.mean = (state.momentum * state.mean + (1.0 - state.momentum) * mean).astype(x.dtype)
-        state.var = (state.momentum * state.var + (1.0 - state.momentum) * var).astype(x.dtype)
-    else:
-        mean = state.mean
-        var = state.var
+        batch_mean = x.mean(axis=0)
+        batch_var = x.var(axis=0)
+        mean[...] = BN_MOMENTUM * mean + (1.0 - BN_MOMENTUM) * batch_mean
+        var[...] = BN_MOMENTUM * var + (1.0 - BN_MOMENTUM) * batch_var
+        mean, var = batch_mean, batch_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (x - mean) * inv_std
     y = gamma * x_hat + beta
@@ -252,35 +242,21 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, targets, temperature: float = 1.0):
-    """Mean cross-entropy of softmax(logits / temperature) against int targets.
+def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean cross-entropy of softmax over (B, V) logits against (B,) int targets.
 
-    Accepts a single (V,) row with a scalar target or a (B, V) batch with a
-    (B,) target vector.  Returns (loss, probabilities, dlogits) where dlogits
-    already folds in the 1/temperature and 1/B factors.
+    Returns (loss, probabilities, dlogits) in the dtype of logits, where dlogits
+    already folds in the 1/B factor.
     """
-    squeeze = logits.ndim == 1
-    if squeeze:
-        logits = logits[None, :]
-        targets = np.asarray([targets])
-    else:
-        targets = np.asarray(targets)
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     batch = logits.shape[0]
-    scaled = logits / temperature
-    z = scaled - scaled.max(axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     loss = float(-log_probs[np.arange(batch), targets].mean())
     ensure_finite("cross-entropy loss", np.asarray(loss))
     probs = np.exp(log_probs).astype(logits.dtype)
     dlogits = probs.copy()
     dlogits[np.arange(batch), targets] -= 1.0
-    dlogits /= temperature * batch
-    dlogits = dlogits.astype(logits.dtype)
-    if squeeze:
-        probs = probs[0]
-        dlogits = dlogits[0]
+    dlogits /= batch
     return loss, probs, dlogits
 
 
@@ -293,9 +269,9 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """One Adam update, in place, with bias correction."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update, in place, of the params named in grads;
+    other entries, such as batch-norm running statistics, get no moments."""
     state.step += 1
     t = state.step
     for name, grad in grads.items():
@@ -303,43 +279,32 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float = 1e-3,
         if name not in state.m:
             state.m[name] = np.zeros_like(param)
             state.v[name] = np.zeros_like(param)
-        m = state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * grad
-        v = state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def gradient_check(loss_fn, params: dict, grads: dict, *, eps: float = 1e-6,
-                   max_coords: int = 500, rng: np.random.Generator | None = None,
-                   zero_tol: float = 1e-12) -> float:
+def gradient_check(loss_fn, params: dict, grads: dict) -> float:
     """Largest relative error between analytic and central-difference grads.
 
     loss_fn() must recompute the scalar loss from the live arrays in params;
-    coordinates are perturbed in place and restored.  At most max_coords
-    coordinates are sampled across all parameters.
+    every coordinate is perturbed by +-GRAD_CHECK_EPS in place and restored.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    coords = []
-    for name in sorted(params):
-        for flat_index in range(params[name].size):
-            coords.append((name, flat_index))
-    if len(coords) > max_coords:
-        picks = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in picks]
     worst = 0.0
-    for name, flat_index in coords:
+    for name in sorted(params):
         flat = params[name].reshape(-1)
-        original = flat[flat_index]
-        flat[flat_index] = original + eps
-        loss_plus = loss_fn()
-        flat[flat_index] = original - eps
-        loss_minus = loss_fn()
-        flat[flat_index] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        analytic = float(grads[name].reshape(-1)[flat_index])
-        denom = max(abs(analytic), abs(numeric))
-        if denom > zero_tol:
-            worst = max(worst, abs(analytic - numeric) / denom)
+        for flat_index in range(flat.size):
+            original = flat[flat_index]
+            flat[flat_index] = original + GRAD_CHECK_EPS
+            loss_plus = loss_fn()
+            flat[flat_index] = original - GRAD_CHECK_EPS
+            loss_minus = loss_fn()
+            flat[flat_index] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_EPS)
+            analytic = float(grads[name].reshape(-1)[flat_index])
+            denom = max(abs(analytic), abs(numeric))
+            if denom > GRAD_CHECK_ZERO_TOL:
+                worst = max(worst, abs(analytic - numeric) / denom)
     return worst

@@ -25,7 +25,6 @@ import numpy as np
 from .files import atomic_open
 from .neural import (
     AdamState,
-    BatchNormState,
     NumericalFault,
     adam_step,
     batchnorm_backward,
@@ -46,15 +45,6 @@ from .tokenizer import Vocabulary
 CHECKPOINT_MAGIC = b"JGCKPT01"
 CHECKPOINT_VERSION = 3
 ARGMAX_TEMPERATURE = 1e-6
-
-TRAINABLE = (
-    "lstm1/w", "lstm1/u", "lstm1/b",
-    "lstm2/w", "lstm2/u", "lstm2/b",
-    "norm/gamma", "norm/beta",
-    "dense1/w", "dense1/b",
-    "dense2/w", "dense2/b",
-)
-RUNNING_STATS = ("norm/mean", "norm/var")
 
 
 class CheckpointError(ValueError):
@@ -107,6 +97,19 @@ class RnnConfig:
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
+def tensor_shapes(config: RnnConfig, n_vocab: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape for an n_vocab-token vocabulary: the twelve Adam
+    trains plus the batch-norm running statistics norm/mean and norm/var."""
+    v, h, d = n_vocab, config.hidden_units, config.dense_units
+    return {
+        "lstm1/w": (4 * h, v), "lstm1/u": (4 * h, h), "lstm1/b": (4 * h,),
+        "lstm2/w": (4 * h, h), "lstm2/u": (4 * h, h), "lstm2/b": (4 * h,),
+        "norm/gamma": (h,), "norm/beta": (h,), "norm/mean": (h,), "norm/var": (h,),
+        "dense1/w": (d, h), "dense1/b": (d,),
+        "dense2/w": (v, d), "dense2/b": (v,),
+    }
+
+
 @dataclass
 class Checkpoint:
     tensors: dict
@@ -150,11 +153,9 @@ class Network:
         hs1, cache1 = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
         hs2, cache2 = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
         last = hs2[:, -1, :]
-        bn_state = BatchNormState(t["norm/mean"], t["norm/var"])
         normed, bn_cache = batchnorm_forward(
-            last, t["norm/gamma"], t["norm/beta"], bn_state, training
+            last, t["norm/gamma"], t["norm/beta"], t["norm/mean"], t["norm/var"], training
         )
-        t["norm/mean"], t["norm/var"] = bn_state.mean, bn_state.var
         dropped1, mask1 = dropout_forward(normed, self.config.dropout, rng, training)
         hidden, dense1_cache = dense_forward(
             dropped1, t["dense1/w"], t["dense1/b"], activation="relu"
@@ -242,12 +243,7 @@ def train(
                 logits, cache = net.forward(inputs[batch], training=True, rng=rng)
                 loss, _, dlogits = softmax_cross_entropy(logits, targets[batch])
                 grads = net.backward(dlogits, cache)
-                adam_step(
-                    {name: net.tensors[name] for name in TRAINABLE},
-                    grads,
-                    adam,
-                    lr=config.learning_rate,
-                )
+                adam_step(net.tensors, grads, adam, lr=config.learning_rate)
             except NumericalFault as fault:
                 raise NumericalFault(
                     f"epoch {epoch}, batch {start // config.batch_size}: {fault}"
@@ -406,11 +402,14 @@ def load_checkpoint(path) -> Checkpoint:
     except (ValueError, LookupError, TypeError, AttributeError) as err:
         # a missing key, a non-container or a setting RnnConfig rejects
         raise CheckpointError(f"{type(err).__name__}: {err}") from None
-    expected = sorted(TRAINABLE + RUNNING_STATS)
-    if names != expected:
-        extra = [name for name in names if name not in expected]
-        missing = [name for name in expected if name not in names]
+    layout = tensor_shapes(config, len(vocab))
+    if names != sorted(layout):
+        extra = [name for name in names if name not in layout]
+        missing = [name for name in sorted(layout) if name not in names]
         raise CheckpointError(f"tensor names differ from the network's (extra {extra}, missing {missing})")
+    for name, shape in shapes:
+        if shape != layout[name]:
+            raise CheckpointError(f"tensor {name} has shape {list(shape)}, not {list(layout[name])}")
     dtype = np.dtype(config.dtype)
     stored = _stored_dtype(config)
     counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in shapes]

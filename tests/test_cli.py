@@ -109,11 +109,13 @@ def test_resolve_config_rejects_bad_order():
      "markov_notes must be an integer, got 2.5"),
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"learning_rate": "x"}},
      "learning_rate must be a number, got 'x'"),
+    (b"\xff\xfe{", "config.json: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"corpus_dir": ', "config.json: Expecting value"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
     monkeypatch.chdir(tmp_path)
     config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps(content))
+    config_file.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     result = invoke(["ingest", "--config", config_file])
     assert result.exit_code == 2, result.output
     # click's usage hint, then the one-line reason; no traceback
@@ -323,6 +325,12 @@ def _as_version_2(manifest: dict) -> None:
     manifest["format_version"] = 2
 
 
+def _swap_lstm1_w_shape(manifest: dict) -> None:
+    """Reverse lstm1/w's (4H, V) shape: same element count, so the blob still fits."""
+    (entry,) = [entry for entry in manifest["tensors"] if entry["name"] == "lstm1/w"]
+    entry["shape"].reverse()
+
+
 @pytest.mark.parametrize("damage, reason", [
     (lambda raw: raw[:1000], "truncated checkpoint"),
     (lambda raw: _edit_manifest(raw, _as_version_2), "format version 2 not supported"),
@@ -331,7 +339,8 @@ def _as_version_2(manifest: dict) -> None:
      "epochs must be positive"),
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest["tensors"][0].update(name="nope")),
      "extra ['nope'], missing ['dense1/b']"),
-], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor"])
+    (lambda raw: _edit_manifest(raw, _swap_lstm1_w_shape), "lstm1/w has shape"),
+], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor", "swapped-shape"])
 def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -533,7 +542,39 @@ def test_lock_file_blocks_second_writer(workspace, tmp_path):
     (out / ".lock").touch()
     result = invoke(["ingest", *dirs(workspace, out=str(out))])
     assert result.exit_code == 1
-    assert "locked" in result.output
+    assert "locked by another command" in result.output
+
+
+def test_lock_names_its_holder_while_a_command_runs(workspace, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    seen = []
+    monkeypatch.setattr(cli, "run_ingest", lambda config: seen.append((out / ".lock").read_text()))
+    assert invoke(["ingest", *dirs(workspace, out=str(out))]).exit_code == 0
+    (stamp,) = seen
+    pid, _, command = stamp.strip().partition(" ")
+    assert int(pid) == os.getpid() and command
+    assert not (out / ".lock").exists()
+
+
+def _exited_pid() -> int:
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    return int(child.stdout)
+
+
+@pytest.mark.parametrize("holder, state", [(os.getpid, ";"), (_exited_pid, ", which is no longer running;")],
+                         ids=["running", "exited"])
+def test_lock_names_its_holder_and_is_never_taken_over(workspace, tmp_path, holder, state):
+    pid = holder()
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text(f"{pid} jazzgen train\n")
+    result = invoke(["ingest", *dirs(workspace, out=str(out))])
+    assert result.exit_code == 1
+    (line,) = result.output.strip().splitlines()
+    assert f"locked by process {pid} (jazzgen train){state}" in line
+    assert (out / ".lock").read_text() == f"{pid} jazzgen train\n"
+    assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
 
 def test_lock_file_removed_after_run(workspace, tmp_path):

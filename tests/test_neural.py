@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from jazzgen.checks import lstm_fd, lstm_index_fd
 from jazzgen.neural import (
+    BN_MOMENTUM,
     AdamState,
-    BatchNormState,
     NumericalFault,
     adam_step,
     batchnorm_backward,
@@ -325,10 +325,10 @@ def test_batchnorm_gradients_match_finite_differences(seed):
     k = signed_uniform(rng, (6, 5))
 
     def loss_fn():
-        y, _ = batchnorm_forward(x, gamma, beta, BatchNormState.fresh(5), training=True)
+        y, _ = batchnorm_forward(x, gamma, beta, np.zeros(5), np.ones(5), training=True)
         return float((y * k).sum())
 
-    _, cache = batchnorm_forward(x, gamma, beta, BatchNormState.fresh(5), training=True)
+    _, cache = batchnorm_forward(x, gamma, beta, np.zeros(5), np.ones(5), training=True)
     dx, dgamma, dbeta = batchnorm_backward(k, cache)
     tensors = {"x": x, "gamma": gamma, "beta": beta}
     grads = {"x": dx, "gamma": dgamma, "beta": dbeta}
@@ -340,12 +340,11 @@ def test_cross_entropy_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(400 + seed)
     logits = rng.uniform(-2.0, 2.0, (4, 5))
     targets = rng.integers(0, 5, size=4)
-    temperature = [1.0, 0.7, 1.5, 0.9][seed]
 
     def loss_fn():
-        return softmax_cross_entropy(logits, targets, temperature)[0]
+        return softmax_cross_entropy(logits, targets)[0]
 
-    _, _, dlogits = softmax_cross_entropy(logits, targets, temperature)
+    _, _, dlogits = softmax_cross_entropy(logits, targets)
     assert gradient_check(loss_fn, {"logits": logits}, {"logits": dlogits}) < 1e-6
 
 
@@ -383,14 +382,14 @@ def test_float32_batchnorm_gradients_against_float64_oracle(seed):
     beta = rng.uniform(-1.0, 1.0, 5).astype(np.float32)
     k = signed_uniform(rng, (6, 5), np.float32)
     _, cache = batchnorm_forward(
-        x, gamma, beta, BatchNormState.fresh(5, dtype=np.float32), training=True
+        x, gamma, beta, np.zeros(5, np.float32), np.ones(5, np.float32), training=True
     )
     dx, dgamma, dbeta = batchnorm_backward(k, cache)
 
     x64, g64, b64, k64 = (a.astype(np.float64) for a in (x, gamma, beta, k))
 
     def loss_fn():
-        y, _ = batchnorm_forward(x64, g64, b64, BatchNormState.fresh(5), training=True)
+        y, _ = batchnorm_forward(x64, g64, b64, np.zeros(5), np.ones(5), training=True)
         return float((y * k64).sum())
 
     tensors = {"x": x64, "gamma": g64, "beta": b64}
@@ -452,7 +451,7 @@ def test_dense_relu_blocks_negative_preactivations():
 
 def test_batchnorm_already_normalized_input_passes_through():
     x = np.array([[-1.0, 1.0], [1.0, -1.0]])  # mean 0, biased var 1 per column
-    y, _ = batchnorm_forward(x, np.ones(2), np.zeros(2), BatchNormState.fresh(2), training=True)
+    y, _ = batchnorm_forward(x, np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), training=True)
     assert np.allclose(y, x, atol=1e-5)
 
 
@@ -460,7 +459,7 @@ def test_batchnorm_zero_gamma_collapses_to_beta():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((5, 3))
     beta = np.array([1.0, -2.0, 0.5])
-    y, _ = batchnorm_forward(x, np.zeros(3), beta, BatchNormState.fresh(3), training=True)
+    y, _ = batchnorm_forward(x, np.zeros(3), beta, np.zeros(3), np.ones(3), training=True)
     assert np.array_equal(y, np.broadcast_to(beta, y.shape))
 
 
@@ -468,26 +467,51 @@ def test_batchnorm_normalizes_and_tracks_running_stats():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((64, 3)) * 4.0 + 10.0
     gamma, beta = np.ones(3), np.zeros(3)
-    state = BatchNormState.fresh(3)
-    y, _ = batchnorm_forward(x, gamma, beta, state, training=True)
+    mean, var = np.zeros(3), np.ones(3)
+    y, _ = batchnorm_forward(x, gamma, beta, mean, var, training=True)
     assert np.allclose(y.mean(axis=0), 0.0, atol=1e-10)
     assert np.allclose(y.var(axis=0), 1.0, atol=1e-4)
-    assert np.allclose(state.mean, 0.01 * x.mean(axis=0))
-    assert np.allclose(state.var, 0.99 + 0.01 * x.var(axis=0))
+    assert np.allclose(mean, 0.01 * x.mean(axis=0))
+    assert np.allclose(var, 0.99 + 0.01 * x.var(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batchnorm_float32_running_stats_update_in_place_bit_for_bit(seed):
+    """The in-place fold equals the float32 expression it replaced, bit for bit."""
+    rng = np.random.default_rng(800 + seed)
+    x = (rng.standard_normal((64, 5)) * 3.0 + 2.0).astype(np.float32)
+    mean = rng.standard_normal(5).astype(np.float32)
+    var = rng.uniform(0.5, 2.0, 5).astype(np.float32)
+    want_mean = (BN_MOMENTUM * mean + (1.0 - BN_MOMENTUM) * x.mean(axis=0)).astype(x.dtype)
+    want_var = (BN_MOMENTUM * var + (1.0 - BN_MOMENTUM) * x.var(axis=0)).astype(x.dtype)
+    batchnorm_forward(x, np.ones(5, np.float32), np.zeros(5, np.float32), mean, var, training=True)
+    assert mean.dtype == var.dtype == np.float32
+    assert np.array_equal(mean, want_mean)
+    assert np.array_equal(var, want_var)
 
 
 def test_batchnorm_inference_uses_running_stats():
-    state = BatchNormState(mean=np.array([2.0]), var=np.array([4.0]))
-    y, _ = batchnorm_forward(
-        np.array([[4.0]]), np.ones(1), np.zeros(1), state, training=False
-    )
+    mean, var = np.array([2.0]), np.array([4.0])
+    y, _ = batchnorm_forward(np.array([[4.0]]), np.ones(1), np.zeros(1), mean, var, training=False)
     assert y[0, 0] == pytest.approx(1.0, abs=1e-5)  # (4-2)/sqrt(4+eps)
 
 
+def test_batchnorm_inference_leaves_running_stats_untouched():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((8, 3)).astype(np.float32)
+    mean = rng.standard_normal(3).astype(np.float32)
+    var = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+    before = mean.copy(), var.copy()
+    batchnorm_forward(x, np.ones(3, np.float32), np.zeros(3, np.float32), mean, var, training=False)
+    assert np.array_equal(mean, before[0])
+    assert np.array_equal(var, before[1])
+
+
 def test_batchnorm_training_rejects_batch_of_one():
-    state = BatchNormState.fresh(2)
+    mean, var = np.zeros(2), np.ones(2)
     with pytest.raises(ValueError):
-        batchnorm_forward(np.ones((1, 2)), np.ones(2), np.zeros(2), state, training=True)
+        batchnorm_forward(np.ones((1, 2)), np.ones(2), np.zeros(2), mean, var, training=True)
+    assert mean.tolist() == [0.0, 0.0] and var.tolist() == [1.0, 1.0]
 
 
 def test_dropout_statistics():
@@ -550,33 +574,32 @@ def test_softmax_temperature_limits():
 
 
 def test_cross_entropy_of_uniform_logits_is_log_vocab():
-    loss, probs, _ = softmax_cross_entropy(np.zeros(12), 5)
+    loss, probs, _ = softmax_cross_entropy(np.zeros((1, 12)), np.array([5]))
     assert loss == pytest.approx(math.log(12), abs=1e-12)
     assert np.allclose(probs, 1.0 / 12)
 
 
 def test_cross_entropy_huge_target_logit_is_stable():
-    logits = np.zeros(6)
-    logits[2] = 1000.0
-    loss, _, _ = softmax_cross_entropy(logits, 2)
+    logits = np.zeros((1, 6))
+    logits[0, 2] = 1000.0
+    loss, _, _ = softmax_cross_entropy(logits, np.array([2]))
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_entropy_is_shift_stable():
-    logits = np.array([3.0, 1.0, -2.0])
-    base, _, _ = softmax_cross_entropy(logits, 0)
-    shifted, _, _ = softmax_cross_entropy(logits + 1000.0, 0)
+    logits = np.array([[3.0, 1.0, -2.0]])
+    base, _, _ = softmax_cross_entropy(logits, np.array([0]))
+    shifted, _, _ = softmax_cross_entropy(logits + 1000.0, np.array([0]))
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
 def test_cross_entropy_gradient_formula_single_row():
-    logits = np.array([0.5, -0.3, 0.1])
-    temperature = 0.5
-    _, probs, dlogits = softmax_cross_entropy(logits, 2, temperature)
-    p = softmax(logits, temperature)
-    onehot = np.array([0.0, 0.0, 1.0])
+    logits = np.array([[0.5, -0.3, 0.1]])
+    _, probs, dlogits = softmax_cross_entropy(logits, np.array([2]))
+    p = softmax(logits)
+    onehot = np.array([[0.0, 0.0, 1.0]])
     assert np.allclose(probs, p, atol=1e-12)
-    assert np.allclose(dlogits, (p - onehot) / temperature, atol=1e-12)
+    assert np.allclose(dlogits, p - onehot, atol=1e-12)
 
 
 def test_adam_matches_hand_computed_steps():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jazzgen.rnn
 from jazzgen.neural import NumericalFault, softmax
 from jazzgen.rnn import (
     CHECKPOINT_MAGIC,
@@ -24,10 +25,17 @@ from jazzgen.rnn import (
     next_distribution,
     save_checkpoint,
     select_index,
+    tensor_shapes,
     train,
 )
 from jazzgen.tokenizer import UnknownTokenError, build_vocabulary
 
+TRAINABLE = {
+    "lstm1/w", "lstm1/u", "lstm1/b",
+    "lstm2/w", "lstm2/u", "lstm2/b",
+    "norm/gamma", "norm/beta",
+    "dense1/w", "dense1/b", "dense2/w", "dense2/b",
+}
 PATTERN = ["C4_1.0", "D4_1.0", "E4_1.0", "F4_1.0", "G4_1.0", "A4_1.0", "B4_1.0", "R_1.0"]
 
 
@@ -141,16 +149,27 @@ def test_short_files_are_skipped_but_all_short_is_an_error():
 def test_network_tensor_inventory():
     vocab = build_vocabulary(cycle_tokens(8))
     tensors = init_tensors(small_config(), len(vocab), SMALL_SEED)
-    names = set(tensors)
-    assert names == {
-        "lstm1/w", "lstm1/u", "lstm1/b",
-        "lstm2/w", "lstm2/u", "lstm2/b",
-        "norm/gamma", "norm/beta", "norm/mean", "norm/var",
-        "dense1/w", "dense1/b", "dense2/w", "dense2/b",
-    }
+    assert set(tensors) == TRAINABLE | {"norm/mean", "norm/var"}
     assert tensors["lstm1/w"].shape == (64, len(vocab))
     assert tensors["dense2/w"].shape == (len(vocab), 16)
     assert all(a.dtype == np.float32 for a in tensors.values())
+    assert {name: a.shape for name, a in tensors.items()} == tensor_shapes(small_config(), len(vocab))
+
+
+def test_adam_moments_cover_exactly_the_trainable_tensors(monkeypatch):
+    """train hands Adam every tensor; the running statistics get no moments."""
+    states = []
+    real_adam_step = jazzgen.rnn.adam_step
+
+    def recording_adam_step(params, grads, state, lr):
+        states.append(state)
+        real_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(jazzgen.rnn, "adam_step", recording_adam_step)
+    seq = cycle_tokens(24)
+    train(small_config(epochs=1), [seq], build_vocabulary(seq), SMALL_SEED)
+    assert states
+    assert set(states[-1].m) == set(states[-1].v) == TRAINABLE
 
 
 def test_memorization_reaches_low_loss(memorized):
