@@ -18,6 +18,9 @@ from .tokenizer import parse_token
 
 State = tuple[str, ...]
 
+# states per json.dumps call in save_transition_table
+SAVE_BATCH = 256
+
 
 class EmptyTableError(ValueError):
     """No transitions could be counted from the training sequences."""
@@ -97,17 +100,30 @@ def generate_markov(table: TransitionTable, seed: Sequence[str], n: int) -> list
 
 
 def save_transition_table(table: TransitionTable, path) -> None:
-    payload = {
-        "order": table.order,
-        "unigram": dict(sorted(table.unigram.items())),
-        "counts": [
-            {"state": list(state), "next": dict(sorted(successors.items()))}
-            for state, successors in sorted(table.counts.items())
-        ],
-    }
+    """Write the table byte for byte as json.dumps(payload, sort_keys=True)
+    would, payload being {"counts": [{"next", "state"}, ...], "order",
+    "unigram"} with counts sorted by state."""
+    entries = [
+        {"state": list(state), "next": successors}
+        for state, successors in sorted(table.counts.items())
+    ]
     with atomic_open(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+        # json.dumps without indent runs the C encoder, several times faster
+        # than json.dump's pure-Python one, but holds every output piece until
+        # it joins them; SAVE_BATCH states per call keep those pieces few
+        handle.write('{"counts": [')
+        for start in range(0, len(entries), SAVE_BATCH):
+            handle.write(", " if start else "")
+            handle.write(json.dumps(entries[start : start + SAVE_BATCH], sort_keys=True)[1:-1])
+        unigram = json.dumps(table.unigram, sort_keys=True)
+        handle.write(f'], "order": {table.order}, "unigram": {unigram}}}\n')
+
+
+def _positive_int(what: str, value) -> int:
+    # JSON true decodes to a bool, which is an int subclass but no count
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} {value!r} is not an integer >= 1")
+    return value
 
 
 def load_transition_table(path) -> TransitionTable:
@@ -115,19 +131,23 @@ def load_transition_table(path) -> TransitionTable:
         data = handle.read()
     try:
         payload = json.loads(data)
-        counts = {
-            tuple(entry["state"]): {k: int(v) for k, v in entry["next"].items()}
-            for entry in payload["counts"]
-        }
-        unigram = {k: int(v) for k, v in payload["unigram"].items()}
-        table = TransitionTable(order=int(payload["order"]), counts=counts, unigram=unigram)
+        order = _positive_int("order", payload["order"])
+        counts = {}
+        for entry in payload["counts"]:
+            state = tuple(entry["state"])
+            if not 1 <= len(state) <= order:
+                raise ValueError(f"state {list(state)} is not 1 to {order} symbols long")
+            counts[state] = {k: _positive_int("count", v) for k, v in entry["next"].items()}
+        unigram = {k: _positive_int("count", v) for k, v in payload["unigram"].items()}
+        table = TransitionTable(order=order, counts=counts, unigram=unigram)
         # generate writes every symbol out as a token, so each must parse
         for symbol in sorted(set(unigram).union(*counts, *counts.values())):
             parse_token(symbol)
     except (ValueError, LookupError, TypeError, AttributeError) as err:
-        # JSON and Unicode decoding errors are ValueErrors, and so is a
-        # symbol that is no token; a wrong shape fails on a missing key, a
-        # non-container or a non-integer count
+        # JSON and Unicode decoding errors are ValueErrors, and so are a
+        # symbol that is no token, a count or order that is no positive
+        # integer and a state of the wrong length; a wrong shape fails on a
+        # missing key or a non-container
         raise TableError(f"{type(err).__name__}: {err}") from None
     if not table.unigram:
         raise TableError("table holds no symbols")

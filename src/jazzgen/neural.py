@@ -124,7 +124,9 @@ def lstm_backward(dhs, cache: LstmCache, w, u):
     dhs (B, L, H) carries the upstream gradient for every timestep's hidden
     output (zero-filled where a caller only consumes the final step).
     Returns (dxs, dw, du, db); dxs is None when the forward pass was fed
-    token indices, which have no gradient.
+    token indices, which have no gradient.  For index input, column v of dw
+    sums the dz rows of token v's occurrences one at a time, in time-major
+    order (step, then batch row), starting from the first (_index_gradient).
     """
     batch, length, hidden = dhs.shape
     dz = np.empty((length, batch, 4 * hidden), dtype=dhs.dtype)
@@ -151,18 +153,46 @@ def lstm_backward(dhs, cache: LstmCache, w, u):
     db = dz.sum(axis=0)
     if cache.inputs.ndim == 1:
         dxs = None
-        dw = np.zeros_like(w)
-        # group the rows of dz by token with a stable sort, then sum each group
-        order = np.argsort(cache.inputs, kind="stable")
-        tokens = cache.inputs[order]
-        starts = np.flatnonzero(np.r_[True, tokens[1:] != tokens[:-1]])
-        dw[:, tokens[starts]] = np.add.reduceat(dz[order], starts, axis=0).T
+        dw = _index_gradient(dz, cache.inputs, w)
         ensure_finite("lstm gradients", dw, du, db)
     else:
         dw = dz.T @ cache.inputs
         dxs = (dz @ w).reshape(length, batch, -1).swapaxes(0, 1)
         ensure_finite("lstm gradients", dxs, dw, du, db)
     return dxs, dw, du, db
+
+
+def _index_gradient(dz, inputs, w):
+    """dw for one-hot inputs given as indices: column v sums the dz rows where
+    inputs == v, added one at a time in the order they occur in inputs.
+
+    Rows are regrouped by occurrence rank: every token's first row, then every
+    second row, and so on, with the tokens that occur most often first.  The
+    k-th rows of all tokens that have one are then contiguous, and the groups
+    still summing are a prefix, so each rank is a single slice addition.
+    Columns of tokens that never occur stay exactly zero.
+    """
+    order = np.argsort(inputs, kind="stable")
+    tokens = inputs[order]
+    starts = np.flatnonzero(np.r_[True, tokens[1:] != tokens[:-1]])
+    counts = np.diff(np.r_[starts, tokens.size])
+    groups = starts.size
+    by_count = np.argsort(-counts, kind="stable")
+    slot = np.empty_like(by_count)
+    slot[by_count] = np.arange(groups)
+    # above[k] tokens occur more than k times; rank k's rows start at first[k]
+    above = groups - np.cumsum(np.bincount(counts))[:-1]
+    first = np.r_[0, np.cumsum(above)]
+    rank = np.arange(tokens.size) - np.repeat(starts, counts)
+    rows = np.empty_like(order)
+    rows[first[rank] + np.repeat(slot, counts)] = order
+    ranked = dz[rows]
+    sums = ranked[:groups]
+    for start, size in zip(first[1:-1].tolist(), above[1:].tolist()):
+        sums[:size] += ranked[start : start + size]
+    dw = np.zeros_like(w)
+    dw[:, tokens[starts[by_count]]] = sums.T
+    return dw
 
 
 def dense_forward(x, w, b, activation=None):
@@ -262,28 +292,55 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, keyed like the parameter dict."""
+    """First/second moment accumulators, keyed like the parameter dict.
+
+    scratch is one pair of flat buffers, shared by every tensor and as long
+    as the largest one, that adam_step writes its temporaries into: the
+    first holds the update lr * m_hat, the second sqrt(v_hat) + eps.
+    """
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
+    scratch: tuple = ()
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, in place, of the params named in grads;
-    other entries, such as batch-norm running statistics, get no moments."""
+    other entries, such as batch-norm running statistics, get no moments.
+
+    The moments and parameters are updated in place, with the operations of
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    param -= lr * (m/c1) / (sqrt(v/c2) + eps) in that order, so the result is
+    bit for bit that of the allocating expressions.  Each grad has its
+    parameter's dtype.
+    """
     state.step += 1
-    t = state.step
+    m_scale = 1.0 - ADAM_BETA1**state.step
+    v_scale = 1.0 - ADAM_BETA2**state.step
     for name, grad in grads.items():
         param = params[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(param)
             state.v[name] = np.zeros_like(param)
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        if not state.scratch or state.scratch[0].size < param.size or state.scratch[0].dtype != param.dtype:
+            state.scratch = (np.empty(param.size, param.dtype), np.empty(param.size, param.dtype))
+        update, denom = (buffer[: param.size].reshape(param.shape) for buffer in state.scratch)
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+        m *= ADAM_BETA1
+        m += update
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=denom)
+        denom *= grad
+        v *= ADAM_BETA2
+        v += denom
+        np.divide(m, m_scale, out=update)
+        np.divide(v, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update *= lr
+        update /= denom
+        param -= update
 
 
 def gradient_check(loss_fn, params: dict, grads: dict) -> float:

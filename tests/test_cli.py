@@ -354,12 +354,52 @@ def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_pa
     assert not (out / "generated").exists()
 
 
+def _edit_table(raw: bytes, edit) -> bytes:
+    """The Markov table raw with edit applied to its JSON payload."""
+    payload = json.loads(raw)
+    edit(payload)
+    return json.dumps(payload).encode("utf-8")
+
+
+def _set_first_count(value):
+    def edit(payload):
+        successors = payload["counts"][0]["next"]
+        successors[min(successors)] = value
+    return edit
+
+
+def _set_first_unigram(value):
+    def edit(payload):
+        payload["unigram"][min(payload["unigram"])] = value
+    return edit
+
+
+def _set_first_state(length):
+    def edit(payload):
+        entry = payload["counts"][0]
+        entry["state"] = (entry["state"] * length)[:length]
+    return edit
+
+
 @pytest.mark.parametrize("damage, reason", [
     (lambda raw: raw[:100], "JSONDecodeError"),
     (lambda raw: bytes(range(128, 256)) * 4, "UnicodeDecodeError"),
     (lambda raw: b"[]", "TypeError"),
     (lambda raw: b'{"order": 2, "unigram": {"Q9": 1}, "counts": []}', "TokenError"),
-], ids=["truncated", "garbage", "list", "non-token-symbol"])
+    (lambda raw: _edit_table(raw, _set_first_count(1.5)), "count 1.5 is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_count("7")), "count '7' is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_count(True)), "count True is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_count(0)), "count 0 is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_count(-2)), "count -2 is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_unigram(0)), "count 0 is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, lambda payload: payload.update(order="2")), "order '2' is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, lambda payload: payload.update(order=True)), "order True is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, lambda payload: payload.update(order=0)), "order 0 is not an integer >= 1"),
+    (lambda raw: _edit_table(raw, _set_first_state(3)), "is not 1 to 2 symbols long"),
+    (lambda raw: _edit_table(raw, _set_first_state(0)), "is not 1 to 2 symbols long"),
+], ids=["truncated", "garbage", "list", "non-token-symbol", "fractional-count", "string-count",
+        "bool-count", "zero-count", "negative-count", "zero-unigram", "string-order", "bool-order",
+        "zero-order", "long-state", "empty-state"])
 def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")

@@ -1,11 +1,14 @@
 from collections import Counter
 from fractions import Fraction
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from jazzgen.markov import (
+    SAVE_BATCH,
     EmptyTableError,
     TransitionTable,
     build_transition_table,
@@ -134,6 +137,26 @@ def test_save_is_byte_deterministic(tmp_path):
     save_transition_table(build_transition_table(seqs, order=2), p1)
     save_transition_table(build_transition_table(list(reversed(seqs[0])) and seqs, order=2), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("n_states", [0, 1, SAVE_BATCH, SAVE_BATCH + 1, 2 * SAVE_BATCH + 3])
+def test_save_writes_one_sorted_compact_json_document(tmp_path, n_states):
+    tokens = [f"{name}{octave}_0.5" for name in "CDEFGAB" for octave in range(1, 8)]
+    counts = {
+        (tokens[i % len(tokens)], tokens[i // len(tokens)]): {"E4_1.0": i + 1, "C4_1.0": 2}
+        for i in range(n_states)
+    }
+    table = TransitionTable(order=2, counts=counts, unigram={"E4_1.0": 3, "C4_1.0": 5})
+    path = tmp_path / "table.json"
+    save_transition_table(table, path)
+    payload = {
+        "order": 2,
+        "unigram": table.unigram,
+        "counts": [{"state": list(state), "next": nxt} for state, nxt in sorted(counts.items())],
+    }
+    assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+    loaded = load_transition_table(path)
+    assert (loaded.order, loaded.counts, loaded.unigram) == (table.order, table.counts, table.unigram)
 
 
 symbols = st.sampled_from(["A", "B", "C", "D"])

@@ -8,6 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from jazzgen.checks import lstm_fd, lstm_index_fd
 from jazzgen.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     BN_MOMENTUM,
     AdamState,
     NumericalFault,
@@ -288,6 +291,29 @@ def test_lstm_index_input_equals_one_hot_input(dtype):
     tol = 64 * np.finfo(dtype).eps
     for index_grad, float_grad in zip(grads_index, grads_float):
         np.testing.assert_allclose(index_grad, float_grad, rtol=tol, atol=tol * np.abs(float_grad).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_index_gradient_with_repeated_and_absent_tokens(dtype):
+    """Tokens that recur 9+ times (where the summation order differs from a
+    pairwise sum) and vocabulary rows that never occur."""
+    rng = np.random.default_rng(47)
+    vocab, hidden, batch, length = 12, 5, 6, 8
+    params = init_lstm(rng, vocab, hidden, dtype=dtype)
+    idx = rng.choice([0, 3, 4, 7, 10], size=(batch, length), p=[0.4, 0.3, 0.15, 0.1, 0.05])
+    absent = np.setdiff1d(np.arange(vocab), idx)
+    assert np.bincount(idx.ravel()).max() >= 9 and absent.size > 0
+    dhs = rng.standard_normal((batch, length, hidden)).astype(dtype)
+    _, cache_index = lstm_forward(idx, **params)
+    _, dw, _, _ = lstm_backward(dhs, cache_index, params["w"], params["u"])
+    _, cache_float = lstm_forward(np.eye(vocab, dtype=dtype)[idx], **params)
+    _, dw_float, _, _ = lstm_backward(dhs, cache_float, params["w"], params["u"])
+    _, _, dw_cell, _, _ = reference_lstm(np.eye(vocab, dtype=dtype)[idx], dhs, **params)
+    assert dw.dtype == dtype
+    assert np.all(dw[:, absent] == 0.0)
+    tol = 64 * np.finfo(dtype).eps
+    for want in (dw_float, dw_cell):
+        np.testing.assert_allclose(dw, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
 def test_float32_sigmoid_matches_float64_at_saturation():
@@ -622,6 +648,40 @@ def test_adam_matches_hand_computed_steps():
         assert theta["t"][0] == pytest.approx(want, abs=1e-14)
     assert state.step == 2
     assert losses[2] < losses[1] < losses[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_equals_allocating_expression_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    shapes = {"big": (7, 11), "small": (4,), "mid": (3, 6)}
+    params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+    want = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in want.items()}
+    v = {name: np.zeros_like(p) for name, p in want.items()}
+    state = AdamState()
+    arrays = dict(params)
+    lr = 1e-2
+    for t in range(1, 6):
+        grads = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        adam_step(params, grads, state, lr=lr)
+        if t == 1:
+            moments = {name: (state.m[name], state.v[name]) for name in shapes}
+        for name, grad in grads.items():
+            # the allocating update adam_step must reproduce
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * grad
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = m[name] / (1.0 - ADAM_BETA1**t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2**t)
+            want[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for name in shapes:
+            assert params[name] is arrays[name]
+            assert state.m[name] is moments[name][0] and state.v[name] is moments[name][1]
+            assert params[name].dtype == state.m[name].dtype == state.v[name].dtype == dtype
+            assert np.array_equal(params[name].view(bits), want[name].view(bits)), (t, name)
+            assert np.array_equal(state.m[name].view(bits), m[name].view(bits)), (t, name)
+            assert np.array_equal(state.v[name].view(bits), v[name].view(bits)), (t, name)
+    assert [buffer.size for buffer in state.scratch] == [77, 77]
 
 
 def test_adam_first_step_moves_by_about_lr():
