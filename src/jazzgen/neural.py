@@ -42,8 +42,15 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp only ever sees non-positive arguments, so it cannot overflow.  The
     # numerator is 1 for x >= 0 and e below (e <= 1); maximum picks it without
     # np.where, whose data-dependent select is several times slower here.
-    e = np.exp(-np.abs(x))
-    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
+    # Every step after the first writes into e or out, so besides the
+    # boolean mask e is the only temporary; out may be x itself.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    positive = x >= 0
+    out = np.add(e, 1.0, out=out)
+    np.maximum(e, positive, out=e)
+    return np.divide(e, out, out=out)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int, dtype=np.float64) -> np.ndarray:
@@ -82,6 +89,36 @@ class LstmCache:
     tanh_cs: np.ndarray
 
 
+def lstm_cell(xw, h, c, u_t, b, gate, c_out, tanh_c, h_out) -> None:
+    """One LSTM step from state (h, c) and input projection xw, written into
+    the caller's buffers: the activated gates into gate, tanh of the new cell
+    state into tanh_c, and the new state into c_out and h_out.
+
+    u_t is u.T as a contiguous (H, 4H) array. h, c, c_out, tanh_c and h_out
+    share one shape (..., H); gate is a C-contiguous (..., 4H) buffer. xw
+    broadcasts against gate, so rows that read the same token may share one
+    projection. c_out and h_out may be c and h themselves: both are read
+    before either is written. Training and sampling both step through this
+    function, so they compute a row's state with the same arithmetic.
+    """
+    hidden = u_t.shape[0]
+    if not gate.flags.c_contiguous:
+        raise ValueError("lstm_cell needs a C-contiguous gate buffer")
+    # z = xw + h @ u_t + b is built in gate (addition commutes bit for bit),
+    # the product as one GEMM over all leading axes. A (rows, 4H) temporary
+    # of 128 KiB or more would come from freshly mapped pages on every step.
+    np.matmul(h.reshape(-1, hidden), u_t, out=gate.reshape(-1, 4 * hidden))
+    gate += xw
+    gate += b
+    g = np.tanh(gate[..., 2 * hidden : 3 * hidden])
+    sigmoid(gate, out=gate)
+    gate[..., 2 * hidden : 3 * hidden] = g
+    i, f, g, o = (gate[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    c_out[...] = f * c + i * g
+    np.tanh(c_out, out=tanh_c)
+    np.multiply(o, tanh_c, out=h_out)
+
+
 def lstm_forward(xs, w, u, b):
     """Run a whole sequence from zero state.  Returns hs (B, L, H) plus cache.
 
@@ -106,14 +143,7 @@ def lstm_forward(xs, w, u, b):
     tanh_cs = np.empty((length, batch, hidden), dtype=dtype)
     u_t = np.ascontiguousarray(u.T)
     for t in range(length):
-        z = xw[t] + hs[t] @ u_t + b
-        gate = sigmoid(z, out=gates[t])
-        gate[:, 2 * hidden : 3 * hidden] = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        c = cs[t + 1]
-        c[...] = f * cs[t] + i * g
-        np.tanh(c, out=tanh_cs[t])
-        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+        lstm_cell(xw[t], hs[t], cs[t], u_t, b, gates[t], cs[t + 1], tanh_cs[t], hs[t + 1])
     ensure_finite("lstm output", hs, cs)
     return hs[1:].swapaxes(0, 1), LstmCache(inputs, hs, cs, gates, tanh_cs)
 

@@ -33,9 +33,11 @@ from .neural import (
     dense_forward,
     dropout_backward,
     dropout_forward,
+    ensure_finite,
     init_dense,
     init_lstm,
     lstm_backward,
+    lstm_cell,
     lstm_forward,
     softmax,
     softmax_cross_entropy,
@@ -152,7 +154,14 @@ class Network:
         t = self.tensors
         hs1, cache1 = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
         hs2, cache2 = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
-        last = hs2[:, -1, :]
+        logits, head_cache = self.head(hs2[:, -1, :], training, rng)
+        return logits, (hs2.shape, cache1, cache2, head_cache)
+
+    def head(self, last, training: bool, rng: np.random.Generator | None = None):
+        """Logits (B, V) from the last LSTM layer's final hidden state (B, H):
+        batch norm -> dropout -> dense relu -> dropout -> dense. Returns
+        (logits, cache) for backward."""
+        t = self.tensors
         normed, bn_cache = batchnorm_forward(
             last, t["norm/gamma"], t["norm/beta"], t["norm/mean"], t["norm/var"], training
         )
@@ -162,12 +171,11 @@ class Network:
         )
         dropped2, mask2 = dropout_forward(hidden, self.config.dropout, rng, training)
         logits, dense2_cache = dense_forward(dropped2, t["dense2/w"], t["dense2/b"])
-        cache = (hs2.shape, cache1, cache2, bn_cache, mask1, dense1_cache, mask2, dense2_cache)
-        return logits, cache
+        return logits, (bn_cache, mask1, dense1_cache, mask2, dense2_cache)
 
     def backward(self, dlogits, cache) -> dict:
         t = self.tensors
-        hs2_shape, cache1, cache2, bn_cache, mask1, dense1_cache, mask2, dense2_cache = cache
+        hs2_shape, cache1, cache2, (bn_cache, mask1, dense1_cache, mask2, dense2_cache) = cache
         ddropped2, dw2, db2 = dense_backward(dlogits, dense2_cache, t["dense2/w"])
         dhidden = dropout_backward(ddropped2, mask2)
         ddropped1, dw1, db1 = dense_backward(dhidden, dense1_cache, t["dense1/w"])
@@ -227,6 +235,11 @@ def train(
     best_loss = float("inf")
     best_epoch = -1
     best_tensors = None
+    if len(windows) % config.batch_size == 1:
+        warnings.warn(
+            f"skipping size-1 batch in {config.epochs} epoch(s): {len(windows)} windows"
+            f" in batches of {config.batch_size} leave one over (batch normalization needs >= 2)"
+        )
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(windows))
@@ -235,9 +248,6 @@ def train(
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             if len(batch) == 1:
-                warnings.warn(
-                    f"epoch {epoch}: skipping size-1 batch (batch normalization needs >= 2)"
-                )
                 continue
             try:
                 logits, cache = net.forward(inputs[batch], training=True, rng=rng)
@@ -314,13 +324,21 @@ def generate_rnn(
 ) -> list[list[str]]:
     """Each seed plus `steps` sampled continuation tokens, one list per seed.
 
-    All seeds advance together as one inference batch; seed k draws only
-    from rngs[k], and batch norm uses its running statistics, so a seed's
-    continuation does not depend on which other seeds share the batch.
-    The final window-length slice of each seed is its initial context.
-    Temperatures at or below 1e-6 short-circuit to argmax, which lands on
-    the lexicographically smallest token among ties because the vocabulary
-    is sorted; without rngs, only argmax sampling works.
+    The final window-length slice of each seed is its initial context, and
+    token k is predicted from a zero-state pass over the window of tokens
+    k .. k+window-1 before it. Sampling runs as a wavefront: every window
+    that reads position p reads the same token there, so one batched LSTM
+    cell per layer moves all live windows of all seeds forward one position,
+    and the window that has just read its last token gives the next token's
+    logits. Each row's arithmetic is that of the per-window forward pass, so
+    the result equals it bit for bit.
+
+    Seed k draws only from rngs[k], and batch norm uses its running
+    statistics, so a seed's continuation does not depend on which other
+    seeds share the batch. Temperatures at or below 1e-6 short-circuit to
+    argmax, which lands on the lexicographically smallest token among ties
+    because the vocabulary is sorted; without rngs, only argmax sampling
+    works.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -334,18 +352,47 @@ def generate_rnn(
     if len(rngs) != len(seeds):
         raise ValueError(f"{len(rngs)} rngs for {len(seeds)} seeds")
     outputs = [list(seed) for seed in seeds]
-    if not seeds:
+    if not seeds or steps == 0:
         return outputs
     net = Network(ckpt.config, ckpt.tensors)
-    contexts = np.array(
-        [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds], dtype=np.int64
-    )
-    for _ in range(steps):
-        logits, _ = net.forward(contexts, training=False)
-        picks = select_index(logits, temperature, rngs)
-        for output, index in zip(outputs, picks.tolist()):
-            output.append(ckpt.vocab.tokens[index])
-        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
+    t = ckpt.tensors
+    batch, hidden = len(seeds), ckpt.config.hidden_units
+    tokens = np.empty((batch, window + steps), dtype=np.int64)
+    tokens[:, :window] = [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds]
+    u1_t, u2_t = (np.ascontiguousarray(t[name].T) for name in ("lstm1/u", "lstm2/u"))
+    dtype = u1_t.dtype
+    # slots hold h1, c1, h2, c2 per window. The live windows are the block
+    # [lo, hi), oldest first; slots past hi are zero, the state a window
+    # starts from. A window that finds no free slot first moves the block to
+    # the front; at most window - 1 are live then, so memory stays bounded
+    # whatever `steps` is.
+    slots = min(2 * window, steps)
+    states = np.zeros((4, slots, batch, hidden), dtype=dtype)
+    h1, c1, h2, c2 = states
+    gates = np.empty((window, batch, 4 * hidden), dtype=dtype)
+    tanh_cs = np.empty((window, batch, hidden), dtype=dtype)
+    lo = hi = 0
+    for p in range(steps + window - 1):
+        if p < steps:  # window p starts here
+            if hi == slots:
+                live = hi - lo
+                states[:, :live] = states[:, lo:hi]
+                states[:, live:] = 0.0
+                lo, hi = 0, live
+            hi += 1
+        block = slice(lo, hi)
+        gate, tanh_c = gates[: hi - lo], tanh_cs[: hi - lo]
+        xw1 = t["lstm1/w"].T[tokens[:, p]]
+        lstm_cell(xw1, h1[block], c1[block], u1_t, t["lstm1/b"], gate, c1[block], tanh_c, h1[block])
+        xw2 = (h1[block].reshape(-1, hidden) @ t["lstm2/w"].T).reshape(gate.shape)
+        lstm_cell(xw2, h2[block], c2[block], u2_t, t["lstm2/b"], gate, c2[block], tanh_c, h2[block])
+        ensure_finite("lstm output", states[:, block])
+        if p >= window - 1:  # window p - window + 1 has read its last token
+            logits, _ = net.head(h2[lo], training=False)
+            tokens[:, p + 1] = select_index(logits, temperature, rngs)
+            lo += 1
+    for output, picks in zip(outputs, tokens[:, window:].tolist()):
+        output.extend(ckpt.vocab.tokens[index] for index in picks)
     return outputs
 
 

@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -249,6 +250,18 @@ def test_train_without_manifest_exits_2(workspace, tmp_path):
     result = invoke(["train", *dirs(workspace, out=str(tmp_path / "fresh"))])
     assert result.exit_code == 2
     assert "run ingest first" in result.output
+
+
+def test_train_warns_once_per_run_about_a_size_one_batch(workspace, tmp_path):
+    args = [*dirs(workspace, out=str(tmp_path / "out")), *TINY]
+    assert invoke(["ingest", *args]).exit_code == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(["train", *args])
+    assert result.exit_code == 0, result.output
+    skipped = [str(w.message) for w in caught if "skipping size-1 batch" in str(w.message)]
+    assert len(skipped) == 1, skipped
+    assert "in 2 epoch(s)" in skipped[0]
 
 
 def test_train_writes_artifacts(pipeline):

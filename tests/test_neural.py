@@ -27,6 +27,7 @@ from jazzgen.neural import (
     init_dense,
     init_lstm,
     lstm_backward,
+    lstm_cell,
     lstm_forward,
     sigmoid,
     softmax,
@@ -128,6 +129,14 @@ def test_sigmoid_is_stable_at_extremes():
     assert out[2] > 1.0 - 1e-15
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_in_place_equals_a_fresh_output(dtype):
+    x = np.random.default_rng(8).normal(0.0, 30.0, (5, 12)).astype(dtype)
+    want = sigmoid(x)
+    sigmoid(x, out=x)
+    assert x.tobytes() == want.tobytes()
+
+
 def test_glorot_uniform_bounds():
     rng = np.random.default_rng(7)
     w = glorot_uniform(rng, (200, 100), 100, 200)
@@ -216,6 +225,14 @@ def test_lstm_cell_faults_on_nonfinite():
     params = {"w": np.ones((4, 1)), "u": np.zeros((4, 1)), "b": np.zeros(4)}
     with pytest.raises(NumericalFault):
         lstm_forward(np.array([[[np.nan]]]), **params)
+
+
+def test_lstm_cell_rejects_a_strided_gate_buffer():
+    h = c = np.zeros((2, 3))
+    u_t = np.zeros((3, 12))
+    strided = np.empty((2, 24))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        lstm_cell(np.zeros(12), h, c, u_t, np.zeros(12), strided, c.copy(), c.copy(), h.copy())
 
 
 def test_lstm_zero_upstream_gives_zero_gradients():

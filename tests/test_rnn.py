@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,9 @@ from jazzgen.rnn import (
     tensor_shapes,
     train,
 )
-from jazzgen.tokenizer import UnknownTokenError, build_vocabulary
+from jazzgen.tokenizer import UnknownTokenError, build_vocabulary, render_token
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TRAINABLE = {
     "lstm1/w", "lstm1/u", "lstm1/b",
@@ -301,6 +307,96 @@ def test_generate_uses_the_injected_rng_stream(memorized):
     probs = probs / probs.sum()
     want = int(np.random.default_rng(9).choice(len(probs), p=probs))
     assert out[-1] == vocab.tokens[want]
+
+
+def random_checkpoint(dtype, window, seed, n_vocab=12, hidden=8):
+    """A checkpoint of random tensors, far from the initializer's, with
+    batch-norm statistics that are not the identity."""
+    rng = np.random.default_rng(seed)
+    vocab = build_vocabulary([render_token(48 + i, Fraction(1, 2)) for i in range(n_vocab)])
+    config = RnnConfig(window=window, hidden_units=hidden, dense_units=hidden, dtype=dtype)
+    tensors = {
+        name: rng.normal(0.0, 0.5, shape).astype(dtype)
+        for name, shape in tensor_shapes(config, n_vocab).items()
+    }
+    tensors["norm/var"] = rng.uniform(0.5, 2.0, hidden).astype(dtype)
+    return Checkpoint(tensors, vocab, config, best_loss=0.0, epoch=0)
+
+
+def sliding_window_reference(ckpt, seeds, steps, temperature, rngs):
+    """The per-window sampler: every token from a fresh zero-state
+    Network.forward over the last `window` tokens, drawn by select_index."""
+    net = Network(ckpt.config, ckpt.tensors)
+    window = ckpt.config.window
+    contexts = np.array(
+        [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds], dtype=np.int64
+    )
+    outputs = [list(seed) for seed in seeds]
+    for _ in range(steps):
+        logits, _ = net.forward(contexts, training=False)
+        picks = select_index(logits, temperature, rngs)
+        for output, index in zip(outputs, picks.tolist()):
+            output.append(ckpt.vocab.tokens[index])
+        contexts = np.concatenate([contexts[:, 1:], picks[:, None]], axis=1)
+    return outputs
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("window", [1, 3, 16])
+def test_wavefront_sampling_equals_the_sliding_window_forward(dtype, window):
+    ckpt = random_checkpoint(dtype, window, seed=window)
+    tokens = ckpt.vocab.tokens
+    rng = np.random.default_rng([window, 1])
+    # 2*window+1 and 40 steps move the live windows back to the buffer's front
+    for n_seeds in (1, 2, 8):
+        seeds = [[tokens[i] for i in rng.integers(0, len(tokens), window + 2)] for _ in range(n_seeds)]
+        for steps in sorted({0, 1, window - 1, window, 2 * window + 1, 40}):
+            for temperature in (1e-9, 1.0):
+                def rngs():
+                    return [np.random.default_rng([steps, k]) for k in range(n_seeds)]
+
+                got = generate_rnn(ckpt, seeds, steps, temperature, rngs())
+                want = sliding_window_reference(ckpt, seeds, steps, temperature, rngs())
+                assert got == want, (n_seeds, steps, temperature)
+
+
+def test_generate_raises_numerical_fault_on_a_nonfinite_state():
+    ckpt = random_checkpoint("float32", window=3, seed=4)
+    ckpt.tensors["lstm2/u"][0, 0] = np.nan
+    seed = list(ckpt.vocab.tokens[:3])
+    with pytest.raises(NumericalFault, match="lstm output"):
+        generate_rnn(ckpt, [seed], 5, temperature=1e-9)
+
+
+GENERATE_IN_CHILD = """
+import json, sys
+import numpy as np
+from jazzgen.rnn import generate_rnn, load_checkpoint
+ckpt = load_checkpoint(sys.argv[1])
+seeds = json.loads(sys.argv[2])
+rngs = [np.random.default_rng(k) for k in range(len(seeds))]
+print(json.dumps(generate_rnn(ckpt, seeds, 40, temperature=1.0, rngs=rngs)))
+"""
+
+
+def test_generated_tokens_do_not_depend_on_the_blas_thread_count(tmp_path):
+    ckpt = random_checkpoint("float32", window=16, seed=5, n_vocab=40, hidden=64)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    rng = np.random.default_rng(6)
+    seeds = [[ckpt.vocab.tokens[i] for i in rng.integers(0, 40, 16)] for _ in range(8)]
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-c", GENERATE_IN_CHILD, str(path), json.dumps(seeds)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(json.loads(result.stdout))
+    assert outputs[0] == outputs[1]
+    assert all(len(output) == 16 + 40 for output in outputs[0])
 
 
 def reference_pick(row, temperature, rng):
