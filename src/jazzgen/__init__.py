@@ -10,7 +10,6 @@ from jazzgen.markov import (
 )
 from jazzgen.metrics import (
     MetricReport,
-    evaluate_events,
     groove_similarity,
     histogram_entropy,
     mean_groove_similarity,
@@ -31,7 +30,6 @@ __all__ = [
     "build_transition_table",
     "build_vocabulary",
     "detokenize",
-    "evaluate_events",
     "generate_markov",
     "generate_rnn",
     "groove_similarity",

@@ -30,7 +30,8 @@ from .markov import (
     save_transition_table,
 )
 from .metrics import MetricError, evaluate_line
-from .midi_io import MidiError, TickLine, read_midi, write_line
+from .midi_io import MidiError, TickLine, read_line, write_line
+from .neural import one_blas_thread
 from .report import (
     ComparisonRow,
     bar_chart_svg,
@@ -51,11 +52,10 @@ from .rnn import (
 )
 from .tokenizer import (
     PITCH_CLASS_NAMES,
-    TokenError,
     Vocabulary,
     build_vocabulary,
     tick_line,
-    tokenize,
+    tokenize_line,
 )
 
 SEED_TOKEN_COUNT = 16
@@ -307,11 +307,6 @@ def _midi_paths(directory: Path) -> list[Path]:
     return sorted(p for p in directory.iterdir() if p.suffix.lower() in (".mid", ".midi"))
 
 
-def _read_tokens_from_midi(path: Path) -> list[str]:
-    doc = read_midi(path.read_bytes())
-    return tokenize(doc.events)
-
-
 def run_ingest(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
     for directory, label in ((config.corpus_dir, "corpus"), (config.seeds_dir, "seeds")):
@@ -321,18 +316,18 @@ def run_ingest(config: ExperimentConfig) -> None:
     skipped = []
     for path in _midi_paths(config.corpus_dir):
         try:
-            sequences[path.stem] = _read_tokens_from_midi(path)
-        except (MidiError, TokenError) as err:
+            sequences[path.stem] = tokenize_line(read_line(path.read_bytes())[0])
+        except (OSError, MidiError) as err:
             skipped.append(path.name)
-            click.echo(f"warning: skipping {path.name}: {err}", err=True)
+            click.echo(f"warning: skipping {path.name}: {getattr(err, 'strerror', None) or err}", err=True)
     if not sequences:
         raise click.UsageError(f"no usable MIDI files in {config.corpus_dir}")
     seeds: dict[str, list[str]] = {}
     for path in _midi_paths(config.seeds_dir):
         try:
-            tokens = _read_tokens_from_midi(path)
-        except (MidiError, TokenError) as err:
-            raise click.UsageError(f"seed file {path.name} is unreadable: {err}")
+            tokens = tokenize_line(read_line(path.read_bytes())[0])
+        except (OSError, MidiError) as err:
+            raise click.UsageError(f"seed file {path.name} is unreadable: {getattr(err, 'strerror', None) or err}")
         if len(tokens) != SEED_TOKEN_COUNT:
             raise click.UsageError(
                 f"seed file {path.name} tokenizes to {len(tokens)} tokens; "
@@ -599,14 +594,15 @@ def selfcheck(ckpt_path):
     if ckpt_path is not None:
         checks.append(("checkpoint file loads", lambda: load_checkpoint(ckpt_path)))
     failures = 0
-    for name, check in checks:
-        try:
-            check()
-        except Exception as err:  # noqa: BLE001 - every failure must be reported, not raised
-            failures += 1
-            click.echo(f"FAIL: {name}: {err}")
-        else:
-            click.echo(f"PASS: {name}")
+    with one_blas_thread():
+        for name, check in checks:
+            try:
+                check()
+            except Exception as err:  # noqa: BLE001 - every failure must be reported, not raised
+                failures += 1
+                click.echo(f"FAIL: {name}: {err}")
+            else:
+                click.echo(f"PASS: {name}")
     if failures:
         raise click.ClickException(f"{failures} of {len(checks)} checks failed")
     click.echo(f"all {len(checks)} checks passed")

@@ -7,11 +7,11 @@ summarizes pitch diversity.
 
 Every score comes from one integer core: onsets are ticks on a grid of
 `division` ticks per quarter note, bars are 64-bit masks and disagreements
-are popcounts.  A tokenized line arrives on that grid already (`evaluate_line`);
-arbitrary events, gaps and overlaps included, are put on the coarsest grid
-that holds their onsets and ends first.  Floats appear only in returned
-values: each GS value and histogram entry is the correctly rounded value
-of an exact ratio.
+are popcounts.  A tokenized line arrives on that grid already (`evaluate_line`
+scores the pipeline's generations); the event functions put arbitrary
+events, gaps and overlaps included, on the coarsest grid that holds their
+onsets and ends first.  Floats appear only in returned values: each GS value
+and histogram entry is the correctly rounded value of an exact ratio.
 """
 
 from __future__ import annotations
@@ -101,26 +101,16 @@ def _histogram(pitches: Iterable[int]) -> PitchHistogram:
     return PitchHistogram(tuple(count / total for count in counts))
 
 
-def _on_ticks(events: Sequence[NoteEvent]) -> tuple[int, int, list[int], list[int]]:
-    """(division, span, pitched onsets, their pitches) on the coarsest grid
-    holding every onset and end."""
+def _on_ticks(events: Sequence[NoteEvent]) -> tuple[int, int, list[int]]:
+    """(division, span, pitched onsets) on the coarsest grid holding every
+    onset and end."""
     division = math.lcm(*{d for ev in events for d in (ev.onset.denominator, ev.end.denominator)})
 
     def ticks(value: Fraction) -> int:
         return value.numerator * (division // value.denominator)
 
-    pitched = [ev for ev in events if not ev.is_rest]
     span = ticks(max(ev.end for ev in events)) if events else 0
-    return division, span, [ticks(ev.onset) for ev in pitched], [ev.pitch for ev in pitched]
-
-
-def bar_patterns(events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH) -> list[GroovePattern]:
-    """One pattern per bar, tiled from 0; a trailing partial bar counts."""
-    division, span, onsets, _ = _on_ticks(list(events))
-    return [
-        GroovePattern(tuple((mask >> slot) & 1 for slot in range(GRID)))
-        for mask in _bar_masks(onsets, span, division, bar_length)
-    ]
+    return division, span, [ticks(ev.onset) for ev in events if not ev.is_rest]
 
 
 def groove_similarity(a: GroovePattern, b: GroovePattern) -> float:
@@ -135,7 +125,7 @@ def mean_groove_similarity(
     events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH
 ) -> tuple[float, list[float]]:
     """Mean and series of GS over adjacent bar pairs; needs >= 2 bars."""
-    division, span, onsets, _ = _on_ticks(list(events))
+    division, span, onsets = _on_ticks(list(events))
     return _groove(_bar_masks(onsets, span, division, bar_length))
 
 
@@ -164,12 +154,14 @@ class MetricReport:
     entropy: float
 
 
-def _report(
-    composition_id: str, division: int, span: int, onsets: Sequence[int], pitches: Sequence[int],
-    bar_length: Fraction,
-) -> MetricReport:
-    mean_gs, series = _groove(_bar_masks(onsets, span, division, bar_length))
-    histogram = _histogram(pitches)
+def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
+    """Mean GS with its series, the pitch class histogram and its entropy of
+    a tokenized line, as mean_groove_similarity, pitch_class_histogram and
+    histogram_entropy score its events."""
+    starts = list(accumulate(line.ticks, initial=0))
+    onsets = [start for start, pitch in zip(starts, line.pitches) if pitch is not None]
+    mean_gs, series = _groove(_bar_masks(onsets, starts[-1], line.division, bar_length))
+    histogram = _histogram(pitch for pitch in line.pitches if pitch is not None)
     return MetricReport(
         composition_id=composition_id,
         mean_gs=mean_gs,
@@ -177,19 +169,3 @@ def _report(
         histogram=histogram.h,
         entropy=histogram_entropy(histogram),
     )
-
-
-def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
-    """Scores of a tokenized line, equal to evaluate_events on its events."""
-    starts = list(accumulate(line.ticks, initial=0))
-    onsets = [start for start, pitch in zip(starts, line.pitches) if pitch is not None]
-    pitches = [pitch for pitch in line.pitches if pitch is not None]
-    return _report(composition_id, line.division, starts[-1], onsets, pitches, bar_length)
-
-
-def evaluate_events(
-    composition_id: str,
-    events: Sequence[NoteEvent],
-    bar_length: Fraction = BAR_LENGTH,
-) -> MetricReport:
-    return _report(composition_id, *_on_ticks(list(events)), bar_length)

@@ -1,10 +1,10 @@
 """Standard MIDI File reading and writing for monophonic single-line melodies.
 
-Reads SMF format 0 and 1, emits format 0 only. Durations and onsets are exact
-rationals in quarter-note units so triplet and sextuplet values (1/3, 1/6, 2/3)
-survive round trips without float drift. A line already on an integer grid
-(`TickLine`) is written without going through rationals at all; both writers
-share one track encoder.
+Reads SMF format 0 and 1, emits format 0 only. The program's one timeline is
+an integer tick grid: `read_line` parses a file onto a `TickLine` at the file's
+own division and `write_line` encodes one. `read_midi` and `write_midi` are
+adapters for exact-rational events in quarter-note units, so triplet and
+sextuplet values (1/3, 1/6, 2/3) survive round trips without float drift.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -260,6 +260,11 @@ def _parse_track(reader: _Reader, length: int):
             if kind not in _CHANNEL_DATA_BYTES:
                 reader.fail(f"unknown status byte 0x{status:02X}")
             payload = reader.take(_CHANNEL_DATA_BYTES[kind])
+            if (payload[0] | payload[-1]) & 0x80:
+                bad = 0 if payload[0] & 0x80 else len(payload) - 1
+                raise MidiParseError(
+                    f"channel data byte 0x{payload[bad]:02X} above 0x7F", reader.pos - len(payload) + bad
+                )
             if kind == 0x9 and payload[1] > 0:
                 pitch = payload[0]
                 if pitch in open_notes:
@@ -286,11 +291,13 @@ def _monophonic(notes: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]
     return result
 
 
-def read_midi(data: bytes) -> MidiDocument:
-    """Parse an SMF byte string into the first non-empty note track.
+def read_line(data: bytes) -> tuple[TickLine, int]:
+    """Parse an SMF byte string into its first non-empty note track and tempo.
 
-    Overlapping notes are truncated at the next onset, gaps become rests,
-    and a trailing gap before end-of-track is kept as a final rest.
+    The line is at the file's own division. Overlapping notes are truncated
+    at the next onset, gaps become rests, and a trailing gap before
+    end-of-track is kept as a final rest; rests fall only between or after
+    notes, so no two are adjacent.
     """
     reader = _Reader(data)
     if reader.take(4) != _HEADER_MAGIC:
@@ -333,16 +340,27 @@ def read_midi(data: bytes) -> MidiDocument:
         raise EmptyTrackError("no track contains note events")
 
     tempo = DEFAULT_TEMPO if tempo_mpqn in (None, 0) else max(4, round(60_000_000 / tempo_mpqn))
-    events: list[NoteEvent] = []
+    cells: list[tuple[int | None, int]] = []
     cursor = 0
     for start, end, pitch in _monophonic(note_track):
         if start > cursor:
-            events.append(NoteEvent(None, Fraction(start - cursor, division), Fraction(cursor, division)))
-        events.append(NoteEvent(pitch, Fraction(end - start, division), Fraction(start, division)))
+            cells.append((None, start - cursor))
+        cells.append((pitch, end - start))
         cursor = end
     if track_end > cursor:
-        events.append(NoteEvent(None, Fraction(track_end - cursor, division), Fraction(cursor, division)))
-    return MidiDocument(time_division=division, tempo=tempo, events=tuple(events))
+        cells.append((None, track_end - cursor))
+    pitches, ticks = zip(*cells)
+    return TickLine(division, pitches, ticks), tempo
+
+
+def read_midi(data: bytes) -> MidiDocument:
+    """read_line's line and tempo as a document of exact-rational events."""
+    line, tempo = read_line(data)
+    events, onset = [], Fraction(0)
+    for pitch, length in zip(line.pitches, line.ticks):
+        events.append(NoteEvent(pitch, Fraction(length, line.division), onset))
+        onset = events[-1].end
+    return MidiDocument(time_division=line.division, tempo=tempo, events=tuple(events))
 
 
 # the encoder's repeated pieces: delta-times recur, and note messages differ only by pitch
@@ -377,15 +395,16 @@ def _encode_track(division: int, tempo: int, pitches: Sequence[int | None], tick
     return header + _TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
 
 
-def write_midi(doc: MidiDocument) -> bytes:
-    """The document as SMF format 0 bytes.
+def event_line(events: Sequence[NoteEvent], division: int) -> TickLine:
+    """Contiguous events from onset 0 on a grid where each lasts whole ticks."""
+    ticks = tuple(ev.duration.numerator * (division // ev.duration.denominator) for ev in events)
+    return TickLine(division, tuple(ev.pitch for ev in events), ticks)
 
-    The document's checks guarantee contiguous events from onset 0, each a
-    whole number of ticks at its time division.
-    """
-    division = doc.time_division
-    ticks = [ev.duration.numerator * (division // ev.duration.denominator) for ev in doc.events]
-    return _encode_track(division, doc.tempo, [ev.pitch for ev in doc.events], ticks)
+
+def write_midi(doc: MidiDocument) -> bytes:
+    """The document as SMF format 0 bytes."""
+    line = event_line(doc.events, doc.time_division)
+    return _encode_track(line.division, doc.tempo, line.pitches, line.ticks)
 
 
 def write_line(line: TickLine, tempo: int) -> bytes:

@@ -15,7 +15,12 @@ starts at 1.0.  All kernels preserve the dtype of their inputs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +41,43 @@ def ensure_finite(name: str, *arrays: np.ndarray) -> None:
     for array in arrays:
         if not np.all(np.isfinite(array)):
             raise NumericalFault(f"{name} contains non-finite values")
+
+
+@functools.cache
+def _openblas_threads(numpy_dir: Path):
+    """(get, set) for the thread count of the OpenBLAS bundled with the numpy
+    package in numpy_dir, or None, with one warning, when there is none."""
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get, set_ = handle.scipy_openblas_get_num_threads64_, handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+        return get, set_
+    warnings.warn("cannot pin numpy's BLAS to one thread; results may depend on its thread count")
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's BLAS on one thread, then restore its count.
+
+    A threaded GEMM may split a long reduction, so some shapes round
+    differently at 2 threads than at 1; one thread makes every result
+    independent of the count the process started with.
+    """
+    threads = _openblas_threads(Path(np.__file__).parent)
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -39,6 +39,7 @@ from .neural import (
     lstm_backward,
     lstm_cell,
     lstm_forward,
+    one_blas_thread,
     softmax,
     softmax_cross_entropy,
 )
@@ -212,6 +213,7 @@ def make_training_windows(
     return windows
 
 
+@one_blas_thread()
 def train(
     config: RnnConfig,
     sequences: Iterable[Sequence[str]],
@@ -315,6 +317,7 @@ def select_index(
     return int(picks[0]) if single else picks
 
 
+@one_blas_thread()
 def generate_rnn(
     ckpt: Checkpoint,
     seeds: Sequence[Sequence[str]],

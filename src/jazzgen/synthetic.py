@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from .midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
+from .midi_io import NoteEvent, event_line, lcm_time_division, write_line
 
 BLUES_PITCH_CLASSES = (0, 3, 5, 6, 7, 10)
 DURATIONS = (
@@ -74,8 +74,9 @@ def make_seed_phrase(rng: random.Random, n_notes: int = SEED_NOTES) -> tuple[Not
     return tuple(events)
 
 
-def _document(events: tuple[NoteEvent, ...]) -> MidiDocument:
-    return MidiDocument(lcm_time_division(events), TEMPO, events)
+def _midi(events: tuple[NoteEvent, ...]) -> bytes:
+    """A phrase as SMF bytes at the coarsest division that holds it."""
+    return write_line(event_line(events, lcm_time_division(events)), TEMPO)
 
 
 def write_corpus(directory: Path | str, seed: int = 0, n_files: int = CORPUS_FILES) -> list[Path]:
@@ -87,7 +88,7 @@ def write_corpus(directory: Path | str, seed: int = 0, n_files: int = CORPUS_FIL
         # string seeds hash stably across processes, tuples do not
         rng = random.Random(f"{seed}:corpus:{i}")
         path = directory / f"corpus_{i + 1:02d}.mid"
-        path.write_bytes(write_midi(_document(make_phrase(rng))))
+        path.write_bytes(_midi(make_phrase(rng)))
         paths.append(path)
     return paths
 
@@ -100,6 +101,6 @@ def write_seeds(directory: Path | str, seed: int = 0, n_files: int = SEED_FILES)
     for i in range(n_files):
         rng = random.Random(f"{seed}:seed:{i}")
         path = directory / f"seed_{i + 1}.mid"
-        path.write_bytes(write_midi(_document(make_seed_phrase(rng))))
+        path.write_bytes(_midi(make_seed_phrase(rng)))
         paths.append(path)
     return paths

@@ -12,8 +12,9 @@ rest, an exact `Fraction` duration) and `render_token` writes it again.
 Rendering and parsing are inverse bijections on their domains; parsing is
 strict and rejects any spelling other than the canonical one.
 
-`detokenize` turns tokens into exact-rational events; `tick_line` puts the
-same tokens on an integer grid, which is all writing MIDI and scoring need.
+`tick_line` puts tokens on an integer grid, which is all writing MIDI and
+scoring need, and `tokenize_line` renders a line read from MIDI back into
+tokens. `tokenize` and `detokenize` do the same for exact-rational events.
 """
 
 from __future__ import annotations
@@ -121,6 +122,13 @@ def parse_token(text: str) -> tuple[int | None, Fraction]:
 
 def tokenize(events: Iterable[NoteEvent]) -> list[str]:
     return [render_token(ev.pitch, ev.duration) for ev in events]
+
+
+def tokenize_line(line: TickLine) -> list[str]:
+    """tokenize's texts for the line's events; each distinct (pitch, ticks) is rendered once."""
+    cells = list(zip(line.pitches, line.ticks))
+    texts = {cell: render_token(cell[0], Fraction(cell[1], line.division)) for cell in dict.fromkeys(cells)}
+    return [texts[cell] for cell in cells]
 
 
 def _parse_distinct(texts: list[str]) -> dict[str, tuple[int | None, Fraction]]:

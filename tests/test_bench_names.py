@@ -26,6 +26,10 @@ GONE_FOR_GOOD = {
     "jazzgen.cli.detokenize",
     "jazzgen.cli.write_midi",
     "jazzgen.cli.evaluate_events",
+    # ingest reads MIDI onto ticks (midi_io.read_line) and renders tokens
+    # from there (tokenizer.tokenize_line)
+    "jazzgen.cli.read_midi",
+    "jazzgen.cli.tokenize",
 }
 
 

@@ -234,6 +234,45 @@ def test_ingest_warns_and_continues_on_corrupt_file(workspace, tmp_path):
     assert len(manifest["corpus"]) == 3
 
 
+# a note-on for pitch 0xC8: channel data bytes stop at 0x7F
+OUT_OF_RANGE_TRACK = bytes.fromhex("00 90 C8 40 60 80 C8 00 00 FF 2F 00")
+UNREADABLE_ENTRIES = {
+    "data-byte": lambda path: path.write_bytes(
+        b"MThd" + struct.pack(">IHHH", 6, 0, 1, 96)
+        + b"MTrk" + struct.pack(">I", len(OUT_OF_RANGE_TRACK)) + OUT_OF_RANGE_TRACK
+    ),
+    "directory": lambda path: path.mkdir(),
+}
+
+
+@pytest.mark.parametrize("make", UNREADABLE_ENTRIES.values(), ids=UNREADABLE_ENTRIES.keys())
+def test_ingest_skips_an_unreadable_corpus_entry(workspace, tmp_path, make):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace / "corpus", corpus)
+    make(corpus / "bad.mid")
+    result = invoke(["ingest", "--corpus", corpus, "--seeds", workspace / "seeds", "--out", tmp_path / "out"])
+    assert result.exit_code == 0, result.output
+    lines = [line for line in result.output.splitlines() if "bad.mid" in line]
+    assert len(lines) == 1 and lines[0].startswith("warning: skipping bad.mid: ")
+    manifest = json.loads((tmp_path / "out" / "ingest" / "manifest.json").read_text())
+    assert manifest["skipped"] == ["bad.mid"]
+    assert len(manifest["corpus"]) == 3
+
+
+@pytest.mark.parametrize("make", UNREADABLE_ENTRIES.values(), ids=UNREADABLE_ENTRIES.keys())
+def test_ingest_stops_on_an_unreadable_seed_entry(workspace, tmp_path, make):
+    seeds = tmp_path / "seeds"
+    shutil.copytree(workspace / "seeds", seeds)
+    make(seeds / "bad.mid")
+    out = tmp_path / "out"
+    result = invoke(["ingest", "--corpus", workspace / "corpus", "--seeds", seeds, "--out", out])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith("Error: seed file bad.mid is unreadable: ")
+    assert list(out.iterdir()) == []
+
+
 def test_ingest_rejects_wrong_length_seed(workspace, tmp_path):
     seeds = tmp_path / "seeds"
     # corpus files hold far more than 16 tokens, so reuse one as a bad seed
@@ -728,3 +767,36 @@ def test_changing_global_seed_changes_rnn_output(workspace, tmp_path):
             assert result.exit_code == 0, result.output
         outputs.append((out / "generated" / "seed_1_rnn.tokens").read_text())
     assert outputs[0] != outputs[1]
+
+
+PIPELINE_IN_CHILD = """
+import sys
+from jazzgen.cli import main
+for command in ("ingest", "train", "generate"):
+    main([command, *sys.argv[1:]], standalone_mode=False)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # one default-size epoch on the default corpus ends on a batch of 57
+    # windows, whose GEMMs round differently at 1 and at 2 BLAS threads
+    # unless jazzgen pins one while it computes
+    write_corpus(tmp_path / "corpus")
+    write_seeds(tmp_path / "seeds")
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
+        args = ["--corpus", tmp_path / "corpus", "--seeds", tmp_path / "seeds", "--out", out, "--epochs", "1"]
+        result = subprocess.run([sys.executable, "-c", PIPELINE_IN_CHILD, *map(str, args)],
+                                capture_output=True, text=True, env=env, timeout=600)
+        assert result.returncode == 0, result.stderr
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    config = RnnConfig()
+    manifest = json.loads(trees[0]["ingest/manifest.json"])
+    windows = sum(entry["tokens"] - config.window for entry in manifest["corpus"])
+    assert windows % config.batch_size == 57
+    assert trees[0].keys() == trees[1].keys()
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], f"{name} differs"

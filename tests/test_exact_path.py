@@ -1,10 +1,12 @@
-"""The token -> MIDI/metric path against plain-Fraction references.
+"""The integer tick path against plain-Fraction references.
 
 The program puts a token list on an integer tick grid once and takes both
-the MIDI bytes and the scores from there; events are put on a grid before
-scoring too. The references below are the NoteEvent/Fraction computations
-that path replaced, kept here the way tests/test_neural.py keeps the
-per-cell LSTM: every result must agree exactly, errors and warnings included.
+the MIDI bytes and the scores from there; ingest reads MIDI onto the same
+kind of grid and renders tokens from its ticks; events are put on a grid
+before scoring too. The references below are the NoteEvent/Fraction
+computations that path replaced, kept here the way tests/test_neural.py
+keeps the per-cell LSTM: every result must agree exactly, errors and
+warnings included.
 """
 
 import math
@@ -17,18 +19,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jazzgen.metrics import GRID, MetricError, MetricReport, bar_patterns, evaluate_events, evaluate_line
+from jazzgen.metrics import (
+    GRID,
+    MetricError,
+    MetricReport,
+    evaluate_line,
+    histogram_entropy,
+    mean_groove_similarity,
+    pitch_class_histogram,
+)
 from jazzgen.midi_io import (
     MAX_DIVISION,
+    EmptyTrackError,
     MidiDocument,
     NoteEvent,
     TickResolutionError,
     encode_vlq,
     lcm_time_division,
+    read_line,
+    read_midi,
     write_line,
     write_midi,
 )
-from jazzgen.tokenizer import TokenError, detokenize, parse_token, render_token, tick_line
+from jazzgen.synthetic import write_corpus, write_seeds
+from jazzgen.tokenizer import TokenError, detokenize, parse_token, render_token, tick_line, tokenize, tokenize_line
 
 TRIPLETS = tuple(Fraction(n, d) for n, d in ((1, 3), (2, 3), (4, 3), (1, 6), (5, 6), (1, 12)))
 DOTTED = tuple(Fraction(n, d) for n, d in ((3, 16), (3, 8), (3, 4), (3, 2), (3, 1)))
@@ -174,11 +188,25 @@ def random_texts(rnd, length, durations=LINE_DURATIONS):
     ]
 
 
-def bar_and_slot(onset, bar_length):
-    """The one (bar, slot) bar_patterns marks for a single note at onset."""
-    patterns = bar_patterns([NoteEvent(60, Fraction(1, onset.denominator), onset)], bar_length)
-    (marked,) = [(bar, slot) for bar, p in enumerate(patterns) for slot, bit in enumerate(p.bits) if bit]
-    return marked
+def public_report(composition_id, events, bar_length):
+    """The scores of events from the public event functions."""
+    mean, series = mean_groove_similarity(events, bar_length)
+    histogram = pitch_class_histogram(events)
+    return MetricReport(composition_id, mean, tuple(series), histogram.h, histogram_entropy(histogram))
+
+
+def marks(onset, bar_length, bar, slot):
+    """Whether mean_groove_similarity puts a lone note at onset on (bar, slot).
+
+    A probe note exactly on that slot one bar later then agrees with it, and
+    only the empty bar before the note's, if any, disagrees with it, in one
+    slot; any other bar or slot gives another GS series.
+    """
+    step = bar_length / GRID
+    after = (bar + 1) * bar_length
+    events = [NoteEvent(60, step, onset), NoteEvent(62, step, after + slot * step), NoteEvent(None, bar_length, after)]
+    _, series = mean_groove_similarity(events, bar_length)
+    return series == [1.0] * (bar - 1) + [1 - 1 / GRID] * (bar > 0) + [1.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,16 +259,18 @@ def test_bar_and_grid_indices_match_fraction_reference(pairs, bar_length):
     events = detokenize([render_token(pitch, duration) for pitch, duration in pairs])
     for ev in events:
         expected = (math.floor(ev.onset / bar_length), reference_grid_index(ev.onset, bar_length))
-        assert bar_and_slot(ev.onset, bar_length) == expected
-    patterns = bar_patterns(events, bar_length)
-    assert [pattern.bits for pattern in patterns] == reference_bar_bits(reference_events(pairs), bar_length)
+        assert marks(ev.onset, bar_length, *expected)
+    want = outcome(lambda: reference_report("x", reference_events(pairs), bar_length))
+    assert outcome(lambda: public_report("x", events, bar_length)) == want
 
 
 def test_grid_slot_ties_round_up_and_clamp():
     # 4/128 into the second 4/4 bar is exactly half a slot: the tie goes to slot 1
-    assert bar_and_slot(Fraction(4, 128) + 4, Fraction(4)) == (1, 1)
+    assert marks(Fraction(4, 128) + 4, Fraction(4), 1, 1)
+    assert not marks(Fraction(4, 128) + 4, Fraction(4), 1, 0)
     # just short of the bar line rounds to slot 64, which clamps to 63
-    assert bar_and_slot(Fraction(4) - Fraction(1, 1000), Fraction(4)) == (0, GRID - 1)
+    assert marks(Fraction(4) - Fraction(1, 1000), Fraction(4), 0, GRID - 1)
+    assert not marks(Fraction(4) - Fraction(1, 1000), Fraction(4), 1, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,7 +283,7 @@ def test_tick_line_bytes_and_scores_match_event_reference(length, rnd, bar_lengt
     assert write_line(line, tempo) == reference_render(texts, tempo)
     want = outcome(lambda: reference_report("x", events, bar_length))
     assert outcome(lambda: evaluate_line("x", line, bar_length)) == want
-    assert outcome(lambda: evaluate_events("x", detokenize(texts), bar_length)) == want
+    assert outcome(lambda: public_report("x", detokenize(texts), bar_length)) == want
 
 
 @pytest.mark.parametrize("texts", [
@@ -315,7 +345,7 @@ def test_division_overflow_names_the_first_running_lcm():
 def test_events_with_gaps_and_overlaps_score_like_the_reference(triples, bar_length):
     events = [NoteEvent(pitch, duration, onset) for pitch, duration, onset in triples]
     want = outcome(lambda: reference_report("x", triples, bar_length))
-    assert outcome(lambda: evaluate_events("x", events, bar_length)) == want
+    assert outcome(lambda: public_report("x", events, bar_length)) == want
 
 
 def test_parse_token_memoizes_canonical_texts():
@@ -335,3 +365,91 @@ def test_random_texts_cover_rests_triplets_and_long_lines():
     assert len(texts) == 600
     assert any(text.startswith("R_") for text in texts)
     assert any(text.endswith("/3") for text in texts) and any(text.endswith("/6") for text in texts)
+
+
+def ingest_tokens(data):
+    """Tokens as ingest reads them: MIDI onto ticks, then rendered from there."""
+    return tokenize_line(read_line(data)[0])
+
+
+def chromatic_walk(rnd, n_events):
+    """A rest-broken chromatic walk over wide-ranging durations, as events."""
+    events, onset, pitch = [], Fraction(0), rnd.randint(36, 96)
+    for _ in range(n_events):
+        duration = Fraction(rnd.choice(("1/6", "1/4", "1/3", "3/8", "1/2", "2/3", "3/4", "1", "4/3", "3/2", "2", "3")))
+        rest = bool(events) and not events[-1].is_rest and rnd.random() < 0.1
+        events.append(NoteEvent(None if rest else pitch, duration, onset))
+        if not rest:
+            pitch = min(max(pitch + rnd.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)), 0), 127)
+        onset = events[-1].end
+    return tuple(events)
+
+
+def test_ingest_tokens_match_the_event_path_on_synthetic_files(tmp_path):
+    paths = write_corpus(tmp_path / "corpus", seed=3) + write_seeds(tmp_path / "seeds", seed=3)
+    for path in paths:
+        data = path.read_bytes()
+        assert ingest_tokens(data) == tokenize(read_midi(data).events), path.name
+
+
+def test_ingest_tokens_match_the_event_path_on_chromatic_walks():
+    rnd = random.Random(5)
+    for _ in range(20):
+        events = chromatic_walk(rnd, 100)
+        data = write_midi(MidiDocument(lcm_time_division(events), 240, events))
+        assert ingest_tokens(data) == tokenize(read_midi(data).events) == tokenize(events)
+
+
+# (division, [(delta, note-on?, pitch)], delta before end-of-track): notes of a
+# few pitches overlap, leave gaps and retrigger, a final delta leaves a
+# trailing rest, and divisions with factors 3 and 5 give triplet and
+# quintuplet ticks
+tracks = st.sampled_from((1, 3, 5, 12, 15, 60, 96, 120, 480)).flatmap(lambda division: st.tuples(
+    st.just(division),
+    st.lists(st.tuples(st.integers(0, 3 * division), st.booleans(), st.integers(60, 64)), max_size=60),
+    st.integers(0, 2 * division),
+))
+
+
+def track_file(division, messages, tail):
+    body = b"".join(encode_vlq(delta) + bytes((0x90 if on else 0x80, pitch, 64 if on else 0))
+                    for delta, on, pitch in messages)
+    body += encode_vlq(tail) + bytes.fromhex("FF 2F 00")
+    return b"MThd" + struct.pack(">IHHH", 6, 0, 1, division) + b"MTrk" + struct.pack(">I", len(body)) + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(tracks)
+def test_ingest_tokens_match_the_event_path_on_drawn_tracks(track):
+    data = track_file(*track)
+    try:
+        want = tokenize(read_midi(data).events)
+    except EmptyTrackError:
+        with pytest.raises(EmptyTrackError):
+            ingest_tokens(data)
+        return
+    assert ingest_tokens(data) == want
+
+
+def test_drawn_tracks_cover_overlaps_gaps_trailing_rests_and_tuplets():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tracks)
+    def survey(track):
+        sounding = set()
+        for _, on, pitch in track[1]:
+            seen.add(("overlap", on and bool(sounding - {pitch})))
+            (sounding.add if on else sounding.discard)(pitch)
+        try:
+            line, _ = read_line(track_file(*track))
+        except EmptyTrackError:
+            return
+        seen.add(("rest", line.pitches[-1] is None))
+        seen.add(("gap", None in line.pitches[:-1]))
+        denominators = {Fraction(ticks, line.division).denominator for ticks in line.ticks}
+        seen.add(("triplet", any(d % 3 == 0 for d in denominators)))
+        seen.add(("quintuplet", any(d % 5 == 0 for d in denominators)))
+
+    survey()
+    assert {name for name, hit in seen if hit} == {"overlap", "rest", "gap", "triplet", "quintuplet"}

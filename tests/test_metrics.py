@@ -11,14 +11,14 @@ from jazzgen.metrics import (
     GroovePattern,
     MetricError,
     PitchHistogram,
-    bar_patterns,
-    evaluate_events,
+    evaluate_line,
     groove_similarity,
     histogram_entropy,
     mean_groove_similarity,
     pitch_class_histogram,
 )
 from jazzgen.midi_io import NoteEvent
+from jazzgen.tokenizer import tick_line, tokenize
 
 
 def contiguous(*pairs):
@@ -37,6 +37,34 @@ def pattern_from_indices(indices):
     for i in indices:
         bits[i] = 1
     return GroovePattern(tuple(bits))
+
+
+def bar_pattern(events, bar=0, bar_length=Fraction(4)):
+    """The groove pattern mean_groove_similarity gives bar `bar` of events.
+
+    It is read from the GS of that bar against a probe bar after it: the
+    pitched onsets up to the bar are kept, and against an empty probe bar a
+    pattern P agrees in 64 - |P| slots; with one probe note exactly on slot
+    k, in one more if k is in P and in one fewer if not.
+    """
+    step = bar_length / GRID
+    end = (bar + 1) * bar_length
+    notes = [NoteEvent(ev.pitch, step, ev.onset) for ev in events if not ev.is_rest and ev.onset < end]
+
+    def agreement(*probe):
+        _, series = mean_groove_similarity([*notes, *probe, NoteEvent(None, bar_length, end)], bar_length)
+        return series[-1]
+
+    empty = agreement()
+    return GroovePattern(tuple(int(agreement(NoteEvent(60, step, end + k * step)) > empty) for k in range(GRID)))
+
+
+def bar_count(events):
+    """How many bars mean_groove_similarity tiles events into."""
+    try:
+        return len(mean_groove_similarity(events)[1]) + 1
+    except MetricError as err:
+        return int(str(err).rsplit(" ", 1)[1])
 
 
 def grid_index_by_enumeration(onset, bar=Fraction(4)):
@@ -60,45 +88,41 @@ def test_pattern_validation():
 
 
 def test_empty_composition_has_no_bars():
-    assert bar_patterns([]) == []
+    assert bar_count([]) == 0
 
 
 def test_four_quarter_notes_hit_beat_positions():
     events = contiguous((60, 1), (62, 1), (64, 1), (65, 1))
-    patterns = bar_patterns(events)
-    assert len(patterns) == 1
-    assert patterns[0] == pattern_from_indices({0, 16, 32, 48})
+    assert bar_count(events) == 1
+    assert bar_pattern(events) == pattern_from_indices({0, 16, 32, 48})
 
 
 def test_sextuplet_onset_rounds_to_slot_three():
     events = contiguous((None, Fraction(1, 6)), (60, Fraction(1, 6)), (None, Fraction(11, 3)))
-    patterns = bar_patterns(events)
     # onset 1/6 of a quarter: 64/24 = 2.67 rounds to 3
-    assert patterns[0] == pattern_from_indices({3})
+    assert bar_pattern(events) == pattern_from_indices({3})
     assert grid_index_by_enumeration(Fraction(1, 6)) == 3
 
 
 @given(st.fractions(min_value=0, max_value=4).filter(lambda f: f.denominator <= 48))
 def test_grid_quantization_matches_enumeration_oracle(onset):
-    patterns = bar_patterns([NoteEvent(60, Fraction(1, 48), onset)])
     bar = math.floor(onset / 4)
-    hit = [i for i, bit in enumerate(patterns[bar].bits) if bit]
+    pattern = bar_pattern([NoteEvent(60, Fraction(1, 48), onset)], bar)
+    hit = [i for i, bit in enumerate(pattern.bits) if bit]
     assert hit == [grid_index_by_enumeration(onset)]
 
 
 def test_rests_set_no_bits():
     events = contiguous((None, 2), (60, 1), (None, 1))
-    patterns = bar_patterns(events)
-    assert patterns[0] == pattern_from_indices({32})
+    assert bar_pattern(events) == pattern_from_indices({32})
 
 
 def test_notes_tile_into_later_bars():
     events = contiguous((60, 4), (62, 4), (64, 2))
-    patterns = bar_patterns(events)
-    assert len(patterns) == 3  # two full bars plus a partial one
-    assert patterns[0] == pattern_from_indices({0})
-    assert patterns[1] == pattern_from_indices({0})
-    assert patterns[2] == pattern_from_indices({0})
+    assert bar_count(events) == 3  # two full bars plus a partial one
+    assert bar_pattern(events, 0) == pattern_from_indices({0})
+    assert bar_pattern(events, 1) == pattern_from_indices({0})
+    assert bar_pattern(events, 2) == pattern_from_indices({0})
 
 
 def test_identical_patterns_score_one():
@@ -277,11 +301,11 @@ def test_histogram_octave_invariance(pairs):
     assert pitch_class_histogram(base) == pitch_class_histogram(down)
 
 
-def test_evaluate_events_bundles_everything():
+def test_evaluate_line_bundles_everything():
     events = contiguous(*[(60, 1), (62, 1), (64, 1), (67, 1)] * 2)
-    report = evaluate_events("demo", events)
+    report = evaluate_line("demo", tick_line(tokenize(events)))
     assert report.composition_id == "demo"
-    assert report.mean_gs == 1.0
-    assert report.gs_series == (1.0,)
-    assert len(report.histogram) == 12
-    assert report.entropy == pytest.approx(2.0)  # four equally likely classes
+    assert (report.mean_gs, list(report.gs_series)) == mean_groove_similarity(events) == (1.0, [1.0])
+    assert report.histogram == pitch_class_histogram(events).h
+    # four equally likely classes
+    assert report.entropy == histogram_entropy(pitch_class_histogram(events)) == pytest.approx(2.0)

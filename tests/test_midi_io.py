@@ -13,6 +13,7 @@ from jazzgen.midi_io import (
     TickResolutionError,
     encode_vlq,
     lcm_time_division,
+    read_line,
     read_midi,
     write_midi,
 )
@@ -26,6 +27,24 @@ def header_chunk(fmt: int, n_tracks: int, division: int) -> bytes:
     return b"MThd" + struct.pack(">IHHH", 6, fmt, n_tracks, division)
 
 
+def read_both(data: bytes) -> MidiDocument:
+    """read_midi(data), once read_line(data) has given the same division,
+    tempo and notes, or raised the same exception type with the same message."""
+    try:
+        doc = read_midi(data)
+    except Exception as err:
+        with pytest.raises(Exception) as raised:
+            read_line(data)
+        assert (type(raised.value), str(raised.value)) == (type(err), str(err))
+        raise
+    line, tempo = read_line(data)
+    assert (line.division, tempo) == (doc.time_division, doc.tempo)
+    assert len(line.pitches) == len(line.ticks)
+    notes = [(pitch, Fraction(ticks, line.division)) for pitch, ticks in zip(line.pitches, line.ticks)]
+    assert notes == [(ev.pitch, ev.duration) for ev in doc.events]
+    return doc
+
+
 # Hand-assembled file: division 480, tempo 120 (0x07A120 us/quarter), one
 # note-on/note-off pair for pitch 60 lasting one quarter (delta 480 = 0x83 0x60).
 SINGLE_NOTE_FILE = header_chunk(0, 1, 480) + track_chunk(
@@ -34,7 +53,7 @@ SINGLE_NOTE_FILE = header_chunk(0, 1, 480) + track_chunk(
 
 
 def test_read_single_note_file():
-    doc = read_midi(SINGLE_NOTE_FILE)
+    doc = read_both(SINGLE_NOTE_FILE)
     assert doc.time_division == 480
     assert doc.tempo == 120
     assert doc.events == (NoteEvent(60, Fraction(1), Fraction(0)),)
@@ -43,24 +62,24 @@ def test_read_single_note_file():
 def test_read_empty_track_is_an_error():
     data = header_chunk(0, 1, 480) + track_chunk(bytes.fromhex("00 FF 2F 00"))
     with pytest.raises(EmptyTrackError):
-        read_midi(data)
+        read_both(data)
 
 
 def test_read_rejects_bad_magic():
     with pytest.raises(MidiParseError):
-        read_midi(b"RIFF" + SINGLE_NOTE_FILE[4:])
+        read_both(b"RIFF" + SINGLE_NOTE_FILE[4:])
 
 
 def test_read_rejects_truncated_track():
     data = header_chunk(0, 1, 480) + b"MTrk" + struct.pack(">I", 999) + b"\x00"
     with pytest.raises(MidiParseError):
-        read_midi(data)
+        read_both(data)
 
 
 def test_format1_takes_first_nonempty_note_track():
     tempo_track = track_chunk(bytes.fromhex("00 FF 51 03 03 D0 90" "00 FF 2F 00"))  # 250000 us = 240 bpm
     note_track = track_chunk(bytes.fromhex("00 90 3C 40" "60 80 3C 00" "00 FF 2F 00"))  # delta 96
-    doc = read_midi(header_chunk(1, 2, 96) + tempo_track + note_track)
+    doc = read_both(header_chunk(1, 2, 96) + tempo_track + note_track)
     assert doc.tempo == 240
     assert doc.events == (NoteEvent(60, Fraction(1), Fraction(0)),)
 
@@ -74,7 +93,7 @@ def test_overlapping_notes_truncate_earlier():
         "81 70 80 40 00"  # off 64 @ 720
         "00 FF 2F 00"
     )
-    doc = read_midi(header_chunk(0, 1, 480) + track_chunk(payload))
+    doc = read_both(header_chunk(0, 1, 480) + track_chunk(payload))
     assert doc.events == (
         NoteEvent(60, Fraction(1, 2), Fraction(0)),
         NoteEvent(64, Fraction(1), Fraction(1, 2)),
@@ -87,7 +106,7 @@ def test_gap_between_notes_becomes_rest():
         "60 90 3E 40" "60 80 3E 00"  # gap 96..192, note 192..288
         "00 FF 2F 00"
     )
-    doc = read_midi(header_chunk(0, 1, 96) + track_chunk(payload))
+    doc = read_both(header_chunk(0, 1, 96) + track_chunk(payload))
     assert doc.events == (
         NoteEvent(60, Fraction(1), Fraction(0)),
         NoteEvent(None, Fraction(1), Fraction(1)),
@@ -101,7 +120,7 @@ def test_running_status_accepted_on_read():
         "60 3C 00"  # running status: note-on velocity 0 acts as note-off
         "00 FF 2F 00"
     )
-    doc = read_midi(header_chunk(0, 1, 96) + track_chunk(payload))
+    doc = read_both(header_chunk(0, 1, 96) + track_chunk(payload))
     assert doc.events == (NoteEvent(60, Fraction(1), Fraction(0)),)
 
 
@@ -200,7 +219,7 @@ def documents(draw):
 @settings(max_examples=150)
 @given(documents())
 def test_round_trip_identity(doc):
-    back = read_midi(write_midi(doc))
+    back = read_both(write_midi(doc))
     assert back.events == doc.events
     assert back.tempo == doc.tempo
     assert back.time_division == doc.time_division
@@ -209,9 +228,27 @@ def test_round_trip_identity(doc):
 @settings(max_examples=100)
 @given(documents())
 def test_read_output_is_monophonic_and_contiguous(doc):
-    back = read_midi(write_midi(doc))
+    back = read_both(write_midi(doc))
     cursor = Fraction(0)
     for ev in back.events:
         assert ev.onset == cursor
         cursor = ev.end
     assert cursor == (doc.events[-1].end if doc.events else 0)
+
+
+@pytest.mark.parametrize(
+    "track,offset",
+    [
+        ("00 90 C8 40" "60 80 C8 00" "00 FF 2F 00", 24),  # pitch 200
+        ("00 90 3C C0" "60 80 3C 00" "00 FF 2F 00", 25),  # note-on velocity
+        ("00 90 3C 40" "60 3C 80" "00 FF 2F 00", 28),  # running-status velocity
+        ("00 C0 80" "00 90 3C 40" "60 80 3C 00" "00 FF 2F 00", 24),  # program change
+    ],
+    ids=["pitch", "velocity", "running-status", "one-data-byte"],
+)
+def test_channel_data_byte_above_0x7f_is_a_parse_error(track, offset):
+    data = header_chunk(0, 1, 96) + track_chunk(bytes.fromhex(track))
+    with pytest.raises(MidiParseError, match="channel data byte") as raised:
+        read_both(data)
+    assert raised.value.offset == offset
+    assert data[offset] >= 0x80

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from jazzgen import neural
 from jazzgen.checks import lstm_fd, lstm_index_fd
 from jazzgen.neural import (
     ADAM_BETA1,
@@ -723,3 +726,28 @@ def test_adam_decreases_quadratic_loss():
     for _ in range(2000):
         adam_step(theta, {"t": 2.0 * theta["t"]}, state, lr=1e-2)
     assert np.all(np.abs(theta["t"]) < 1e-3)
+
+
+def test_one_blas_thread_pins_the_count_and_restores_it():
+    threads = neural._openblas_threads(Path(np.__file__).parent)
+    if threads is None:
+        pytest.skip("this numpy bundles no OpenBLAS with thread control")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    try:
+        with neural.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_a_blas_without_thread_control_warns_once(tmp_path):
+    numpy_dir = tmp_path / "numpy"
+    numpy_dir.mkdir()
+    with pytest.warns(UserWarning, match="results may depend on its thread count"):
+        assert neural._openblas_threads(numpy_dir) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert neural._openblas_threads(numpy_dir) is None
