@@ -63,8 +63,8 @@ OUTPUT_TEMPO = 240
 MODEL_NAMES = ("markov", "rnn")
 
 
-class StaleArtifactError(click.ClickException):
-    """An upstream artifact is missing or unreadable: one line, exit 2."""
+class InputError(click.ClickException):
+    """A bad setting, input file or upstream artifact: one line, exit 2."""
 
     exit_code = 2
 
@@ -125,20 +125,20 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
         try:
             data = json.loads(Path(config_path).read_text())
         except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
-            raise click.UsageError(f"cannot read config file {config_path}: {err}")
+            raise InputError(f"cannot read config file {config_path}: {err}")
         if not isinstance(data, dict):
-            raise click.UsageError(f"config file {config_path} must hold a JSON object")
+            raise InputError(f"config file {config_path} must hold a JSON object")
     rnn_data = data.pop("rnn", {})
     if not isinstance(rnn_data, dict):
-        raise click.UsageError("config key 'rnn' must hold a JSON object")
+        raise InputError("config key 'rnn' must hold a JSON object")
     known_top = {f.name for f in fields(ExperimentConfig)} - {"rnn"}
     known_rnn = {f.name for f in fields(RnnConfig)}
     for key in data:
         if key not in known_top:
-            raise click.UsageError(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
     for key in rnn_data:
         if key not in known_rnn:
-            raise click.UsageError(f"unknown config key 'rnn.{key}'")
+            raise InputError(f"unknown config key 'rnn.{key}'")
     for flag, name in _TOP_FLAGS.items():
         if flags.get(flag) is not None:
             data[name] = flags[flag]
@@ -148,14 +148,14 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
     for required in ("corpus_dir", "seeds_dir", "out_dir"):
         if required not in data:
             flag = {v: k for k, v in _TOP_FLAGS.items()}[required]
-            raise click.UsageError(f"{required} is required; pass --{flag} or set it in the config file")
+            raise InputError(f"{required} is required; pass --{flag} or set it in the config file")
         if not isinstance(data[required], (str, os.PathLike)):
-            raise click.UsageError(f"{required} must be a directory path, got {data[required]!r}")
+            raise InputError(f"{required} must be a directory path, got {data[required]!r}")
         data[required] = Path(data[required])
     try:
         config = ExperimentConfig(rnn=RnnConfig(**rnn_data), **data)
     except (TypeError, ValueError) as err:
-        raise click.UsageError(str(err))
+        raise InputError(str(err))
     return config
 
 
@@ -215,17 +215,17 @@ class Layout:
         return self.generated_dir / f"{seed_id}_{model}.{extension}"
 
     def load(self, path: Path, load):
-        """load(path) for an artifact under out; StaleArtifactError naming the stage
+        """load(path) for an artifact under out; InputError naming the stage
         that writes it if that stage never ran ("run X first") or load fails ("rerun X")."""
         top = path.relative_to(self.out).parts[0]
         stage = WRITERS[top]
         if not (self.out / top).is_dir():
-            raise StaleArtifactError(f"missing {path}; run {stage} first")
+            raise InputError(f"missing {path}; run {stage} first")
         try:
             return load(path)
         except (OSError, ValueError, LookupError, TypeError) as err:
             reason = getattr(err, "strerror", None) or f"{type(err).__name__}: {err}"
-            raise StaleArtifactError(f"cannot read {path} ({reason}); rerun {stage}") from None
+            raise InputError(f"cannot read {path} ({reason}); rerun {stage}") from None
 
 
 def _lock_holder(lock: Path) -> str:
@@ -281,13 +281,17 @@ def write_token_file(path: Path, tokens) -> None:
     write_text(path, "\n".join(tokens) + "\n")
 
 
-def read_tokens(path: Path, vocab: Vocabulary | None = None, count: int | None = None) -> tuple[list[str], TickLine]:
+def read_tokens(
+    path: Path, vocab: Vocabulary | None = None, count: int | None = None, prefix: list[str] | None = None
+) -> tuple[list[str], TickLine]:
     """A token file and its TickLine; every token canonical and, when given,
-    in vocab and exactly count of them."""
+    in vocab, exactly count of them, and the first ones the prefix."""
     tokens = path.read_text().split()
     line = tick_line(tokens)
     if count is not None and len(tokens) != count:
         raise ValueError(f"token count {len(tokens)}, expected {count}")
+    if prefix is not None and tokens[: len(prefix)] != prefix:
+        raise ValueError(f"does not begin with its {len(prefix)} seed tokens")
     if vocab is not None:
         for token in dict.fromkeys(tokens):
             vocab.encode(token)
@@ -303,6 +307,12 @@ def read_manifest(path: Path) -> tuple[list[str], list[str]]:
     return corpus, seeds
 
 
+def read_seeds(layout: Layout, seed_ids) -> dict[str, list[str]]:
+    """Each ingested seed's tokens, exactly SEED_TOKEN_COUNT of them."""
+    read_seed = partial(read_tokens, count=SEED_TOKEN_COUNT)
+    return {seed_id: layout.load(layout.seeds_dir / f"{seed_id}.tokens", read_seed)[0] for seed_id in seed_ids}
+
+
 def _midi_paths(directory: Path) -> list[Path]:
     return sorted(p for p in directory.iterdir() if p.suffix.lower() in (".mid", ".midi"))
 
@@ -311,7 +321,7 @@ def run_ingest(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
     for directory, label in ((config.corpus_dir, "corpus"), (config.seeds_dir, "seeds")):
         if not directory.is_dir():
-            raise click.UsageError(f"{label} directory {directory} does not exist")
+            raise InputError(f"{label} directory {directory} does not exist")
     sequences: dict[str, list[str]] = {}
     skipped = []
     for path in _midi_paths(config.corpus_dir):
@@ -321,21 +331,21 @@ def run_ingest(config: ExperimentConfig) -> None:
             skipped.append(path.name)
             click.echo(f"warning: skipping {path.name}: {getattr(err, 'strerror', None) or err}", err=True)
     if not sequences:
-        raise click.UsageError(f"no usable MIDI files in {config.corpus_dir}")
+        raise InputError(f"no usable MIDI files in {config.corpus_dir}")
     seeds: dict[str, list[str]] = {}
     for path in _midi_paths(config.seeds_dir):
         try:
             tokens = tokenize_line(read_line(path.read_bytes())[0])
         except (OSError, MidiError) as err:
-            raise click.UsageError(f"seed file {path.name} is unreadable: {getattr(err, 'strerror', None) or err}")
+            raise InputError(f"seed file {path.name} is unreadable: {getattr(err, 'strerror', None) or err}")
         if len(tokens) != SEED_TOKEN_COUNT:
-            raise click.UsageError(
+            raise InputError(
                 f"seed file {path.name} tokenizes to {len(tokens)} tokens; "
                 f"exactly {SEED_TOKEN_COUNT} required"
             )
         seeds[path.stem] = tokens
     if not seeds:
-        raise click.UsageError(f"no seed MIDI files in {config.seeds_dir}")
+        raise InputError(f"no seed MIDI files in {config.seeds_dir}")
     # the vocabulary covers the seeds too, so generation never sees unknowns
     vocab = build_vocabulary(*sequences.values(), *seeds.values())
     seen: set[str] = set()
@@ -409,10 +419,9 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
     _, ingested = layout.load(layout.manifest, read_manifest)
     unknown = sorted(set(seed_ids) - set(ingested))
     if unknown:
-        raise click.UsageError(f"unknown seed ids {', '.join(unknown)}; available: {', '.join(ingested)}")
+        raise InputError(f"unknown seed ids {', '.join(unknown)}; available: {', '.join(ingested)}")
     seed_ids = sorted(set(seed_ids)) if seed_ids else ingested
-    read_seed = partial(read_tokens, count=SEED_TOKEN_COUNT)
-    seeds = {seed_id: layout.load(layout.seeds_dir / f"{seed_id}.tokens", read_seed)[0] for seed_id in seed_ids}
+    seeds = read_seeds(layout, seed_ids)
     # passed by their names in this module, where bench/spans.py wraps them
     table = layout.load(layout.markov_table, load_transition_table) if "markov" in models else None
     ckpt = layout.load(layout.checkpoint, load_checkpoint) if "rnn" in models else None
@@ -421,7 +430,7 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
         for seed_id in seed_ids:
             unknown = [token for token in seeds[seed_id] if token not in ckpt.vocab]
             if unknown:
-                raise StaleArtifactError(
+                raise InputError(
                     f"seed {seed_id} has token {unknown[0]} that the checkpoint vocabulary "
                     f"lacks; rerun train"
                 )
@@ -453,8 +462,13 @@ def run_evaluate(config: ExperimentConfig) -> None:
     missing = [str(path) for path in paths.values() if not path.exists()]
     if missing:
         advice = "rerun generate" if layout.generated_dir.is_dir() else "run generate first"
-        raise StaleArtifactError(f"missing generations: {', '.join(missing)}; {advice}")
-    lines = {key: layout.load(path, read_tokens)[1] for key, path in paths.items()}
+        raise InputError(f"missing generations: {', '.join(missing)}; {advice}")
+    # a generation begins with its seed verbatim, so a cut or foreign file is not scored as that seed's
+    seeds = read_seeds(layout, seed_ids)
+    lines = {
+        (seed_id, model): layout.load(path, partial(read_tokens, prefix=seeds[seed_id]))[1]
+        for (seed_id, model), path in paths.items()
+    }
     rows = []
     gs_series: dict[str, dict[str, list[float]]] = {}
     histograms: dict[str, dict[str, list[float]]] = {}
@@ -577,7 +591,7 @@ def evaluate(config_path, table_path, **flags):
         try:
             rows = read_comparison_csv(Path(table_path).read_text())
         except ValueError as err:
-            raise click.UsageError(f"bad table {table_path}: {err}")
+            raise InputError(f"bad table {table_path}: {err}")
         click.echo(summary_line(rows))
         return
     config = resolve_config(config_path, flags)

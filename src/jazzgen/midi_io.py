@@ -395,16 +395,11 @@ def _encode_track(division: int, tempo: int, pitches: Sequence[int | None], tick
     return header + _TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
 
 
-def event_line(events: Sequence[NoteEvent], division: int) -> TickLine:
-    """Contiguous events from onset 0 on a grid where each lasts whole ticks."""
-    ticks = tuple(ev.duration.numerator * (division // ev.duration.denominator) for ev in events)
-    return TickLine(division, tuple(ev.pitch for ev in events), ticks)
-
-
 def write_midi(doc: MidiDocument) -> bytes:
     """The document as SMF format 0 bytes."""
-    line = event_line(doc.events, doc.time_division)
-    return _encode_track(line.division, doc.tempo, line.pitches, line.ticks)
+    division = doc.time_division
+    ticks = [ev.duration.numerator * (division // ev.duration.denominator) for ev in doc.events]
+    return _encode_track(division, doc.tempo, [ev.pitch for ev in doc.events], ticks)
 
 
 def write_line(line: TickLine, tempo: int) -> bytes:

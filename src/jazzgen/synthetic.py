@@ -2,26 +2,23 @@
 
 The real training data (transcribed solos) is not redistributable, so the
 test suite and the example pipeline run on generated material of the same
-shape: 20 monophonic 12-bar files plus 8 sixteen-note seed files.
+shape: 20 monophonic 12-bar files plus 8 sixteen-note seed files. Phrases
+are drawn on a grid of TICKS_PER_QUARTER ticks, which holds every pooled
+duration.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
 from pathlib import Path
 
-from .midi_io import NoteEvent, event_line, lcm_time_division, write_line
+from .midi_io import TickLine, write_line
 
 BLUES_PITCH_CLASSES = (0, 3, 5, 6, 7, 10)
-DURATIONS = (
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 6),
-    Fraction(2, 3),
-)
+TICKS_PER_QUARTER = 12
+# 1, 1/2, 1/4, 1/3, 1/6 and 2/3 of a quarter note, in ticks
+DURATIONS = (12, 6, 3, 4, 2, 8)
 CORPUS_FILES = 20
 CORPUS_BARS = 12
 SEED_FILES = 8
@@ -42,41 +39,34 @@ def _walk_pitches(rng: random.Random):
         index = min(max(index + step, 0), len(_SCALE) - 1)
 
 
-def make_phrase(rng: random.Random, bars: int = CORPUS_BARS) -> tuple[NoteEvent, ...]:
+def make_phrase(rng: random.Random, bars: int = CORPUS_BARS) -> TickLine:
     """One monophonic phrase filling exactly `bars` 4/4 measures."""
-    total = Fraction(4) * bars
-    events: list[NoteEvent] = []
-    onset = Fraction(0)
-    pitch_iter = _walk_pitches(rng)
-    was_rest = False
-    while onset < total:
-        duration = min(rng.choice(DURATIONS), total - onset)
-        # no consecutive rests: adjacent rests do not survive a MIDI round trip
-        if not was_rest and rng.random() < REST_PROBABILITY:
-            events.append(NoteEvent.rest(duration, onset))
-            was_rest = True
-        else:
-            events.append(NoteEvent(next(pitch_iter), duration, onset))
-            was_rest = False
-        onset += duration
-    return tuple(events)
-
-
-def make_seed_phrase(rng: random.Random, n_notes: int = SEED_NOTES) -> tuple[NoteEvent, ...]:
-    """Sixteen pitched notes, no rests, for use as a generation seed."""
-    events = []
-    onset = Fraction(0)
+    remaining = 4 * TICKS_PER_QUARTER * bars
+    pitches: list[int | None] = []
+    ticks: list[int] = []
     walk = _walk_pitches(rng)
-    for _ in range(n_notes):
-        duration = rng.choice(DURATIONS)
-        events.append(NoteEvent(next(walk), duration, onset))
-        onset += duration
-    return tuple(events)
+    while remaining > 0:
+        length = min(rng.choice(DURATIONS), remaining)
+        # no consecutive rests: adjacent rests do not survive a MIDI round trip
+        rest = pitches[-1:] != [None] and rng.random() < REST_PROBABILITY
+        pitches.append(None if rest else next(walk))
+        ticks.append(length)
+        remaining -= length
+    return TickLine(TICKS_PER_QUARTER, tuple(pitches), tuple(ticks))
 
 
-def _midi(events: tuple[NoteEvent, ...]) -> bytes:
+def make_seed_phrase(rng: random.Random, n_notes: int = SEED_NOTES) -> TickLine:
+    """Sixteen pitched notes, no rests, for use as a generation seed."""
+    walk = _walk_pitches(rng)
+    ticks, pitches = zip(*((rng.choice(DURATIONS), next(walk)) for _ in range(n_notes)))
+    return TickLine(TICKS_PER_QUARTER, pitches, ticks)
+
+
+def _midi(line: TickLine) -> bytes:
     """A phrase as SMF bytes at the coarsest division that holds it."""
-    return write_line(event_line(events, lcm_time_division(events)), TEMPO)
+    step = math.gcd(line.division, *line.ticks)
+    coarse = TickLine(line.division // step, line.pitches, tuple(length // step for length in line.ticks))
+    return write_line(coarse, TEMPO)
 
 
 def write_corpus(directory: Path | str, seed: int = 0, n_files: int = CORPUS_FILES) -> list[Path]:

@@ -112,6 +112,7 @@ def test_resolve_config_rejects_bad_order():
      "learning_rate must be a number, got 'x'"),
     (b"\xff\xfe{", "config.json: 'utf-8' codec can't decode byte 0xff"),
     (b'{"corpus_dir": ', "config.json: Expecting value"),
+    (b"{", "config.json: Expecting property name"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
     monkeypatch.chdir(tmp_path)
@@ -119,8 +120,8 @@ def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
     config_file.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     result = invoke(["ingest", "--config", config_file])
     assert result.exit_code == 2, result.output
-    # click's usage hint, then the one-line reason; no traceback
-    assert message in result.output.strip().splitlines()[-1]
+    (line,) = result.output.splitlines()
+    assert message in line
     assert "Traceback" not in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
@@ -144,7 +145,8 @@ def test_bad_rnn_setting_exits_2_before_writing(workspace, pipeline, tmp_path, c
     before = files_under(out)
     result = invoke([command, *dirs(workspace, out=str(out)), *TINY, flag, value])
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    (line,) = result.output.splitlines()
+    assert message in line
     assert files_under(out) == before
 
 
@@ -217,7 +219,8 @@ def test_ingest_empty_corpus_exits_2(workspace, tmp_path):
     empty.mkdir()
     result = invoke(["ingest", "--corpus", empty, "--seeds", workspace / "seeds", "--out", tmp_path / "out"])
     assert result.exit_code == 2
-    assert "no usable MIDI files" in result.output
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: no usable MIDI files")
 
 
 def test_ingest_warns_and_continues_on_corrupt_file(workspace, tmp_path):
@@ -337,7 +340,8 @@ def test_generate_without_models_exits_2(workspace, tmp_path):
 def test_generate_unknown_seed_id_exits_2(workspace, pipeline):
     result = invoke(["generate", *dirs(workspace), *TINY, "--seed-id", "nope"])
     assert result.exit_code == 2
-    assert "unknown seed ids nope" in result.output
+    (line,) = result.output.splitlines()
+    assert line.startswith("Error: unknown seed ids nope")
 
 
 def test_generate_with_stale_checkpoint_exits_2(workspace, tmp_path):
@@ -500,6 +504,9 @@ FAULTS = {
     "truncated": _truncate_to_half,
     "bad-token": lambda path: path.write_text("C4_1.0 Q9_1.0\n"),
     "one-token": lambda path: path.write_text("C4_1.0\n"),
+    "emptied": lambda path: path.write_text(""),
+    "three-tokens": lambda path: path.write_text("\n".join(path.read_text().split()[:3]) + "\n"),
+    "seed-2-copy": lambda path: shutil.copyfile(path.with_name(path.name.replace("seed_1", "seed_2")), path),
 }
 # a truncated token file can still be a valid one
 PARSED_FILE = ("deleted", "directory", "garbage", "truncated")
@@ -510,10 +517,11 @@ ARTIFACTS = {
     "ingest/manifest.json": (PARSED_FILE, [("train",), GENERATE, ("evaluate",)]),
     "ingest/vocab.json": (PARSED_FILE, [("train",)]),
     "ingest/tokens/corpus_01.tokens": (TOKEN_FILE, [("train",)]),
-    "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE]),
+    "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE, ("evaluate",)]),
     "models/markov.json": (PARSED_FILE, [("generate", "--model", "markov")]),
     "models/rnn.ckpt": (PARSED_FILE, [("generate", "--model", "rnn")]),
-    "generated/seed_1_rnn.tokens": (TOKEN_FILE, [("evaluate",)]),
+    # a generation must begin with its own seed's tokens
+    "generated/seed_1_rnn.tokens": ((*TOKEN_FILE, "emptied", "three-tokens", "seed-2-copy"), [("evaluate",)]),
 }
 STAGE_WRITING = {"ingest": "ingest", "models": "train", "generated": "generate"}
 FAULT_MATRIX = [
