@@ -404,14 +404,11 @@ def run_train(config: ExperimentConfig) -> None:
     click.echo(f"rnn: best epoch {ckpt.epoch}, loss {ckpt.best_loss:.4f}")
 
 
-def _write_generation(layout: Layout, seed_id: str, model: str, tokens: list[str]) -> None:
-    write_token_file(layout.generation(seed_id, model, "tokens"), tokens)
+def _render(seed_id: str, model: str, tokens: list[str]) -> bytes:
     try:
-        data = write_line(tick_line(tokens), OUTPUT_TEMPO)
+        return write_line(tick_line(tokens), OUTPUT_TEMPO)
     except MidiError as err:
         raise click.ClickException(f"{seed_id} {model}: cannot render MIDI: {err}")
-    with atomic_open(layout.generation(seed_id, model, "mid"), "wb") as handle:
-        handle.write(data)
 
 
 def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tuple[str, ...]) -> None:
@@ -443,16 +440,21 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
             temperature=config.rnn.temperature, rngs=rngs,
         )
         rnn_outputs = dict(zip(seed_ids, outputs))
-    layout.generated_dir.mkdir(parents=True, exist_ok=True)
+    continuations = []
     for seed_id in seed_ids:
         if table is not None:
-            tokens = generate_markov(table, seeds[seed_id], config.markov_notes)
-            _write_generation(layout, seed_id, "markov", tokens)
-            click.echo(f"{seed_id} markov: {len(tokens)} tokens")
+            continuations.append((seed_id, "markov", generate_markov(table, seeds[seed_id], config.markov_notes)))
         if seed_id in rnn_outputs:
-            tokens = rnn_outputs[seed_id]
-            _write_generation(layout, seed_id, "rnn", tokens)
-            click.echo(f"{seed_id} rnn: {len(tokens)} tokens")
+            continuations.append((seed_id, "rnn", rnn_outputs[seed_id]))
+    # every continuation renders before any file is written, so a render
+    # error leaves generated/ as it was
+    midi = [_render(*continuation) for continuation in continuations]
+    layout.generated_dir.mkdir(parents=True, exist_ok=True)
+    for (seed_id, model, tokens), data in zip(continuations, midi):
+        write_token_file(layout.generation(seed_id, model, "tokens"), tokens)
+        with atomic_open(layout.generation(seed_id, model, "mid"), "wb") as handle:
+            handle.write(data)
+        click.echo(f"{seed_id} {model}: {len(tokens)} tokens")
 
 
 def run_evaluate(config: ExperimentConfig) -> None:

@@ -3,7 +3,8 @@
 Counts are kept for every state length 1..k so generation can fall back to
 shorter contexts when a full-length state was never observed.  Probabilities
 are exact rationals; generation is deterministic argmax with ties broken
-toward the lexicographically smallest symbol.
+toward the lexicographically smallest symbol, so each context's choice is
+worked out once per table and then looked up.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class TransitionTable:
     order: int
     counts: dict[State, dict[str, int]] = field(default_factory=dict)
     unigram: dict[str, int] = field(default_factory=dict)
+    # context (the last `order` symbols, fewer at the start) -> greedy choice,
+    # filled by generate_markov; clear it after changing counts or unigram
+    greedy: dict[State, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -74,27 +78,33 @@ def _argmax(distribution: Mapping[str, int]) -> str:
     return min(distribution, key=lambda symbol: (-distribution[symbol], symbol))
 
 
+def _greedy_choice(table: TransitionTable, context: State) -> str:
+    for length in range(len(context), 0, -1):
+        successors = table.counts.get(context[-length:])
+        if successors:
+            return _argmax(successors)
+    return _argmax(table.unigram)
+
+
 def generate_markov(table: TransitionTable, seed: Sequence[str], n: int) -> list[str]:
     """The seed followed by exactly ``n`` greedily chosen symbols.
 
     Each step tries the longest available context first (up to the table
     order), backing off one symbol at a time; with no matching state at any
-    length the unigram argmax is emitted.
+    length the unigram argmax is emitted. The choice depends on the context
+    alone, so the table keeps it for later steps and calls.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not table.unigram:
         raise EmptyTableError("transition table is empty")
     history = list(seed)
+    greedy, order = table.greedy, table.order
     for _ in range(n):
-        choice = None
-        for length in range(min(table.order, len(history)), 0, -1):
-            successors = table.counts.get(tuple(history[-length:]))
-            if successors:
-                choice = _argmax(successors)
-                break
+        context = tuple(history[-order:])
+        choice = greedy.get(context)
         if choice is None:
-            choice = _argmax(table.unigram)
+            choice = greedy[context] = _greedy_choice(table, context)
         history.append(choice)
     return history
 
@@ -126,6 +136,14 @@ def _positive_int(what: str, value) -> int:
     return value
 
 
+def _check_counts(successors: dict) -> None:
+    """_positive_int("count", ...) on each count in order, without a call per
+    count. A non-object fails on .items() with an AttributeError."""
+    for _, count in successors.items():
+        if type(count) is not int or count < 1:
+            raise ValueError(f"count {count!r} is not an integer >= 1")
+
+
 def load_transition_table(path) -> TransitionTable:
     with open(path, "rb") as handle:
         data = handle.read()
@@ -137,8 +155,11 @@ def load_transition_table(path) -> TransitionTable:
             state = tuple(entry["state"])
             if not 1 <= len(state) <= order:
                 raise ValueError(f"state {list(state)} is not 1 to {order} symbols long")
-            counts[state] = {k: _positive_int("count", v) for k, v in entry["next"].items()}
-        unigram = {k: _positive_int("count", v) for k, v in payload["unigram"].items()}
+            successors = entry["next"]
+            _check_counts(successors)
+            counts[state] = successors
+        unigram = payload["unigram"]
+        _check_counts(unigram)
         table = TransitionTable(order=order, counts=counts, unigram=unigram)
         # generate writes every symbol out as a token, so each must parse
         for symbol in sorted(set(unigram).union(*counts, *counts.values())):

@@ -15,9 +15,10 @@ from click.testing import CliRunner
 
 from jazzgen import cli, neural
 from jazzgen.cli import derive_seed, main, resolve_config
-from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_midi
+from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
 from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
 from jazzgen.synthetic import write_corpus, write_seeds
+from jazzgen.tokenizer import tick_line
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "data" / "reference_comparison.csv"
@@ -35,6 +36,15 @@ TINY = [
 
 def invoke(args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def invoke_stage(command, args):
+    """invoke([command, *args]); train at TINY sizes on the workspace corpus
+    leaves one window over, which it must warn about."""
+    if command != "train":
+        return invoke([command, *args])
+    with pytest.warns(UserWarning, match="skipping size-1 batch"):
+        return invoke([command, *args])
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +67,7 @@ def dirs(workspace, out="out"):
 def pipeline(workspace):
     """ingest + train + generate run once, shared by the downstream tests."""
     for command in ("ingest", "train", "generate"):
-        result = invoke([command, *dirs(workspace), *TINY])
+        result = invoke_stage(command, [*dirs(workspace), *TINY])
         assert result.exit_code == 0, result.output
     return workspace / "out"
 
@@ -349,7 +359,7 @@ def test_generate_with_stale_checkpoint_exits_2(workspace, tmp_path):
     shutil.copytree(workspace / "seeds", seeds)
     args = ["--corpus", workspace / "corpus", "--seeds", seeds, "--out", tmp_path / "out", *TINY]
     for command in ("ingest", "train"):
-        assert invoke([command, *args]).exit_code == 0
+        assert invoke_stage(command, args).exit_code == 0
     # re-ingest a seed holding a token the trained checkpoint has never seen
     events = tuple(NoteEvent(61, Fraction(3, 2), Fraction(3 * i, 2)) for i in range(16))
     (seeds / "seed_2.mid").write_bytes(write_midi(MidiDocument(lcm_time_division(events), 240, events)))
@@ -430,6 +440,13 @@ def _set_first_unigram(value):
     return edit
 
 
+def _set_last_count(value):
+    def edit(payload):
+        successors = payload["counts"][-1]["next"]
+        successors[max(successors)] = value
+    return edit
+
+
 def _set_first_state(length):
     def edit(payload):
         entry = payload["counts"][0]
@@ -453,9 +470,14 @@ def _set_first_state(length):
     (lambda raw: _edit_table(raw, lambda payload: payload.update(order=0)), "order 0 is not an integer >= 1"),
     (lambda raw: _edit_table(raw, _set_first_state(3)), "is not 1 to 2 symbols long"),
     (lambda raw: _edit_table(raw, _set_first_state(0)), "is not 1 to 2 symbols long"),
+    (lambda raw: _edit_table(raw, lambda payload: payload["counts"][0].update(next=[1])),
+     "AttributeError: 'list' object has no attribute 'items'"),
+    (lambda raw: _edit_table(raw, lambda payload: payload.update(unigram=[1])),
+     "AttributeError: 'list' object has no attribute 'items'"),
+    (lambda raw: _edit_table(raw, _set_last_count(0)), "count 0 is not an integer >= 1"),
 ], ids=["truncated", "garbage", "list", "non-token-symbol", "fractional-count", "string-count",
         "bool-count", "zero-count", "negative-count", "zero-unigram", "string-order", "bool-order",
-        "zero-order", "long-state", "empty-state"])
+        "zero-order", "long-state", "empty-state", "list-next", "list-unigram", "zero-last-count"])
 def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -467,6 +489,35 @@ def test_generate_with_damaged_markov_table_exits_2(workspace, pipeline, tmp_pat
     (line,) = result.output.strip().splitlines()
     assert str(table) in line and reason in line and line.endswith("rerun train")
     assert not (out / "generated").exists()
+
+
+@pytest.mark.parametrize("earlier_run", [False, True], ids=["first-run", "over-earlier-run"])
+def test_generate_render_error_writes_no_generation(workspace, pipeline, tmp_path, monkeypatch, earlier_run):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    if earlier_run:
+        shutil.copytree(pipeline / "generated", out / "generated")
+        for path in (out / "generated").iterdir():
+            path.write_bytes(b"earlier run")
+    before = files_under(out)
+    # seed_1's RNN continuation renders after seed_1's Markov one and before seed_2's
+    doomed = tick_line((pipeline / "generated" / "seed_1_rnn.tokens").read_text().split())
+    real_write_line = cli.write_line
+
+    def write_line(line, tempo):
+        if line == doomed:
+            raise TickResolutionError("time division 323323 overflows the 15-bit SMF field (max 32767)")
+        return real_write_line(line, tempo)
+
+    monkeypatch.setattr(cli, "write_line", write_line)
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        "Error: seed_1 rnn: cannot render MIDI: time division 323323 overflows the 15-bit SMF field (max 32767)"
+    ]
+    assert files_under(out) == before
+    assert (out / "generated").exists() == earlier_run
 
 
 @pytest.mark.parametrize("damage", [
@@ -755,7 +806,7 @@ def test_pipeline_rerun_is_byte_identical(workspace, tmp_path):
     for name in ("one", "two"):
         out = tmp_path / name
         for command in ("ingest", "train", "generate", "evaluate"):
-            result = invoke([command, *dirs(workspace, out=str(out)), *TINY, "--seed-rng", "9"])
+            result = invoke_stage(command, [*dirs(workspace, out=str(out)), *TINY, "--seed-rng", "9"])
             assert result.exit_code == 0, result.output
         outputs.append(out)
     first, second = outputs
@@ -771,7 +822,7 @@ def test_changing_global_seed_changes_rnn_output(workspace, tmp_path):
     for seed in ("3", "4"):
         out = tmp_path / f"seed{seed}"
         for command in ("ingest", "train", "generate"):
-            result = invoke([command, *dirs(workspace, out=str(out)), *TINY, "--seed-rng", seed])
+            result = invoke_stage(command, [*dirs(workspace, out=str(out)), *TINY, "--seed-rng", seed])
             assert result.exit_code == 0, result.output
         outputs.append((out / "generated" / "seed_1_rnn.tokens").read_text())
     assert outputs[0] != outputs[1]

@@ -1,7 +1,8 @@
+import json
+import tempfile
 from collections import Counter
 from fractions import Fraction
-
-import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -181,3 +182,48 @@ def test_generation_emits_known_symbols(seqs, order, n):
     assert len(out) == len(seed) + n
     assert out[: len(seed)] == seed
     assert all(symbol in table.unigram for symbol in out[len(seed):])
+
+
+def reference_greedy(table, seed, n):
+    """Backoff argmax written out: the successors of the longest seen context
+    (the unigram if none), most counted first, then the smallest symbol."""
+    history = list(seed)
+    for _ in range(n):
+        successors = table.unigram
+        for length in range(min(table.order, len(history)), 0, -1):
+            if tuple(history[-length:]) in table.counts:
+                successors = table.counts[tuple(history[-length:])]
+                break
+        most = max(successors.values())
+        history.append(min(symbol for symbol, count in successors.items() if count == most))
+    return history
+
+
+# symbols are tokens, so tables save and load; the last two never occur in
+# training, so contexts holding them back off, down to the unigram
+trained_tokens = st.sampled_from(["C4_1.0", "D4_0.5", "E4_1.0", "R_0.5"])
+seed_tokens = st.sampled_from(["C4_1.0", "D4_0.5", "E4_1.0", "R_0.5", "G4_1.0", "A4_1/3"])
+
+
+@given(
+    st.lists(st.lists(trained_tokens, min_size=1, max_size=20), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.lists(st.lists(seed_tokens, max_size=6), min_size=2, max_size=4),
+    st.integers(0, 15),
+)
+def test_shared_table_decodes_as_fresh_tables_and_reference(seqs, order, seeds, n):
+    shared = build_transition_table(seqs, order=order)
+    outputs = [generate_markov(shared, seed, n) for seed in seeds]
+    assert outputs == [generate_markov(build_transition_table(seqs, order=order), seed, n) for seed in seeds]
+    assert outputs == [reference_greedy(shared, seed, n) for seed in seeds]
+    with tempfile.TemporaryDirectory() as directory:
+        used, fresh = Path(directory, "used.json"), Path(directory, "fresh.json")
+        save_transition_table(shared, used)
+        save_transition_table(build_transition_table(seqs, order=order), fresh)
+        assert used.read_bytes() == fresh.read_bytes()
+        loaded = load_transition_table(used)
+        assert loaded == shared
+        assert [generate_markov(loaded, seed, n) for seed in seeds] == outputs
+        save_transition_table(loaded, used)
+        assert used.read_bytes() == fresh.read_bytes()
+    assert "greedy" not in repr(shared)
