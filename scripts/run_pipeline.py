@@ -13,12 +13,12 @@ from pathlib import Path
 
 import click
 
-from jazzgen.cli import MODEL_NAMES, output_lock, resolve_config, run_evaluate, run_generate, run_ingest, run_train
+from jazzgen.cli import MODEL_NAMES, SETTINGS, output_lock, resolve_config, run_evaluate, run_generate, run_ingest, run_train
 from jazzgen.synthetic import write_corpus, write_seeds
 
 
 def run(args: argparse.Namespace) -> None:
-    # the remaining argparse destinations are named like the CLI's flags
+    # the remaining argparse destinations are the CLI's parameter names
     dirs = {"corpus": args.work / "corpus", "seeds": args.work / "seeds", "out": args.work / "out"}
     config = resolve_config(None, {**vars(args), **dirs})
     if not config.corpus_dir.is_dir():
@@ -38,10 +38,9 @@ def run(args: argparse.Namespace) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", type=Path, default=Path("runs/pipeline"), help="work directory")
-    parser.add_argument("--seed-rng", type=int, help="global seed")
-    parser.add_argument("--order", type=int, help="markov order")
-    parser.add_argument("--hidden", type=int, help="LSTM units per layer")
-    parser.add_argument("--epochs", type=int, help="training epochs")
+    for setting in SETTINGS:
+        if setting.name in ("seed_rng", "order", "hidden", "epochs"):
+            parser.add_argument(setting.flag, type=setting.type, help=setting.help)
     try:
         run(parser.parse_args())
     except click.ClickException as err:

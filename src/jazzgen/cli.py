@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .checks import SELF_CHECKS
-from .files import atomic_open
+from .files import atomic_open, write_all
 from .markov import (
     build_transition_table,
     generate_markov,
@@ -100,22 +100,36 @@ class ExperimentConfig:
             )
 
 
-# flag name -> config field, for flags that override the config file
-_TOP_FLAGS = {
-    "corpus": "corpus_dir",
-    "seeds": "seeds_dir",
-    "out": "out_dir",
-    "order": "markov_order",
-    "seed_rng": "global_seed",
-    "markov_notes": "markov_notes",
-    "rnn_steps": "rnn_steps",
-}
-_RNN_FLAGS = {
-    "hidden": "hidden_units",
-    "epochs": "epochs",
-    "batch": "batch_size",
-    "temperature": "temperature",
-}
+@dataclass(frozen=True)
+class Setting:
+    """An override flag: click parameter name, config key ("rnn.<field>" for the network), type, help."""
+
+    name: str
+    key: str
+    type: object
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+DIRECTORY = click.Path(file_okay=False)  # the type of the three required settings, which have no default
+
+# every override flag, in --help order
+SETTINGS = (
+    Setting("corpus", "corpus_dir", DIRECTORY, "Corpus MIDI directory."),
+    Setting("seeds", "seeds_dir", DIRECTORY, "Seed MIDI directory."),
+    Setting("out", "out_dir", DIRECTORY, "Output directory."),
+    Setting("order", "markov_order", int, "Markov order k."),
+    Setting("hidden", "rnn.hidden_units", int, "LSTM hidden units."),
+    Setting("epochs", "rnn.epochs", int, "Training epochs."),
+    Setting("batch", "rnn.batch_size", int, "Training batch size."),
+    Setting("temperature", "rnn.temperature", float, "RNN sampling temperature."),
+    Setting("seed_rng", "global_seed", int, "Global rng seed."),
+    Setting("markov_notes", "markov_notes", int, "Generated Markov note count."),
+    Setting("rnn_steps", "rnn_steps", int, "Generated RNN step count."),
+)
 
 
 def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
@@ -139,19 +153,16 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
     for key in rnn_data:
         if key not in known_rnn:
             raise InputError(f"unknown config key 'rnn.{key}'")
-    for flag, name in _TOP_FLAGS.items():
-        if flags.get(flag) is not None:
-            data[name] = flags[flag]
-    for flag, name in _RNN_FLAGS.items():
-        if flags.get(flag) is not None:
-            rnn_data[name] = flags[flag]
-    for required in ("corpus_dir", "seeds_dir", "out_dir"):
-        if required not in data:
-            flag = {v: k for k, v in _TOP_FLAGS.items()}[required]
-            raise InputError(f"{required} is required; pass --{flag} or set it in the config file")
-        if not isinstance(data[required], (str, os.PathLike)):
-            raise InputError(f"{required} must be a directory path, got {data[required]!r}")
-        data[required] = Path(data[required])
+    for setting in SETTINGS:
+        section, _, key = setting.key.rpartition(".")
+        if flags.get(setting.name) is not None:
+            (rnn_data if section else data)[key] = flags[setting.name]
+        if setting.type is DIRECTORY:
+            if key not in data:
+                raise InputError(f"{key} is required; pass {setting.flag} or set it in the config file")
+            if not isinstance(data[key], (str, os.PathLike)):
+                raise InputError(f"{key} must be a directory path, got {data[key]!r}")
+            data[key] = Path(data[key])
     try:
         config = ExperimentConfig(rnn=RnnConfig(**rnn_data), **data)
     except (TypeError, ValueError) as err:
@@ -277,8 +288,8 @@ def write_json(path: Path, obj) -> None:
     write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
 
 
-def write_token_file(path: Path, tokens) -> None:
-    write_text(path, "\n".join(tokens) + "\n")
+def token_text(tokens) -> str:
+    return "\n".join(tokens) + "\n"
 
 
 def read_tokens(
@@ -355,9 +366,9 @@ def run_ingest(config: ExperimentConfig) -> None:
         new_types = set(tokens) - seen
         seen |= new_types
         entries.append({"file": stem, "tokens": len(tokens), "new_types": len(new_types)})
-        write_token_file(layout.tokens_dir / f"{stem}.tokens", tokens)
+        write_text(layout.tokens_dir / f"{stem}.tokens", token_text(tokens))
     for stem in sorted(seeds):
-        write_token_file(layout.seeds_dir / f"{stem}.tokens", seeds[stem])
+        write_text(layout.seeds_dir / f"{stem}.tokens", token_text(seeds[stem]))
     write_json(
         layout.manifest,
         {
@@ -446,14 +457,18 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
             continuations.append((seed_id, "markov", generate_markov(table, seeds[seed_id], config.markov_notes)))
         if seed_id in rnn_outputs:
             continuations.append((seed_id, "rnn", rnn_outputs[seed_id]))
-    # every continuation renders before any file is written, so a render
-    # error leaves generated/ as it was
-    midi = [_render(*continuation) for continuation in continuations]
+    # every continuation renders before any file is written, and the files are
+    # written all or none, so a render or write error leaves generated/ as it was
+    files = {}
+    for seed_id, model, tokens in continuations:
+        files[layout.generation(seed_id, model, "tokens")] = token_text(tokens).encode()
+        files[layout.generation(seed_id, model, "mid")] = _render(seed_id, model, tokens)
     layout.generated_dir.mkdir(parents=True, exist_ok=True)
-    for (seed_id, model, tokens), data in zip(continuations, midi):
-        write_token_file(layout.generation(seed_id, model, "tokens"), tokens)
-        with atomic_open(layout.generation(seed_id, model, "mid"), "wb") as handle:
-            handle.write(data)
+    try:
+        write_all(files)
+    except OSError as err:
+        raise click.ClickException(f"cannot write {err.filename}: {err.strerror}")
+    for seed_id, model, tokens in continuations:
         click.echo(f"{seed_id} {model}: {len(tokens)} tokens")
 
 
@@ -488,15 +503,9 @@ def run_evaluate(config: ExperimentConfig) -> None:
                 "tokens": len(line.ticks),
                 "quarters": sum(line.ticks) / line.division,
             }
-        rows.append(
-            ComparisonRow(
-                seed_id,
-                reports["markov"].mean_gs,
-                reports["markov"].entropy,
-                reports["rnn"].mean_gs,
-                reports["rnn"].entropy,
-            )
-        )
+        # ComparisonRow's scores are each model's GS then entropy, in MODEL_NAMES order
+        scores = (value for m in MODEL_NAMES for value in (reports[m].mean_gs, reports[m].entropy))
+        rows.append(ComparisonRow(seed_id, *scores))
         gs_series[seed_id] = {m: list(reports[m].gs_series) for m in MODEL_NAMES}
         histograms[seed_id] = {m: list(reports[m].histogram) for m in MODEL_NAMES}
     write_text(layout.report_dir / "comparison.csv", write_comparison_csv(rows))
@@ -526,24 +535,10 @@ def run_evaluate(config: ExperimentConfig) -> None:
 
 
 def config_options(fn):
-    options = [
-        click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                     help="JSON config; flags override its values."),
-        click.option("--corpus", type=click.Path(file_okay=False), help="Corpus MIDI directory."),
-        click.option("--seeds", type=click.Path(file_okay=False), help="Seed MIDI directory."),
-        click.option("--out", type=click.Path(file_okay=False), help="Output directory."),
-        click.option("--order", type=int, help="Markov order k."),
-        click.option("--hidden", type=int, help="LSTM hidden units."),
-        click.option("--epochs", type=int, help="Training epochs."),
-        click.option("--batch", type=int, help="Training batch size."),
-        click.option("--temperature", type=float, help="RNN sampling temperature."),
-        click.option("--seed-rng", type=int, help="Global rng seed."),
-        click.option("--markov-notes", type=int, help="Generated Markov note count."),
-        click.option("--rnn-steps", type=int, help="Generated RNN step count."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+    for setting in reversed(SETTINGS):
+        fn = click.option(setting.flag, setting.name, type=setting.type, help=setting.help)(fn)
+    return click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
+                        help="JSON config; flags override its values.")(fn)
 
 
 @click.group()

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .metrics import MAX_ENTROPY
 
 _BOUND_SLACK = 1e-9
-CSV_HEADER = ("seed_id", "markov_gs", "markov_entropy", "rnn_gs", "rnn_entropy")
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -31,14 +30,15 @@ class ComparisonRow:
     rnn_entropy: float
 
     def __post_init__(self):
-        for name in ("markov_gs", "rnn_gs"):
-            value = getattr(self, name)
-            if not (-_BOUND_SLACK <= value <= 1 + _BOUND_SLACK):
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        for name in ("markov_entropy", "rnn_entropy"):
-            value = getattr(self, name)
-            if not (-_BOUND_SLACK <= value <= MAX_ENTROPY + _BOUND_SLACK):
-                raise ValueError(f"{name}={value} outside [0, log2 12]")
+        for metric, top, shown in (("gs", 1, "1"), ("entropy", MAX_ENTROPY, "log2 12")):
+            for name in (f"markov_{metric}", f"rnn_{metric}"):
+                value = getattr(self, name)
+                if not (-_BOUND_SLACK <= value <= top + _BOUND_SLACK):
+                    raise ValueError(f"{name}={value} outside [0, {shown}]")
+
+
+# the columns of comparison.csv and the keys of comparison.json's rows
+CSV_HEADER = tuple(f.name for f in fields(ComparisonRow))
 
 
 def win_fractions(rows: Sequence[ComparisonRow]) -> tuple[Fraction, Fraction]:
@@ -68,50 +68,31 @@ def write_comparison_csv(rows: Sequence[ComparisonRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.seed_id,
-                f"{row.markov_gs:.6f}",
-                f"{row.markov_entropy:.6f}",
-                f"{row.rnn_gs:.6f}",
-                f"{row.rnn_entropy:.6f}",
-            ]
-        )
+    for seed_id, *scores in map(astuple, rows):
+        writer.writerow([seed_id, *(f"{score:.6f}" for score in scores)])
     return out.getvalue()
 
 
 def read_comparison_csv(text: str) -> list[ComparisonRow]:
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty comparison table") from None
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty comparison table")
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected header {header!r}")
     rows = []
     for record in reader:
         if not record:
             continue
-        if len(record) != 5:
-            raise ValueError(f"row {record!r} does not have 5 fields")
-        rows.append(
-            ComparisonRow(record[0], float(record[1]), float(record[2]), float(record[3]), float(record[4]))
-        )
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(f"row {record!r} does not have {len(CSV_HEADER)} fields")
+        seed_id, *scores = record
+        rows.append(ComparisonRow(seed_id, *map(float, scores)))
     return rows
 
 
 def rows_as_dicts(rows: Sequence[ComparisonRow]) -> list[dict]:
-    return [
-        {
-            "seed_id": r.seed_id,
-            "markov_gs": r.markov_gs,
-            "markov_entropy": r.markov_entropy,
-            "rnn_gs": r.rnn_gs,
-            "rnn_entropy": r.rnn_entropy,
-        }
-        for r in rows
-    ]
+    return [asdict(row) for row in rows]
 
 
 # chart geometry, shared by both renderers

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .files import atomic_open
 from .neural import (
@@ -197,20 +198,23 @@ class Network:
 
 def make_training_windows(
     sequences: Iterable[Sequence[str]], vocab: Vocabulary, window: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Stride-1 sliding windows within each sequence, never across them.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 sliding windows within each sequence, never across them, as
+    int64 (inputs, targets): row i of inputs holds a window's token indices
+    and targets[i] the index of the token that follows it.
 
     Sequences shorter than window+1 yield nothing; if every sequence is that
     short there is nothing to train on and that is an error.
     """
-    windows = []
+    inputs, targets = [], []
     for sequence in sequences:
-        indices = [vocab.encode(token) for token in sequence]
-        for i in range(len(indices) - window):
-            windows.append((tuple(indices[i : i + window]), indices[i + window]))
-    if not windows:
+        indices = np.array([vocab.encode(token) for token in sequence], dtype=np.int64)
+        if len(indices) > window:
+            inputs.append(sliding_window_view(indices[:-1], window))
+            targets.append(indices[window:])
+    if not inputs:
         raise ValueError(f"no sequence is longer than the window ({window} tokens)")
-    return windows
+    return np.concatenate(inputs), np.concatenate(targets)
 
 
 @one_blas_thread()
@@ -227,9 +231,7 @@ def train(
     the other the shuffles and dropout masks. on_epoch, when given, is called
     after every epoch with (epoch index, mean loss, improved flag).
     """
-    windows = make_training_windows(sequences, vocab, config.window)
-    inputs = np.array([w for w, _ in windows], dtype=np.int64)
-    targets = np.array([t for _, t in windows], dtype=np.int64)
+    inputs, targets = make_training_windows(sequences, vocab, config.window)
 
     net = Network(config, init_tensors(config, len(vocab), seed))
     rng = np.random.default_rng(seed)
@@ -237,14 +239,14 @@ def train(
     best_loss = float("inf")
     best_epoch = -1
     best_tensors = None
-    if len(windows) % config.batch_size == 1:
+    if len(targets) % config.batch_size == 1:
         warnings.warn(
-            f"skipping size-1 batch in {config.epochs} epoch(s): {len(windows)} windows"
+            f"skipping size-1 batch in {config.epochs} epoch(s): {len(targets)} windows"
             f" in batches of {config.batch_size} leave one over (batch normalization needs >= 2)"
         )
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(windows))
+        order = rng.permutation(len(targets))
         loss_sum = 0.0
         example_count = 0
         for start in range(0, len(order), config.batch_size):

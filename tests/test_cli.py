@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -6,15 +7,15 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from jazzgen import cli, neural
-from jazzgen.cli import derive_seed, main, resolve_config
+from jazzgen import cli, files, neural
+from jazzgen.cli import SETTINGS, ExperimentConfig, derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
 from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
 from jazzgen.synthetic import write_corpus, write_seeds
@@ -204,6 +205,46 @@ def test_readme_lists_every_rnn_config_key_with_its_default():
     readme = (ROOT / "README.md").read_text()
     rows = dict(re.findall(r"^\| `rnn\.(\w+)` \| `([^`]*)` \|", readme, re.MULTILINE))
     assert rows == {f.name: json.dumps(f.default) for f in fields(RnnConfig)}
+
+
+def config_defaults():
+    """Every config key ("rnn.<field>" for the network section) -> its default."""
+    top = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "rnn"}
+    return top | {f"rnn.{f.name}": f.default for f in fields(RnnConfig)}
+
+
+def test_every_setting_names_a_config_field_and_its_own_flag():
+    defaults = config_defaults()
+    assert all(setting.key in defaults for setting in SETTINGS)
+    for column in ("name", "key"):
+        values = [getattr(setting, column) for setting in SETTINGS]
+        assert len(set(values)) == len(values), column
+
+
+def test_each_flag_sets_its_config_key():
+    values = {cli.DIRECTORY: "somewhere", int: 7, float: 0.5}
+    flags = {setting.name: values[setting.type] for setting in SETTINGS}
+    config = resolve_config(None, flags)
+    for setting in SETTINGS:
+        section, _, key = setting.key.rpartition(".")
+        value = getattr(config.rnn if section else config, key)
+        assert value == (Path("somewhere") if setting.type is cli.DIRECTORY else values[setting.type]), setting
+
+
+def test_readme_flag_table_lists_every_setting_with_its_default():
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `(--[\w-]+)` \| `([\w.]+)` \| [^|]+ \| ([^|]+) \|$", readme, re.MULTILINE)
+    defaults = config_defaults()
+    assert rows == [
+        (s.flag, s.key, "required" if defaults[s.key] is MISSING else json.dumps(defaults[s.key])) for s in SETTINGS
+    ]
+
+
+@pytest.mark.parametrize("command", ["ingest", "generate"])
+def test_help_text_is_unchanged(command):
+    result = invoke([command, "--help"])
+    assert result.exit_code == 0
+    assert result.output == (ROOT / "tests" / "data" / f"help_{command}.txt").read_text()
 
 
 def test_derive_seed_is_stable_and_purpose_split():
@@ -596,6 +637,44 @@ def test_damaged_artifact_exits_2_naming_the_stage_to_rerun(workspace, pipeline,
     (line,) = result.output.strip().splitlines()
     assert str(path) in line and line.endswith(f"rerun {STAGE_WRITING[artifact.split('/')[0]]}"), line
     assert files_under(out) == before
+
+
+def test_generate_write_error_leaves_generated_as_it_was(workspace, pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    assert invoke(["generate", *dirs(workspace, out=str(out)), *TINY]).exit_code == 0
+    before = files_under(out)
+    opened = []
+    real_open = open
+
+    class FullDisk:
+        """A file handle on a disk with no space left: every write fails."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_third_on_full_disk(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return FullDisk(opened[-1]) if len(opened) == 3 else opened[-1]
+
+    monkeypatch.setattr(files, "open", open_third_on_full_disk, raising=False)
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--markov-notes", "40"])
+    # seed_1's Markov tokens and MIDI are written first, then seed_1's RNN tokens
+    assert len(opened) == 3
+    assert files_under(out) == before
+    assert result.exit_code == 1, result.output
+    third = out / "generated" / "seed_1_rnn.tokens"
+    assert result.output.splitlines() == [f"Error: cannot write {third}: No space left on device"]
 
 
 def test_generate_loads_models_through_the_names_a_trace_wraps(workspace, pipeline, tmp_path, monkeypatch):

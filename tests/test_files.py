@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jazzgen.files import atomic_open
+from jazzgen.files import atomic_open, write_all
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,6 +15,8 @@ WRITERS = {
                    "def write(path):\n"
                    "    with atomic_open(path, 'wb') as handle:\n"
                    "        handle.write(b'n' * 65536)\n",
+    "write_all": "from jazzgen.files import write_all\n"
+                 "write = lambda path: write_all({path + '.small': b's', path: b'n' * 65536})\n",
     "write_json": "from pathlib import Path\n"
                   "from jazzgen.cli import write_json\n"
                   "write = lambda path: write_json(Path(path), list(range(20000)))\n",
@@ -73,3 +75,18 @@ def test_atomic_open_creates_file_with_umask_mode(tmp_path):
     plain = tmp_path / "plain"
     plain.write_bytes(b"x")
     assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_write_all_writes_every_file_and_leaves_no_temp(tmp_path):
+    (tmp_path / "a").write_bytes(b"old")
+    write_all({tmp_path / "a": b"new a", tmp_path / "b": b"new b"})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a": b"new a", "b": b"new b"}
+
+
+def test_write_all_error_names_the_file_and_writes_none(tmp_path):
+    (tmp_path / "a").write_bytes(b"old")
+    unwritable = tmp_path / "missing" / "b"
+    with pytest.raises(FileNotFoundError) as err:
+        write_all({tmp_path / "a": b"new a", unwritable: b"new b"})
+    assert err.value.filename == str(unwritable)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a": b"old"}

@@ -122,24 +122,24 @@ def test_config_holds_only_user_settings():
 def test_twenty_token_file_gives_four_windows():
     seq = cycle_tokens(20)
     vocab = build_vocabulary(seq)
-    windows = make_training_windows([seq], vocab, 16)
-    assert len(windows) == 4
+    inputs, targets = make_training_windows([seq], vocab, 16)
+    assert inputs.shape == (4, 16) and targets.shape == (4,)
+    assert inputs.dtype == targets.dtype == np.int64
 
 
 def test_windows_never_span_files():
     a, b = cycle_tokens(17), list(reversed(cycle_tokens(17)))
     vocab = build_vocabulary(a, b)
-    windows = make_training_windows([a, b], vocab, 16)
-    assert len(windows) == 2
-    first, second = windows
-    assert [vocab.tokens[i] for i in first[0]] == a[:16]
-    assert [vocab.tokens[i] for i in second[0]] == b[:16]
+    inputs, targets = make_training_windows([a, b], vocab, 16)
+    assert len(inputs) == len(targets) == 2
+    assert [vocab.tokens[i] for i in inputs[0]] == a[:16]
+    assert [vocab.tokens[i] for i in inputs[1]] == b[:16]
 
 
 def test_window_targets_decode_to_successors():
     seq = cycle_tokens(20)
     vocab = build_vocabulary(seq)
-    for i, (window, target) in enumerate(make_training_windows([seq], vocab, 16)):
+    for i, (window, target) in enumerate(zip(*make_training_windows([seq], vocab, 16))):
         assert vocab.tokens[target] == seq[i + 16]
         assert [vocab.tokens[j] for j in window] == seq[i : i + 16]
 
@@ -147,7 +147,8 @@ def test_window_targets_decode_to_successors():
 def test_short_files_are_skipped_but_all_short_is_an_error():
     long, short = cycle_tokens(18), cycle_tokens(5)
     vocab = build_vocabulary(long, short)
-    assert len(make_training_windows([long, short], vocab, 16)) == 2
+    inputs, targets = make_training_windows([long, short], vocab, 16)
+    assert len(inputs) == len(targets) == 2
     with pytest.raises(ValueError):
         make_training_windows([short], vocab, 16)
 
