@@ -16,7 +16,7 @@ from jazzgen.metrics import (
     pitch_class_histogram,
 )
 from jazzgen.midi_io import MidiDocument, NoteEvent, read_midi, write_midi
-from jazzgen.rnn import Checkpoint, RnnConfig, generate_rnn, load_checkpoint, save_checkpoint, train
+from jazzgen.rnn import Checkpoint, RnnConfig, encode_checkpoint, generate_rnn, load_checkpoint, train
 from jazzgen.tokenizer import Vocabulary, build_vocabulary, detokenize, tokenize
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "build_transition_table",
     "build_vocabulary",
     "detokenize",
+    "encode_checkpoint",
     "generate_markov",
     "generate_rnn",
     "groove_similarity",
@@ -38,7 +39,6 @@ __all__ = [
     "mean_groove_similarity",
     "pitch_class_histogram",
     "read_midi",
-    "save_checkpoint",
     "tokenize",
     "train",
     "transition_probabilities",

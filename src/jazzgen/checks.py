@@ -18,7 +18,7 @@ import numpy as np
 from . import neural
 from .metrics import MAX_ENTROPY, GroovePattern, PitchHistogram, groove_similarity, histogram_entropy
 from .midi_io import MidiDocument, NoteEvent, lcm_time_division, read_midi, write_midi
-from .rnn import Checkpoint, RnnConfig, init_tensors, load_checkpoint, save_checkpoint
+from .rnn import Checkpoint, RnnConfig, encode_checkpoint, init_tensors, load_checkpoint
 from .tokenizer import Vocabulary, detokenize, parse_token, tokenize
 
 
@@ -194,7 +194,7 @@ def _check_checkpoint_round_trip() -> None:
     ckpt = Checkpoint(init_tensors(config, len(vocab), 0), vocab, config, best_loss=1.5, epoch=0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "check.ckpt"
-        save_checkpoint(ckpt, path)
+        path.write_bytes(encode_checkpoint(ckpt))
         loaded = load_checkpoint(path)
     _require(loaded.vocab == vocab)
     for name, tensor in ckpt.tensors.items():

@@ -22,12 +22,12 @@ import click
 import numpy as np
 
 from .checks import SELF_CHECKS
-from .files import atomic_open, write_all
+from .files import write_all
 from .markov import (
     build_transition_table,
+    encode_transition_table,
     generate_markov,
     load_transition_table,
-    save_transition_table,
 )
 from .metrics import MetricError, evaluate_line
 from .midi_io import MidiError, TickLine, read_line, write_line
@@ -45,9 +45,9 @@ from .report import (
 from .rnn import (
     RnnConfig,
     check_setting_types,
+    encode_checkpoint,
     generate_rnn,
     load_checkpoint,
-    save_checkpoint,
     train,
 )
 from .tokenizer import (
@@ -278,18 +278,24 @@ def output_lock(out_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as handle:
-        handle.write(text)
+def commit(files: dict[Path, bytes]) -> None:
+    """A stage's one write: every output, all or none (files.write_all), in
+    directories made as needed. Any OSError, a failed mkdir included, is one
+    Error: line naming the file, exit 1."""
+    try:
+        for directory in dict.fromkeys(path.parent for path in files):
+            directory.mkdir(parents=True, exist_ok=True)
+        write_all(files)
+    except OSError as err:
+        raise click.ClickException(f"cannot write {err.filename}: {err.strerror}")
 
 
-def write_json(path: Path, obj) -> None:
-    write_text(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+def json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode()
 
 
-def token_text(tokens) -> str:
-    return "\n".join(tokens) + "\n"
+def token_bytes(tokens) -> bytes:
+    return ("\n".join(tokens) + "\n").encode()
 
 
 def read_tokens(
@@ -361,24 +367,23 @@ def run_ingest(config: ExperimentConfig) -> None:
     vocab = build_vocabulary(*sequences.values(), *seeds.values())
     seen: set[str] = set()
     entries = []
+    files = {}
     for stem in sorted(sequences):
         tokens = sequences[stem]
         new_types = set(tokens) - seen
         seen |= new_types
         entries.append({"file": stem, "tokens": len(tokens), "new_types": len(new_types)})
-        write_text(layout.tokens_dir / f"{stem}.tokens", token_text(tokens))
+        files[layout.tokens_dir / f"{stem}.tokens"] = token_bytes(tokens)
     for stem in sorted(seeds):
-        write_text(layout.seeds_dir / f"{stem}.tokens", token_text(seeds[stem]))
-    write_json(
-        layout.manifest,
-        {
-            "corpus": entries,
-            "seeds": sorted(seeds),
-            "skipped": sorted(skipped),
-            "vocab_size": len(vocab),
-        },
-    )
-    write_json(layout.vocab_file, list(vocab.tokens))
+        files[layout.seeds_dir / f"{stem}.tokens"] = token_bytes(seeds[stem])
+    files[layout.manifest] = json_bytes({
+        "corpus": entries,
+        "seeds": sorted(seeds),
+        "skipped": sorted(skipped),
+        "vocab_size": len(vocab),
+    })
+    files[layout.vocab_file] = json_bytes(list(vocab.tokens))
+    commit(files)
     click.echo(
         f"ingested {len(entries)} corpus files and {len(seeds)} seeds; vocabulary size {len(vocab)}"
     )
@@ -393,8 +398,6 @@ def run_train(config: ExperimentConfig) -> None:
     ]
 
     table = build_transition_table(sequences, config.markov_order)
-    layout.markov_table.parent.mkdir(parents=True, exist_ok=True)
-    save_transition_table(table, layout.markov_table)
     click.echo(f"markov: order {config.markov_order}, {len(table.counts)} states")
 
     log = []
@@ -407,11 +410,13 @@ def run_train(config: ExperimentConfig) -> None:
         ckpt = train(config.rnn, sequences, vocab, derive_seed(config.global_seed, "rnn-train"), on_epoch)
     except (ArithmeticError, ValueError) as err:
         raise click.ClickException(f"rnn training failed: {err}")
-    save_checkpoint(ckpt, layout.checkpoint)
-    write_json(
-        layout.training_log,
-        {"epochs": log, "best_epoch": ckpt.epoch, "best_loss": ckpt.best_loss},
-    )
+    # both models are written together, so a failed training or write leaves
+    # models/ as it was, never one new model beside an old one
+    commit({
+        layout.markov_table: encode_transition_table(table),
+        layout.checkpoint: encode_checkpoint(ckpt),
+        layout.training_log: json_bytes({"epochs": log, "best_epoch": ckpt.epoch, "best_loss": ckpt.best_loss}),
+    })
     click.echo(f"rnn: best epoch {ckpt.epoch}, loss {ckpt.best_loss:.4f}")
 
 
@@ -461,13 +466,9 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
     # written all or none, so a render or write error leaves generated/ as it was
     files = {}
     for seed_id, model, tokens in continuations:
-        files[layout.generation(seed_id, model, "tokens")] = token_text(tokens).encode()
+        files[layout.generation(seed_id, model, "tokens")] = token_bytes(tokens)
         files[layout.generation(seed_id, model, "mid")] = _render(seed_id, model, tokens)
-    layout.generated_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        write_all(files)
-    except OSError as err:
-        raise click.ClickException(f"cannot write {err.filename}: {err.strerror}")
+    commit(files)
     for seed_id, model, tokens in continuations:
         click.echo(f"{seed_id} {model}: {len(tokens)} tokens")
 
@@ -508,29 +509,27 @@ def run_evaluate(config: ExperimentConfig) -> None:
         rows.append(ComparisonRow(seed_id, *scores))
         gs_series[seed_id] = {m: list(reports[m].gs_series) for m in MODEL_NAMES}
         histograms[seed_id] = {m: list(reports[m].histogram) for m in MODEL_NAMES}
-    write_text(layout.report_dir / "comparison.csv", write_comparison_csv(rows))
-    write_json(layout.report_dir / "comparison.json", {"rows": rows_as_dicts(rows), "lengths": lengths})
-    write_json(layout.report_dir / "gs_series.json", gs_series)
-    write_json(layout.report_dir / "histograms.json", histograms)
     gs_frac, entropy_frac = win_fractions(rows)
     summary = summary_line(rows)
-    write_json(
-        layout.report_dir / "summary.json",
-        {
+    files = {
+        layout.report_dir / "comparison.csv": write_comparison_csv(rows).encode(),
+        layout.report_dir / "comparison.json": json_bytes({"rows": rows_as_dicts(rows), "lengths": lengths}),
+        layout.report_dir / "gs_series.json": json_bytes(gs_series),
+        layout.report_dir / "histograms.json": json_bytes(histograms),
+        layout.report_dir / "summary.json": json_bytes({
             "gs_wins": [int(gs_frac * len(rows)), len(rows)],
             "entropy_wins": [int(entropy_frac * len(rows)), len(rows)],
             "summary": summary,
-        },
-    )
+        }),
+    }
     for seed_id in seed_ids:
-        write_text(
-            layout.figures_dir / f"gs_{seed_id}.svg",
-            line_chart_svg(f"groove similarity by bar pair: {seed_id}", gs_series[seed_id]),
-        )
-        write_text(
-            layout.figures_dir / f"hist_{seed_id}.svg",
-            bar_chart_svg(f"pitch class histogram: {seed_id}", histograms[seed_id], PITCH_CLASS_NAMES),
-        )
+        files[layout.figures_dir / f"gs_{seed_id}.svg"] = line_chart_svg(
+            f"groove similarity by bar pair: {seed_id}", gs_series[seed_id]
+        ).encode()
+        files[layout.figures_dir / f"hist_{seed_id}.svg"] = bar_chart_svg(
+            f"pitch class histogram: {seed_id}", histograms[seed_id], PITCH_CLASS_NAMES
+        ).encode()
+    commit(files)
     click.echo(summary)
 
 

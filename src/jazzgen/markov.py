@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .files import atomic_open
 from .tokenizer import parse_token
 
 State = tuple[str, ...]
 
-# states per json.dumps call in save_transition_table
+# states per json.dumps call in encode_transition_table
 SAVE_BATCH = 256
 
 
@@ -109,24 +108,23 @@ def generate_markov(table: TransitionTable, seed: Sequence[str], n: int) -> list
     return history
 
 
-def save_transition_table(table: TransitionTable, path) -> None:
-    """Write the table byte for byte as json.dumps(payload, sort_keys=True)
-    would, payload being {"counts": [{"next", "state"}, ...], "order",
+def encode_transition_table(table: TransitionTable) -> bytes:
+    """The table byte for byte as json.dumps(payload, sort_keys=True) + "\n"
+    would be, payload being {"counts": [{"next", "state"}, ...], "order",
     "unigram"} with counts sorted by state."""
     entries = [
         {"state": list(state), "next": successors}
         for state, successors in sorted(table.counts.items())
     ]
-    with atomic_open(path) as handle:
-        # json.dumps without indent runs the C encoder, several times faster
-        # than json.dump's pure-Python one, but holds every output piece until
-        # it joins them; SAVE_BATCH states per call keep those pieces few
-        handle.write('{"counts": [')
-        for start in range(0, len(entries), SAVE_BATCH):
-            handle.write(", " if start else "")
-            handle.write(json.dumps(entries[start : start + SAVE_BATCH], sort_keys=True)[1:-1])
-        unigram = json.dumps(table.unigram, sort_keys=True)
-        handle.write(f'], "order": {table.order}, "unigram": {unigram}}}\n')
+    # json.dumps without indent runs the C encoder, several times faster than
+    # json.dump's pure-Python one, but holds every output piece until it joins
+    # them; SAVE_BATCH states per call keep those pieces few
+    counts = ", ".join(
+        json.dumps(entries[start : start + SAVE_BATCH], sort_keys=True)[1:-1]
+        for start in range(0, len(entries), SAVE_BATCH)
+    )
+    unigram = json.dumps(table.unigram, sort_keys=True)
+    return f'{{"counts": [{counts}], "order": {table.order}, "unigram": {unigram}}}\n'.encode()
 
 
 def _positive_int(what: str, value) -> int:

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .files import atomic_open
 from .neural import (
     AdamState,
     NumericalFault,
@@ -405,7 +404,7 @@ def _stored_dtype(config: RnnConfig) -> np.dtype:
     return np.dtype(config.dtype).newbyteorder("<")
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def encode_checkpoint(ckpt: Checkpoint) -> bytes:
     """Text manifest (JSON) plus the concatenated tensors, little-endian in
     the config's dtype, so a reload is bit-equal."""
     names = sorted(ckpt.tensors)
@@ -418,13 +417,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "tensors": [{"name": n, "shape": list(ckpt.tensors[n].shape)} for n in names],
     }
     stored = _stored_dtype(ckpt.config)
-    blob = b"".join(np.ascontiguousarray(ckpt.tensors[n], dtype=stored).tobytes() for n in names)
     encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with atomic_open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", len(encoded)))
-        handle.write(encoded)
-        handle.write(blob)
+    return b"".join([
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", len(encoded)),
+        encoded,
+        *(np.ascontiguousarray(ckpt.tensors[n], dtype=stored).tobytes() for n in names),
+    ])
 
 
 def load_checkpoint(path) -> Checkpoint:

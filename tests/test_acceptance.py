@@ -33,11 +33,11 @@ from jazzgen.rnn import (
     Checkpoint,
     Network,
     RnnConfig,
+    encode_checkpoint,
     generate_rnn,
     init_tensors,
     load_checkpoint,
     next_distribution,
-    save_checkpoint,
     select_index,
     train,
 )
@@ -287,7 +287,7 @@ def test_acceptance_08_round_trips(tmp_path):
     vocab = Vocabulary(("A4_1.0", "C4_1.0", "D4_0.5", "E4_0.25", "R_1.0"))
     net = Network(config, init_tensors(config, len(vocab), 1))
     path = tmp_path / "roundtrip.ckpt"
-    save_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0), path)
+    path.write_bytes(encode_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0)))
     loaded = load_checkpoint(path)
     contexts = np.array([[0, 1, 2], [3, 4, 0]])
     before, _ = net.forward(contexts, training=False)

@@ -30,6 +30,10 @@ GONE_FOR_GOOD = {
     # from there (tokenizer.tokenize_line)
     "jazzgen.cli.read_midi",
     "jazzgen.cli.tokenize",
+    # train encodes both models to bytes (markov.encode_transition_table,
+    # rnn.encode_checkpoint) and writes them with its log in one cli.commit
+    "jazzgen.cli.save_transition_table",
+    "jazzgen.cli.save_checkpoint",
 }
 
 

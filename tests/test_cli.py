@@ -639,35 +639,47 @@ def test_damaged_artifact_exits_2_naming_the_stage_to_rerun(workspace, pipeline,
     assert files_under(out) == before
 
 
-def test_generate_write_error_leaves_generated_as_it_was(workspace, pipeline, tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    shutil.copytree(pipeline / "ingest", out / "ingest")
-    shutil.copytree(pipeline / "models", out / "models")
-    assert invoke(["generate", *dirs(workspace, out=str(out)), *TINY]).exit_code == 0
-    before = files_under(out)
+class FullDisk:
+    """A file handle on a disk with no space left: every write fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_third_write(monkeypatch):
+    """Make the third file jazzgen.files opens land on a full disk; returns
+    the list of handles opened so far."""
     opened = []
     real_open = open
-
-    class FullDisk:
-        """A file handle on a disk with no space left: every write fails."""
-
-        def __init__(self, handle):
-            self.handle = handle
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.handle.close()
-
-        def write(self, data):
-            raise OSError(errno.ENOSPC, "No space left on device")
 
     def open_third_on_full_disk(*args, **kwargs):
         opened.append(real_open(*args, **kwargs))
         return FullDisk(opened[-1]) if len(opened) == 3 else opened[-1]
 
     monkeypatch.setattr(files, "open", open_third_on_full_disk, raising=False)
+    return opened
+
+
+def error_lines(result):
+    return [line for line in result.output.splitlines() if line.startswith("Error:")]
+
+
+def test_generate_write_error_leaves_generated_as_it_was(workspace, pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    assert invoke(["generate", *dirs(workspace, out=str(out)), *TINY]).exit_code == 0
+    before = files_under(out)
+    opened = fail_third_write(monkeypatch)
     result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--markov-notes", "40"])
     # seed_1's Markov tokens and MIDI are written first, then seed_1's RNN tokens
     assert len(opened) == 3
@@ -675,6 +687,68 @@ def test_generate_write_error_leaves_generated_as_it_was(workspace, pipeline, tm
     assert result.exit_code == 1, result.output
     third = out / "generated" / "seed_1_rnn.tokens"
     assert result.output.splitlines() == [f"Error: cannot write {third}: No space left on device"]
+
+
+@pytest.mark.parametrize("stage, third", [
+    ("ingest", "ingest/tokens/corpus_03.tokens"),
+    ("train", "models/training_log.json"),
+    ("evaluate", "report/gs_series.json"),
+])
+def test_stage_write_error_leaves_its_outputs_as_they_were(workspace, pipeline, tmp_path, monkeypatch, stage, third):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    assert invoke(["evaluate", *dirs(workspace, out=str(out))]).exit_code == 0
+    # the rerun would change every output it writes: a different corpus for
+    # ingest, a different order for train, different generations for evaluate
+    rerun = [*dirs(workspace, out=str(out)), *TINY]
+    if stage == "ingest":
+        write_corpus(tmp_path / "corpus", seed=2, n_files=3)
+        rerun[1] = tmp_path / "corpus"
+    elif stage == "train":
+        rerun += ["--order", "3"]
+    else:
+        assert invoke(["generate", *rerun, "--markov-notes", "40"]).exit_code == 0
+    before = files_under(out)
+    opened = fail_third_write(monkeypatch)
+    result = invoke_stage(stage, rerun)
+    assert len(opened) == 3
+    assert result.exit_code == 1, result.output
+    assert error_lines(result) == [f"Error: cannot write {out / third}: No space left on device"]
+    assert files_under(out) == before
+    assert not [path for path in out.rglob("*") if path.name.endswith(".tmp")]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_failed_training_leaves_models_as_they_were(workspace, pipeline, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rnn": {"learning_rate": 1e300}}))
+    before = files_under(out / "models")
+    result = invoke_stage("train", ["--config", config, *dirs(workspace, out=str(out)), *TINY, "--order", "1"])
+    assert result.exit_code == 1, result.output
+    (line,) = error_lines(result)
+    assert line.startswith("Error: rnn training failed: "), line
+    assert files_under(out / "models") == before
+    assert sorted(p.name for p in (out / "models").iterdir()) == ["markov.json", "rnn.ckpt", "training_log.json"]
+
+
+def test_every_output_file_is_written_through_write_all(workspace, tmp_path, monkeypatch):
+    written = []
+    real_write_all = cli.write_all
+
+    def recording_write_all(files):
+        written.extend(files)
+        real_write_all(files)
+
+    monkeypatch.setattr(cli, "write_all", recording_write_all)
+    out = tmp_path / "out"
+    for command in ("ingest", "train", "generate", "evaluate"):
+        result = invoke_stage(command, [*dirs(workspace, out=str(out)), *TINY])
+        assert result.exit_code == 0, result.output
+    on_disk = {path for path in out.rglob("*") if path.is_file() and path.name != ".lock"}
+    assert on_disk == set(written)
+    assert len(written) == len(on_disk)
 
 
 def test_generate_loads_models_through_the_names_a_trace_wraps(workspace, pipeline, tmp_path, monkeypatch):

@@ -13,9 +13,9 @@ from jazzgen.markov import (
     EmptyTableError,
     TransitionTable,
     build_transition_table,
+    encode_transition_table,
     generate_markov,
     load_transition_table,
-    save_transition_table,
     transition_probabilities,
 )
 
@@ -124,7 +124,7 @@ def test_save_load_round_trip(tmp_path):
         [["C4_1.0", "D4_0.5", "C4_1.0", "R_0.5"], ["D4_0.5", "C4_1.0"]], order=3
     )
     path = tmp_path / "table.json"
-    save_transition_table(table, path)
+    path.write_bytes(encode_transition_table(table))
     loaded = load_transition_table(path)
     assert loaded.order == table.order
     assert loaded.counts == table.counts
@@ -135,8 +135,8 @@ def test_save_load_round_trip(tmp_path):
 def test_save_is_byte_deterministic(tmp_path):
     seqs = [["B", "A", "C", "A", "B"]]
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_transition_table(build_transition_table(seqs, order=2), p1)
-    save_transition_table(build_transition_table(list(reversed(seqs[0])) and seqs, order=2), p2)
+    p1.write_bytes(encode_transition_table(build_transition_table(seqs, order=2)))
+    p2.write_bytes(encode_transition_table(build_transition_table(list(reversed(seqs[0])) and seqs, order=2)))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -149,7 +149,7 @@ def test_save_writes_one_sorted_compact_json_document(tmp_path, n_states):
     }
     table = TransitionTable(order=2, counts=counts, unigram={"E4_1.0": 3, "C4_1.0": 5})
     path = tmp_path / "table.json"
-    save_transition_table(table, path)
+    path.write_bytes(encode_transition_table(table))
     payload = {
         "order": 2,
         "unigram": table.unigram,
@@ -218,12 +218,12 @@ def test_shared_table_decodes_as_fresh_tables_and_reference(seqs, order, seeds, 
     assert outputs == [reference_greedy(shared, seed, n) for seed in seeds]
     with tempfile.TemporaryDirectory() as directory:
         used, fresh = Path(directory, "used.json"), Path(directory, "fresh.json")
-        save_transition_table(shared, used)
-        save_transition_table(build_transition_table(seqs, order=order), fresh)
+        used.write_bytes(encode_transition_table(shared))
+        fresh.write_bytes(encode_transition_table(build_transition_table(seqs, order=order)))
         assert used.read_bytes() == fresh.read_bytes()
         loaded = load_transition_table(used)
         assert loaded == shared
         assert [generate_markov(loaded, seed, n) for seed in seeds] == outputs
-        save_transition_table(loaded, used)
+        used.write_bytes(encode_transition_table(loaded))
         assert used.read_bytes() == fresh.read_bytes()
     assert "greedy" not in repr(shared)

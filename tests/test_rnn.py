@@ -22,12 +22,12 @@ from jazzgen.rnn import (
     CheckpointError,
     Network,
     RnnConfig,
+    encode_checkpoint,
     generate_rnn,
     init_tensors,
     load_checkpoint,
     make_training_windows,
     next_distribution,
-    save_checkpoint,
     select_index,
     tensor_shapes,
     train,
@@ -209,7 +209,7 @@ def test_training_is_deterministic(tmp_path):
     for name in ("a.ckpt", "b.ckpt"):
         ckpt = train(small_config(), [seq], vocab, SMALL_SEED)
         path = tmp_path / name
-        save_checkpoint(ckpt, path)
+        path.write_bytes(encode_checkpoint(ckpt))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -383,7 +383,7 @@ print(json.dumps(generate_rnn(ckpt, seeds, 40, temperature=1.0, rngs=rngs)))
 def test_generated_tokens_do_not_depend_on_the_blas_thread_count(tmp_path):
     ckpt = random_checkpoint("float32", window=16, seed=5, n_vocab=40, hidden=64)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
     rng = np.random.default_rng(6)
     seeds = [[ckpt.vocab.tokens[i] for i in rng.integers(0, 40, 16)] for _ in range(8)]
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -486,7 +486,7 @@ def test_temperature_increases_entropy(memorized):
 def test_checkpoint_round_trip_forward_is_bitwise(memorized, tmp_path):
     seq, vocab, ckpt, _ = memorized
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
     loaded = load_checkpoint(path)
     assert loaded.config == ckpt.config
     assert loaded.vocab.tokens == vocab.tokens
@@ -503,7 +503,7 @@ def test_checkpoint_round_trip_forward_is_bitwise(memorized, tmp_path):
 def test_checkpoint_manifest_stores_version_3_and_the_config(memorized, tmp_path):
     _, _, ckpt, _ = memorized
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
     raw = path.read_bytes()
     (manifest_len,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
     manifest = json.loads(raw[len(CHECKPOINT_MAGIC) + 4 : len(CHECKPOINT_MAGIC) + 4 + manifest_len])
@@ -521,7 +521,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_checkpoint_rejects_truncation(memorized, tmp_path):
     _, _, ckpt, _ = memorized
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
     whole = path.read_bytes()
     for cut in (4, len(CHECKPOINT_MAGIC) + 2, len(whole) // 2, len(whole) - 8):
         clipped = tmp_path / "clipped.ckpt"
@@ -542,7 +542,7 @@ def _rewrite_manifest(raw: bytes, mutate) -> bytes:
 def test_checkpoint_rejects_version_mismatch(memorized, tmp_path):
     _, _, ckpt, _ = memorized
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
 
     def bump(manifest):
         manifest["format_version"] = 99
@@ -555,7 +555,7 @@ def test_checkpoint_rejects_version_mismatch(memorized, tmp_path):
 def test_checkpoint_rejects_shape_blob_disagreement(memorized, tmp_path):
     _, _, ckpt, _ = memorized
     path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
 
     def grow_first_tensor(manifest):
         manifest["tensors"][0]["shape"][0] += 1
@@ -574,7 +574,7 @@ def test_float64_training_works_and_reloads_as_float32(tmp_path):
     assert ckpt.tensors["lstm1/w"].dtype == np.float64
     assert math.isfinite(ckpt.best_loss)
     path = tmp_path / "f64.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(encode_checkpoint(ckpt))
     loaded = load_checkpoint(path)
     assert loaded.tensors["lstm1/w"].dtype == np.float64
     assert np.allclose(loaded.tensors["lstm1/w"], ckpt.tensors["lstm1/w"], atol=1e-6)
@@ -595,7 +595,7 @@ def test_checkpoint_round_trip_is_bit_equal_in_its_dtype(dtype, seed, hidden):
     ckpt = Checkpoint(tensors, vocab, config, best_loss=0.25, epoch=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
-        save_checkpoint(ckpt, path)
+        path.write_bytes(encode_checkpoint(ckpt))
         loaded = load_checkpoint(path)
     assert loaded.config == config
     assert sorted(loaded.tensors) == sorted(tensors)
