@@ -4,22 +4,21 @@ Each finite-difference builder draws one small instance from the rng it is
 given, runs the analytic backward pass, and returns the worst relative error
 against central differences.  Draw order is part of each builder's contract:
 the same rng state always yields the same instance, so the seeds pinned in
-SELF_CHECKS and in the tests keep naming the same problems.
+_GRADIENT_CHECKS and in the tests keep naming the same problems.
 """
 
 from __future__ import annotations
 
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import neural
-from .metrics import MAX_ENTROPY, GroovePattern, PitchHistogram, groove_similarity, histogram_entropy
-from .midi_io import MidiDocument, NoteEvent, lcm_time_division, read_midi, write_midi
+from .metrics import MAX_ENTROPY, evaluate_line
+from .midi_io import TickLine, read_line, write_line
 from .rnn import Checkpoint, RnnConfig, encode_checkpoint, init_tensors, load_checkpoint
-from .tokenizer import Vocabulary, detokenize, parse_token, tokenize
+from .tokenizer import Vocabulary, tick_line, tokenize_line
 
 
 def _require(condition: bool, message: str = "") -> None:
@@ -117,75 +116,64 @@ def sce_fd(rng) -> float:
     """Softmax cross-entropy of (6, 9) logits drawn with standard deviation 2."""
     logits = rng.normal(0.0, 2.0, (6, 9))
     targets = rng.integers(0, 9, 6)
-    _, _, dlogits = neural.softmax_cross_entropy(logits, targets)
+    _, dlogits = neural.softmax_cross_entropy(logits, targets)
     tensors = {"logits": logits}
 
     def loss_fn():
-        loss, _, _ = neural.softmax_cross_entropy(tensors["logits"], targets)
+        loss, _ = neural.softmax_cross_entropy(tensors["logits"], targets)
         return loss
 
     return neural.gradient_check(loss_fn, tensors, {"logits": dlogits})
 
 
 # ---------------------------------------------------------------------------
-# selfcheck: quick invariant sweep without pytest
+# selfcheck: quick invariant sweep without pytest, through the pipeline's own
+# tick path: the scorer evaluate runs, the encoder generate runs
 
 
 def _check_metric_oracles() -> None:
-    ones = GroovePattern((1,) * 64)
-    zeros = GroovePattern((0,) * 64)
-    _require(groove_similarity(ones, ones) == 1.0)
-    _require(groove_similarity(ones, zeros) == 0.0)
-    _require(groove_similarity(ones, GroovePattern((0,) + (1,) * 63)) == 1 - 1 / 64)
-    _require(histogram_entropy(PitchHistogram((1.0,) + (0.0,) * 11)) == 0.0)
-    uniform = PitchHistogram((1 / 12,) * 12)
-    _require(abs(histogram_entropy(uniform) - MAX_ENTROPY) < 1e-9)
+    # quarter notes at one tick per quarter: (pitches, mean GS, entropy)
+    oracles = (
+        ((60,) * 8, 1.0, 0.0),
+        ((60,) * 4 + (None,) + (60,) * 3, 1 - 1 / 64, 0.0),
+        (tuple(range(60, 72)), 1.0, MAX_ENTROPY),
+    )
+    for pitches, gs, entropy in oracles:
+        report = evaluate_line("oracle", TickLine(1, pitches, (1,) * len(pitches)))
+        _require(report.mean_gs == gs, f"GS {report.mean_gs} of {pitches}, expected {gs}")
+        _require(abs(report.entropy - entropy) < 1e-9, f"entropy {report.entropy} of {pitches}, expected {entropy}")
 
 
-def _check_lstm_gradients() -> None:
-    rng = np.random.default_rng(100)
-    worst = lstm_fd(rng)
-    _require(worst < 1e-5, f"lstm gradient error {worst:.2e}")
-    worst = lstm_index_fd(rng)
-    _require(worst < 1e-5, f"index-input lstm gradient error {worst:.2e}")
+# (kind, builders drawing in turn from one rng, seed, bound on the worst error)
+_GRADIENT_CHECKS = (
+    ("lstm", (lstm_fd, lstm_index_fd), 100, 1e-5),
+    ("dense", (dense_fd,), 200, 1e-6),
+    ("batchnorm", (batchnorm_fd,), 300, 1e-5),
+    ("cross-entropy", (sce_fd,), 400, 1e-6),
+)
 
 
-def _check_dense_gradients() -> None:
-    worst = dense_fd(np.random.default_rng(200))
-    _require(worst < 1e-6, f"dense gradient error {worst:.2e}")
+def _gradient_check(kind, builders, seed, bound):
+    def check() -> None:
+        rng = np.random.default_rng(seed)
+        for builder in builders:
+            worst = builder(rng)
+            _require(worst < bound, f"{kind} gradient error {worst:.2e}")
 
-
-def _check_batchnorm_gradients() -> None:
-    worst = batchnorm_fd(np.random.default_rng(300))
-    _require(worst < 1e-5, f"batchnorm gradient error {worst:.2e}")
-
-
-def _check_sce_gradients() -> None:
-    worst = sce_fd(np.random.default_rng(400))
-    _require(worst < 1e-6, f"cross-entropy gradient error {worst:.2e}")
+    return f"{kind} gradients", check
 
 
 def _check_midi_round_trip() -> None:
-    events = (
-        NoteEvent(60, Fraction(1), Fraction(0)),
-        NoteEvent.rest(Fraction(1, 2), Fraction(1)),
-        NoteEvent(67, Fraction(1, 6), Fraction(3, 2)),
-        NoteEvent(58, Fraction(1, 3), Fraction(5, 3)),
-    )
-    doc = MidiDocument(lcm_time_division(events), 240, events)
-    back = read_midi(write_midi(doc))
-    _require(back == doc, "midi round trip changed the document")
+    # a triplet-grid line with an inner and a trailing rest
+    line = TickLine(6, (60, None, 67, 58, None), (6, 3, 1, 2, 4))
+    _require(read_line(write_line(line, 240)) == (line, 240), "midi round trip changed the line")
 
 
 def _check_token_round_trip() -> None:
-    events = (
-        NoteEvent(61, Fraction(2, 3), Fraction(0)),
-        NoteEvent.rest(Fraction(1, 4), Fraction(2, 3)),
-        NoteEvent(35, Fraction(3, 8), Fraction(11, 12)),
-    )
-    tokens = tokenize(events)
-    _require(detokenize(tokens) == events)
-    _require([parse_token(text) for text in tokens] == [(ev.pitch, ev.duration) for ev in events])
+    tokens = ["C#4_2/3", "R_0.25", "B1_0.375"]
+    line = TickLine(24, (61, None, 35), (16, 6, 9))
+    _require(tick_line(tokens) == line, "tick_line misplaced the tokens")
+    _require(tokenize_line(line) == tokens, "tokenize_line changed the tokens")
 
 
 def _check_checkpoint_round_trip() -> None:
@@ -203,10 +191,7 @@ def _check_checkpoint_round_trip() -> None:
 
 SELF_CHECKS = (
     ("metric oracles", _check_metric_oracles),
-    ("lstm gradients", _check_lstm_gradients),
-    ("dense gradients", _check_dense_gradients),
-    ("batchnorm gradients", _check_batchnorm_gradients),
-    ("cross-entropy gradients", _check_sce_gradients),
+    *(_gradient_check(*row) for row in _GRADIENT_CHECKS),
     ("midi round trip", _check_midi_round_trip),
     ("token round trip", _check_token_round_trip),
     ("checkpoint round trip", _check_checkpoint_round_trip),

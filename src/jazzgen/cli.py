@@ -13,7 +13,7 @@ import os
 import re
 import shlex
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -281,12 +281,19 @@ def output_lock(out_dir: Path):
 def commit(files: dict[Path, bytes]) -> None:
     """A stage's one write: every output, all or none (files.write_all), in
     directories made as needed. Any OSError, a failed mkdir included, is one
-    Error: line naming the file, exit 1."""
+    Error: line naming the file, exit 1, and removes the directories made
+    here that it leaves empty, so the stage still reads as never run."""
+    made: list[Path] = []
     try:
         for directory in dict.fromkeys(path.parent for path in files):
-            directory.mkdir(parents=True, exist_ok=True)
+            for missing in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
+                missing.mkdir()
+                made.append(missing)
         write_all(files)
     except OSError as err:
+        for directory in reversed(made):  # deepest first
+            with suppress(OSError):
+                directory.rmdir()
         raise click.ClickException(f"cannot write {err.filename}: {err.strerror}")
 
 

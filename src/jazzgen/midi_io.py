@@ -373,37 +373,20 @@ _NOTE_ON = tuple(bytes((0x90, pitch, WRITE_VELOCITY)) for pitch in range(128))
 _NOTE_OFF = tuple(bytes((0x80, pitch, 0)) for pitch in range(128))
 
 
-def _encode_track(division: int, tempo: int, pitches: Sequence[int | None], ticks: Sequence[int]) -> bytes:
-    """SMF format 0: tempo meta, contiguous note on/off pairs, end-of-track.
+def write_midi(doc: MidiDocument) -> bytes:
+    """The document as SMF format 0 bytes: write_line of its TickLine."""
+    division = doc.time_division
+    ticks = tuple(ev.duration.numerator * (division // ev.duration.denominator) for ev in doc.events)
+    return write_line(TickLine(division, tuple(ev.pitch for ev in doc.events), ticks), doc.tempo)
+
+
+def write_line(line: TickLine, tempo: int) -> bytes:
+    """The line as SMF format 0: tempo meta, contiguous note on/off pairs,
+    end-of-track.
 
     Rests emit no messages; their time passes through delta-times, and the
     end-of-track event is stamped at the line's total end so trailing rests
     survive a round trip.
-    """
-    mpqn = round(60_000_000 / tempo)
-    track = bytearray(encode_vlq(0) + bytes([0xFF, _META_TEMPO, 0x03]) + mpqn.to_bytes(3, "big"))
-    tick = 0
-    cursor = 0  # tick of the last message written
-    for pitch, length in zip(pitches, ticks):
-        if pitch is not None:
-            track += _cached_vlq(tick - cursor) + _NOTE_ON[pitch] + _cached_vlq(length) + _NOTE_OFF[pitch]
-            cursor = tick + length
-        tick += length
-    track += encode_vlq(tick - cursor) + bytes([0xFF, _META_END_OF_TRACK, 0x00])
-
-    header = _HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, division)
-    return header + _TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
-
-
-def write_midi(doc: MidiDocument) -> bytes:
-    """The document as SMF format 0 bytes."""
-    division = doc.time_division
-    ticks = [ev.duration.numerator * (division // ev.duration.denominator) for ev in doc.events]
-    return _encode_track(division, doc.tempo, [ev.pitch for ev in doc.events], ticks)
-
-
-def write_line(line: TickLine, tempo: int) -> bytes:
-    """The line as SMF format 0 bytes, as write_midi writes the same notes.
 
     A division beyond the 15-bit header field raises the TickResolutionError
     lcm_time_division raises for the same notes: it names the running lcm of
@@ -418,4 +401,16 @@ def write_line(line: TickLine, tempo: int) -> bytes:
             running = math.lcm(running, division // math.gcd(length, division))
             if running > MAX_DIVISION:
                 raise _division_overflow(running)
-    return _encode_track(division, tempo, line.pitches, line.ticks)
+    mpqn = round(60_000_000 / tempo)
+    track = bytearray(encode_vlq(0) + bytes([0xFF, _META_TEMPO, 0x03]) + mpqn.to_bytes(3, "big"))
+    tick = 0
+    cursor = 0  # tick of the last message written
+    for pitch, length in zip(line.pitches, line.ticks):
+        if pitch is not None:
+            track += _cached_vlq(tick - cursor) + _NOTE_ON[pitch] + _cached_vlq(length) + _NOTE_OFF[pitch]
+            cursor = tick + length
+        tick += length
+    track += encode_vlq(tick - cursor) + bytes([0xFF, _META_END_OF_TRACK, 0x00])
+
+    header = _HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, division)
+    return header + _TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)

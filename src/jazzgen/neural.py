@@ -347,19 +347,18 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy of softmax over (B, V) logits against (B,) int targets.
 
-    Returns (loss, probabilities, dlogits) in the dtype of logits, where dlogits
-    already folds in the 1/B factor.
+    Returns (loss, dlogits), dlogits in the dtype of logits with the 1/B
+    factor already folded in.
     """
     batch = logits.shape[0]
     z = logits - logits.max(axis=-1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     loss = float(-log_probs[np.arange(batch), targets].mean())
     ensure_finite("cross-entropy loss", np.asarray(loss))
-    probs = np.exp(log_probs).astype(logits.dtype)
-    dlogits = probs.copy()
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(batch), targets] -= 1.0
     dlogits /= batch
-    return loss, probs, dlogits
+    return loss, dlogits
 
 
 @dataclass

@@ -244,35 +244,38 @@ def train(
             f" in batches of {config.batch_size} leave one over (batch normalization needs >= 2)"
         )
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(targets))
-        loss_sum = 0.0
-        example_count = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            if len(batch) == 1:
-                continue
-            try:
-                logits, cache = net.forward(inputs[batch], training=True, rng=rng)
-                loss, _, dlogits = softmax_cross_entropy(logits, targets[batch])
-                grads = net.backward(dlogits, cache)
-                adam_step(net.tensors, grads, adam, lr=config.learning_rate)
-            except NumericalFault as fault:
-                raise NumericalFault(
-                    f"epoch {epoch}, batch {start // config.batch_size}: {fault}"
-                ) from fault
-            loss_sum += loss * len(batch)
-            example_count += len(batch)
-        if example_count == 0:
-            raise ValueError("every batch was skipped; decrease batch_size or add data")
-        mean_loss = loss_sum / example_count
-        improved = mean_loss < best_loss
-        if improved:
-            best_loss = mean_loss
-            best_epoch = epoch
-            best_tensors = {name: array.copy() for name, array in net.tensors.items()}
-        if on_epoch is not None:
-            on_epoch(epoch, mean_loss, improved)
+    # a diverging run overflows to inf and nan; ensure_finite reports that as
+    # NumericalFault, so numpy's own warnings on the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(targets))
+            loss_sum = 0.0
+            example_count = 0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                if len(batch) == 1:
+                    continue
+                try:
+                    logits, cache = net.forward(inputs[batch], training=True, rng=rng)
+                    loss, dlogits = softmax_cross_entropy(logits, targets[batch])
+                    grads = net.backward(dlogits, cache)
+                    adam_step(net.tensors, grads, adam, lr=config.learning_rate)
+                except NumericalFault as fault:
+                    raise NumericalFault(
+                        f"epoch {epoch}, batch {start // config.batch_size}: {fault}"
+                    ) from fault
+                loss_sum += loss * len(batch)
+                example_count += len(batch)
+            if example_count == 0:
+                raise ValueError("every batch was skipped; decrease batch_size or add data")
+            mean_loss = loss_sum / example_count
+            improved = mean_loss < best_loss
+            if improved:
+                best_loss = mean_loss
+                best_epoch = epoch
+                best_tensors = {name: array.copy() for name, array in net.tensors.items()}
+            if on_epoch is not None:
+                on_epoch(epoch, mean_loss, improved)
     return Checkpoint(best_tensors, vocab, config, best_loss, best_epoch)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from jazzgen import cli, files, neural
+from jazzgen import cli, files, metrics, neural
 from jazzgen.cli import SETTINGS, ExperimentConfig, derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
 from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
@@ -655,17 +655,17 @@ class FullDisk:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def fail_third_write(monkeypatch):
-    """Make the third file jazzgen.files opens land on a full disk; returns
+def fail_write(monkeypatch, nth):
+    """Make the nth file jazzgen.files opens land on a full disk; returns
     the list of handles opened so far."""
     opened = []
     real_open = open
 
-    def open_third_on_full_disk(*args, **kwargs):
+    def open_nth_on_full_disk(*args, **kwargs):
         opened.append(real_open(*args, **kwargs))
-        return FullDisk(opened[-1]) if len(opened) == 3 else opened[-1]
+        return FullDisk(opened[-1]) if len(opened) == nth else opened[-1]
 
-    monkeypatch.setattr(files, "open", open_third_on_full_disk, raising=False)
+    monkeypatch.setattr(files, "open", open_nth_on_full_disk, raising=False)
     return opened
 
 
@@ -679,7 +679,7 @@ def test_generate_write_error_leaves_generated_as_it_was(workspace, pipeline, tm
     shutil.copytree(pipeline / "models", out / "models")
     assert invoke(["generate", *dirs(workspace, out=str(out)), *TINY]).exit_code == 0
     before = files_under(out)
-    opened = fail_third_write(monkeypatch)
+    opened = fail_write(monkeypatch, 3)
     result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--markov-notes", "40"])
     # seed_1's Markov tokens and MIDI are written first, then seed_1's RNN tokens
     assert len(opened) == 3
@@ -709,7 +709,7 @@ def test_stage_write_error_leaves_its_outputs_as_they_were(workspace, pipeline, 
     else:
         assert invoke(["generate", *rerun, "--markov-notes", "40"]).exit_code == 0
     before = files_under(out)
-    opened = fail_third_write(monkeypatch)
+    opened = fail_write(monkeypatch, 3)
     result = invoke_stage(stage, rerun)
     assert len(opened) == 3
     assert result.exit_code == 1, result.output
@@ -718,7 +718,7 @@ def test_stage_write_error_leaves_its_outputs_as_they_were(workspace, pipeline, 
     assert not [path for path in out.rglob("*") if path.name.endswith(".tmp")]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_failed_training_leaves_models_as_they_were(workspace, pipeline, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(pipeline, out)
@@ -727,10 +727,25 @@ def test_failed_training_leaves_models_as_they_were(workspace, pipeline, tmp_pat
     before = files_under(out / "models")
     result = invoke_stage("train", ["--config", config, *dirs(workspace, out=str(out)), *TINY, "--order", "1"])
     assert result.exit_code == 1, result.output
-    (line,) = error_lines(result)
+    # the divergence raises no numpy warning: stderr is the one Error: line
+    (line,) = result.stderr.splitlines()
     assert line.startswith("Error: rnn training failed: "), line
     assert files_under(out / "models") == before
     assert sorted(p.name for p in (out / "models").iterdir()) == ["markov.json", "rnn.ckpt", "training_log.json"]
+
+
+def test_failed_first_train_write_leaves_no_models_directory(workspace, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert invoke(["ingest", *dirs(workspace, out=str(out))]).exit_code == 0
+    opened = fail_write(monkeypatch, 1)
+    result = invoke_stage("train", [*dirs(workspace, out=str(out)), *TINY])
+    assert len(opened) == 1
+    assert result.exit_code == 1, result.output
+    assert not (out / "models").exists()
+    monkeypatch.undo()
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY])
+    assert result.exit_code == 2
+    assert "run train first" in result.output
 
 
 def test_every_output_file_is_written_through_write_all(workspace, tmp_path, monkeypatch):
@@ -908,6 +923,16 @@ def test_selfcheck_fails_on_broken_lstm_kernel(monkeypatch):
     result = invoke(["selfcheck"])
     assert result.exit_code == 1
     assert "FAIL: lstm gradients: lstm gradient error" in result.output
+    assert result.output.count("PASS") == 7
+
+
+def test_selfcheck_fails_on_broken_bar_masks(monkeypatch):
+    # the scorer evaluate runs: a last bar dropped changes every GS it reports
+    bar_masks = metrics._bar_masks
+    monkeypatch.setattr(metrics, "_bar_masks", lambda *args: bar_masks(*args)[:-1])
+    result = invoke(["selfcheck"])
+    assert result.exit_code == 1
+    assert "FAIL: metric oracles" in result.output
     assert result.output.count("PASS") == 7
 
 

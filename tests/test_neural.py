@@ -355,7 +355,7 @@ def test_dense_gradients_match_finite_differences(seed):
         return softmax_cross_entropy(y, targets)[0]
 
     y, cache = dense_forward(x, params["w"], params["b"], activation="relu")
-    _, _, dy = softmax_cross_entropy(y, targets)
+    _, dy = softmax_cross_entropy(y, targets)
     dx, dw, db = dense_backward(dy, cache, params["w"])
     tensors = {"w": params["w"], "b": params["b"], "x": x}
     grads = {"w": dw, "b": db, "x": dx}
@@ -390,7 +390,7 @@ def test_cross_entropy_gradients_match_finite_differences(seed):
     def loss_fn():
         return softmax_cross_entropy(logits, targets)[0]
 
-    _, _, dlogits = softmax_cross_entropy(logits, targets)
+    _, dlogits = softmax_cross_entropy(logits, targets)
     assert gradient_check(loss_fn, {"logits": logits}, {"logits": dlogits}) < 1e-6
 
 
@@ -406,7 +406,7 @@ def test_float32_dense_gradients_against_float64_oracle(seed):
     x = rng.uniform(-1.0, 1.0, (3, 5)).astype(np.float32)
     targets = rng.integers(0, 4, 3)
     y, cache = dense_forward(x, params["w"], params["b"], activation="relu")
-    _, _, dy = softmax_cross_entropy(y, targets)
+    _, dy = softmax_cross_entropy(y, targets)
     dx, dw, db = dense_backward(dy, cache, params["w"])
 
     w64, b64, x64 = (a.astype(np.float64) for a in (params["w"], params["b"], x))
@@ -452,7 +452,7 @@ def test_float32_cross_entropy_gradients_against_float64_oracle(seed):
     rng = np.random.default_rng(700 + seed)
     logits = rng.uniform(-2.0, 2.0, (4, 5)).astype(np.float32)
     targets = rng.integers(0, 5, 4)
-    _, _, dlogits = softmax_cross_entropy(logits, targets)
+    _, dlogits = softmax_cross_entropy(logits, targets)
     l64 = logits.astype(np.float64)
 
     def loss_fn():
@@ -465,7 +465,7 @@ def test_gradient_check_catches_sign_flip():
     rng = np.random.default_rng(9)
     logits = rng.standard_normal((2, 4))
     targets = np.array([1, 2])
-    _, _, dlogits = softmax_cross_entropy(logits, targets)
+    _, dlogits = softmax_cross_entropy(logits, targets)
     dlogits[0, 0] = -dlogits[0, 0]
 
     def loss_fn():
@@ -620,31 +620,32 @@ def test_softmax_temperature_limits():
 
 
 def test_cross_entropy_of_uniform_logits_is_log_vocab():
-    loss, probs, _ = softmax_cross_entropy(np.zeros((1, 12)), np.array([5]))
+    loss, dlogits = softmax_cross_entropy(np.zeros((1, 12)), np.array([5]))
     assert loss == pytest.approx(math.log(12), abs=1e-12)
-    assert np.allclose(probs, 1.0 / 12)
+    onehot = np.eye(12)[[5]]
+    assert np.allclose(dlogits + onehot, 1.0 / 12)
 
 
 def test_cross_entropy_huge_target_logit_is_stable():
     logits = np.zeros((1, 6))
     logits[0, 2] = 1000.0
-    loss, _, _ = softmax_cross_entropy(logits, np.array([2]))
+    loss, _ = softmax_cross_entropy(logits, np.array([2]))
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_entropy_is_shift_stable():
     logits = np.array([[3.0, 1.0, -2.0]])
-    base, _, _ = softmax_cross_entropy(logits, np.array([0]))
-    shifted, _, _ = softmax_cross_entropy(logits + 1000.0, np.array([0]))
+    base, _ = softmax_cross_entropy(logits, np.array([0]))
+    shifted, _ = softmax_cross_entropy(logits + 1000.0, np.array([0]))
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
 def test_cross_entropy_gradient_formula_single_row():
     logits = np.array([[0.5, -0.3, 0.1]])
-    _, probs, dlogits = softmax_cross_entropy(logits, np.array([2]))
+    _, dlogits = softmax_cross_entropy(logits, np.array([2]))
     p = softmax(logits)
     onehot = np.array([[0.0, 0.0, 1.0]])
-    assert np.allclose(probs, p, atol=1e-12)
+    assert np.allclose(dlogits + onehot, p, atol=1e-12)
     assert np.allclose(dlogits, p - onehot, atol=1e-12)
 
 
