@@ -13,7 +13,17 @@ from pathlib import Path
 
 import click
 
-from jazzgen.cli import MODEL_NAMES, SETTINGS, output_lock, resolve_config, run_evaluate, run_generate, run_ingest, run_train
+from jazzgen.cli import (
+    MODEL_NAMES,
+    SETTINGS,
+    output_lock,
+    resolve_config,
+    run_evaluate,
+    run_generate,
+    run_ingest,
+    run_train,
+    warnings_as_lines,
+)
 from jazzgen.synthetic import write_corpus, write_seeds
 
 
@@ -42,7 +52,8 @@ def main() -> None:
         if setting.name in ("seed_rng", "order", "hidden", "epochs"):
             parser.add_argument(setting.flag, type=setting.type, help=setting.help)
     try:
-        run(parser.parse_args())
+        with warnings_as_lines():
+            run(parser.parse_args())
     except click.ClickException as err:
         err.show()
         sys.exit(err.exit_code)

@@ -1,7 +1,7 @@
 """Invariant checks shared by `jazzgen selfcheck` and the test suite.
 
 Each finite-difference builder draws one small instance from the rng it is
-given, runs the analytic backward pass, and returns the worst relative error
+given and returns probe's worst relative error of its analytic gradients
 against central differences.  Draw order is part of each builder's contract:
 the same rng state always yields the same instance, so the seeds pinned in
 _GRADIENT_CHECKS and in the tests keep naming the same problems.
@@ -10,6 +10,7 @@ _GRADIENT_CHECKS and in the tests keep naming the same problems.
 from __future__ import annotations
 
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,32 +28,39 @@ def _require(condition: bool, message: str = "") -> None:
         raise AssertionError(message)
 
 
-def _signed_uniform(rng, shape):
+def signed_uniform(rng, shape):
     """Magnitudes in [0.5, 1.5) with random sign: upstream gradients that do not
     cancel to values the finite-difference oracle cannot resolve."""
     return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
 
 
-def lstm_fd(rng, length: int = 3, dtype=np.float64) -> float:
-    """LSTM with 3 inputs and 4 units on a (2, length, 3) float batch.
+def probe(forward, backward, tensors: dict, k) -> float:
+    """Worst relative error of the gradients of sum(forward(**tensors)[0] * k)
+    against central differences.
 
-    The analytic gradients are computed in dtype; the finite differences run in
-    float64 on the same values, so a float32 instance meets a float64 oracle.
+    backward(k, cache) returns one gradient per tensor, in the order of
+    tensors. The analytic pass runs in the tensors' own dtype; the differences
+    run in float64 on the same values, so a float32 instance meets a float64
+    oracle.
     """
+    _, cache = forward(**tensors)
+    grads = {name: grad.astype(np.float64) for name, grad in zip(tensors, backward(k.copy(), cache))}
+    wide = {name: tensor.astype(np.float64) for name, tensor in tensors.items()}
+    k = k.astype(np.float64)
+    return neural.gradient_check(lambda: float((forward(**wide)[0] * k).sum()), wide, grads)
+
+
+def lstm_fd(rng, length: int = 3, dtype=np.float64) -> float:
+    """LSTM with 3 inputs and 4 units on a (2, length, 3) float batch, in dtype."""
     params = neural.init_lstm(rng, 3, 4, dtype=dtype)
     xs = rng.uniform(-1.0, 1.0, (2, length, 3)).astype(dtype)
-    k = _signed_uniform(rng, (2, length, 4)).astype(dtype)
-    _, cache = neural.lstm_forward(xs, params["w"], params["u"], params["b"])
-    dxs, dw, du, db = neural.lstm_backward(k.copy(), cache, params["w"], params["u"])
-    tensors = {name: a.astype(np.float64) for name, a in {**params, "x": xs}.items()}
-    grads = {name: a.astype(np.float64) for name, a in {"w": dw, "u": du, "b": db, "x": dxs}.items()}
-    k = k.astype(np.float64)
-
-    def loss_fn():
-        hs, _ = neural.lstm_forward(tensors["x"], tensors["w"], tensors["u"], tensors["b"])
-        return float((hs * k).sum())
-
-    return neural.gradient_check(loss_fn, tensors, grads)
+    k = signed_uniform(rng, (2, length, 4)).astype(dtype)
+    return probe(
+        neural.lstm_forward,
+        lambda dh, cache: neural.lstm_backward(dh, cache, params["w"], params["u"]),
+        {"xs": xs, **params},
+        k,
+    )
 
 
 def lstm_index_fd(rng) -> float:
@@ -63,33 +71,33 @@ def lstm_index_fd(rng) -> float:
     """
     params = neural.init_lstm(rng, 5, 4)
     idx = rng.integers(0, 5, (3, 4))
-    k = _signed_uniform(rng, (3, 4, 4))
-    _, cache = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
-    dxs, dw, du, db = neural.lstm_backward(k.copy(), cache, params["w"], params["u"])
-    _require(dxs is None, "index input produced an input gradient")
+    k = signed_uniform(rng, (3, 4, 4))
 
-    def loss_fn():
-        hs, _ = neural.lstm_forward(idx, params["w"], params["u"], params["b"])
-        return float((hs * k).sum())
+    def backward(dh, cache):
+        dxs, *grads = neural.lstm_backward(dh, cache, params["w"], params["u"])
+        _require(dxs is None, "index input produced an input gradient")
+        return grads
 
-    return neural.gradient_check(loss_fn, params, {"w": dw, "u": du, "b": db})
+    return probe(lambda w, u, b: neural.lstm_forward(idx, w, u, b), backward, params, k)
 
 
 def dense_fd(rng) -> float:
     """ReLU dense layer, 5 inputs to 4 outputs, on a (3, 5) batch."""
     params = neural.init_dense(rng, 5, 4)
     x = rng.uniform(-1.0, 1.0, (3, 5))
-    k = _signed_uniform(rng, (3, 4))
-    _, cache = neural.dense_forward(x, params["w"], params["b"], activation="relu")
-    dx, dw, db = neural.dense_backward(k.copy(), cache, params["w"])
-    tensors = {"w": params["w"], "b": params["b"], "x": x}
-    grads = {"w": dw, "b": db, "x": dx}
+    k = signed_uniform(rng, (3, 4))
+    return probe(
+        partial(neural.dense_forward, activation="relu"),
+        lambda dy, cache: neural.dense_backward(dy, cache, params["w"]),
+        {"x": x, **params},
+        k,
+    )
 
-    def loss_fn():
-        out, _ = neural.dense_forward(tensors["x"], tensors["w"], tensors["b"], activation="relu")
-        return float((out * k).sum())
 
-    return neural.gradient_check(loss_fn, tensors, grads)
+def batchnorm_train(x, gamma, beta):
+    """Training-mode batch normalization; it folds the batch statistics into
+    fresh running ones, which the output does not read."""
+    return neural.batchnorm_forward(x, gamma, beta, np.zeros(x.shape[1]), np.ones(x.shape[1]), training=True)
 
 
 def batchnorm_fd(rng) -> float:
@@ -97,19 +105,8 @@ def batchnorm_fd(rng) -> float:
     x = rng.uniform(-1.0, 1.0, (6, 5))
     gamma = rng.uniform(0.5, 1.5, 5)
     beta = rng.uniform(-0.5, 0.5, 5)
-    k = _signed_uniform(rng, (6, 5))
-    _, cache = neural.batchnorm_forward(x, gamma, beta, np.zeros(5), np.ones(5), training=True)
-    dx, dgamma, dbeta = neural.batchnorm_backward(k.copy(), cache)
-    tensors = {"x": x, "gamma": gamma, "beta": beta}
-    grads = {"x": dx, "gamma": dgamma, "beta": dbeta}
-
-    def loss_fn():
-        out, _ = neural.batchnorm_forward(
-            tensors["x"], tensors["gamma"], tensors["beta"], np.zeros(5), np.ones(5), training=True
-        )
-        return float((out * k).sum())
-
-    return neural.gradient_check(loss_fn, tensors, grads)
+    k = signed_uniform(rng, (6, 5))
+    return probe(batchnorm_train, neural.batchnorm_backward, {"x": x, "gamma": gamma, "beta": beta}, k)
 
 
 def sce_fd(rng) -> float:

@@ -13,6 +13,7 @@ import os
 import re
 import shlex
 import sys
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -44,6 +45,7 @@ from .report import (
 )
 from .rnn import (
     RnnConfig,
+    ShortCorpusError,
     check_setting_types,
     encode_checkpoint,
     generate_rnn,
@@ -239,6 +241,14 @@ class Layout:
             raise InputError(f"cannot read {path} ({reason}); rerun {stage}") from None
 
 
+@contextmanager
+def warnings_as_lines():
+    """Print each warning the filters in force let through as one `warning: <message>` line."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+        yield
+
+
 def _lock_holder(lock: Path) -> str:
     """Who holds lock, read from the "<pid> <command>" line output_lock writes."""
     try:
@@ -415,6 +425,8 @@ def run_train(config: ExperimentConfig) -> None:
 
     try:
         ckpt = train(config.rnn, sequences, vocab, derive_seed(config.global_seed, "rnn-train"), on_epoch)
+    except ShortCorpusError as err:
+        raise InputError(f"rnn training failed: {err}")
     except (ArithmeticError, ValueError) as err:
         raise click.ClickException(f"rnn training failed: {err}")
     # both models are written together, so a failed training or write leaves
@@ -548,8 +560,10 @@ def config_options(fn):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Train a Markov chain and an LSTM on monophonic MIDI and compare them."""
+    ctx.with_resource(warnings_as_lines())
 
 
 @main.command()
@@ -591,11 +605,10 @@ def generate(config_path, model, seed_ids, **flags):
 def evaluate(config_path, table_path, **flags):
     """Score every generation and emit the comparison table and figures."""
     if table_path is not None:
-        try:
-            rows = read_comparison_csv(Path(table_path).read_text())
+        try:  # summary_line rejects a table with no rows
+            click.echo(summary_line(read_comparison_csv(Path(table_path).read_text())))
         except ValueError as err:
             raise InputError(f"bad table {table_path}: {err}")
-        click.echo(summary_line(rows))
         return
     config = resolve_config(config_path, flags)
     with output_lock(config.out_dir):

@@ -114,11 +114,8 @@ def _on_ticks(events: Sequence[NoteEvent]) -> tuple[int, int, list[int]]:
 
 
 def groove_similarity(a: GroovePattern, b: GroovePattern) -> float:
-    """1 − (1/64)·Σ XOR, computed exactly before the float conversion."""
-    if len(a.bits) != len(b.bits):
-        raise ValueError("groove patterns differ in dimension")
-    disagreements = sum(x ^ y for x, y in zip(a.bits, b.bits))
-    return (GRID - disagreements) / GRID
+    """1 − (1/64)·Σ XOR, by evaluate's count on the patterns as 64-bit masks (slot s = bit s)."""
+    return _groove([sum(bit << slot for slot, bit in enumerate(p.bits)) for p in (a, b)])[0]
 
 
 def mean_groove_similarity(

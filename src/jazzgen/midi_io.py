@@ -108,8 +108,8 @@ class MidiDocument:
         _check_tempo(self.tempo)
         cursor = Fraction(0)
         for ev in self.events:
-            # detokenize passes each event's end on as the next onset, so for
-            # its events identity settles the comparison
+            # TickLine.events passes each event's end on as the next onset, so
+            # for its events identity settles the comparison
             if ev.onset is not cursor and ev.onset != cursor:
                 raise ValueError(
                     f"events must be contiguous from onset 0: expected onset {cursor}, got {ev.onset}"
@@ -140,6 +140,14 @@ class TickLine:
     division: int
     pitches: tuple[int | None, ...]
     ticks: tuple[int, ...]
+
+    def events(self) -> tuple[NoteEvent, ...]:
+        """The line as exact-rational events, onsets accumulated from zero."""
+        events, onset = [], Fraction(0)
+        for pitch, length in zip(self.pitches, self.ticks):
+            events.append(NoteEvent(pitch, Fraction(length, self.division), onset))
+            onset = events[-1].end
+        return tuple(events)
 
 
 def _merge_adjacent_rests(events: Sequence[NoteEvent]) -> tuple[NoteEvent, ...]:
@@ -356,11 +364,7 @@ def read_line(data: bytes) -> tuple[TickLine, int]:
 def read_midi(data: bytes) -> MidiDocument:
     """read_line's line and tempo as a document of exact-rational events."""
     line, tempo = read_line(data)
-    events, onset = [], Fraction(0)
-    for pitch, length in zip(line.pitches, line.ticks):
-        events.append(NoteEvent(pitch, Fraction(length, line.division), onset))
-        onset = events[-1].end
-    return MidiDocument(time_division=line.division, tempo=tempo, events=tuple(events))
+    return MidiDocument(line.division, tempo, line.events())
 
 
 # the encoder's repeated pieces: delta-times recur, and note messages differ only by pitch

@@ -99,80 +99,69 @@ def rows_as_dicts(rows: Sequence[ComparisonRow]) -> list[dict]:
 _WIDTH = 640
 _HEIGHT = 360
 _MARGIN = 48
+_SPAN_X = _WIDTH - 2 * _MARGIN
+_SPAN_Y = _HEIGHT - 2 * _MARGIN
 
 
-def _svg_open(title: str) -> list[str]:
-    return [
+def _chart(title: str, groups: Mapping[str, Sequence[float]], marks, footer: Iterable[str] = ()) -> str:
+    """The frame both charts share: header, title and axes, then each group's
+    marks(index, values, color) followed by its legend label, then the footer."""
+    x0, y0, x1, y1 = _MARGIN, _HEIGHT - _MARGIN, _WIDTH - _MARGIN, _MARGIN
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-family="sans-serif" '
         f'font-size="14">{title}</text>',
-    ]
-
-
-def _axes() -> list[str]:
-    x0, y0 = _MARGIN, _HEIGHT - _MARGIN
-    x1, y1 = _WIDTH - _MARGIN, _MARGIN
-    return [
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
     ]
-
-
-def line_chart_svg(title: str, series: Mapping[str, Sequence[float]], y_max: float = 1.0) -> str:
-    """Multi-series line chart; x is the index within each series."""
-    parts = _svg_open(title) + _axes()
-    span_x = _WIDTH - 2 * _MARGIN
-    span_y = _HEIGHT - 2 * _MARGIN
-    longest = max((len(v) for v in series.values()), default=0)
-    for i, (label, values) in enumerate(series.items()):
+    for i, (label, values) in enumerate(groups.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        if values:
-            step = span_x / max(longest - 1, 1)
-            points = " ".join(
-                f"{_MARGIN + j * step:.2f},{_HEIGHT - _MARGIN - (v / y_max) * span_y:.2f}"
-                for j, v in enumerate(values)
-            )
-            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        y_label = _MARGIN + 16 * (i + 1)
+        parts += marks(i, values, color)
         parts.append(
-            f'<text x="{_WIDTH - _MARGIN - 4}" y="{y_label}" text-anchor="end" '
+            f'<text x="{x1 - 4}" y="{_MARGIN + 16 * (i + 1)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
+    parts += [*footer, "</svg>"]
     return "\n".join(parts) + "\n"
+
+
+def line_chart_svg(title: str, series: Mapping[str, Sequence[float]]) -> str:
+    """Multi-series line chart of values in [0, 1]; x is the index within each series."""
+    longest = max((len(v) for v in series.values()), default=0)
+    step = _SPAN_X / max(longest - 1, 1)
+
+    def polyline(_, values, color):
+        points = " ".join(
+            f"{_MARGIN + j * step:.2f},{_HEIGHT - _MARGIN - v * _SPAN_Y:.2f}" for j, v in enumerate(values)
+        )
+        return [f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'] if values else []
+
+    return _chart(title, series, polyline)
 
 
 def bar_chart_svg(title: str, groups: Mapping[str, Sequence[float]], bin_labels: Iterable[str]) -> str:
     """Grouped bar chart: one cluster per bin, one bar per group within it."""
     labels = list(bin_labels)
-    parts = _svg_open(title) + _axes()
-    span_x = _WIDTH - 2 * _MARGIN
-    span_y = _HEIGHT - 2 * _MARGIN
     y_max = max((max(v, default=0.0) for v in groups.values()), default=0.0) or 1.0
-    n_groups = max(len(groups), 1)
-    cluster = span_x / max(len(labels), 1)
-    bar = cluster / (n_groups + 1)
-    for g, (label, values) in enumerate(groups.items()):
-        color = _PALETTE[g % len(_PALETTE)]
+    cluster = _SPAN_X / max(len(labels), 1)
+    bar = cluster / (max(len(groups), 1) + 1)
+
+    def bars(g, values, color):
+        rects = []
         for j, value in enumerate(values):
-            height = (value / y_max) * span_y
+            height = (value / y_max) * _SPAN_Y
             x = _MARGIN + j * cluster + (g + 0.5) * bar
-            y = _HEIGHT - _MARGIN - height
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar:.2f}" height="{height:.2f}" fill="{color}"/>'
+            rects.append(
+                f'<rect x="{x:.2f}" y="{_HEIGHT - _MARGIN - height:.2f}" width="{bar:.2f}" '
+                f'height="{height:.2f}" fill="{color}"/>'
             )
-        y_label = _MARGIN + 16 * (g + 1)
-        parts.append(
-            f'<text x="{_WIDTH - _MARGIN - 4}" y="{y_label}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-        )
-    for j, text in enumerate(labels):
-        x = _MARGIN + (j + 0.5) * cluster
-        parts.append(
-            f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{text}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        return rects
+
+    footer = (
+        f'<text x="{_MARGIN + (j + 0.5) * cluster:.2f}" y="{_HEIGHT - _MARGIN + 16}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="10">{text}</text>'
+        for j, text in enumerate(labels)
+    )
+    return _chart(title, groups, bars, footer)

@@ -54,6 +54,10 @@ class CheckpointError(ValueError):
     """Checkpoint file is unreadable: bad magic, version, size, or shapes."""
 
 
+class ShortCorpusError(ValueError):
+    """The corpus yields no window to train on, or no batch of two or more."""
+
+
 # annotation -> (accepted types, noun); no setting takes a bool (JSON true/false)
 _SETTING_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string")}
 
@@ -212,7 +216,7 @@ def make_training_windows(
             inputs.append(sliding_window_view(indices[:-1], window))
             targets.append(indices[window:])
     if not inputs:
-        raise ValueError(f"no sequence is longer than the window ({window} tokens)")
+        raise ShortCorpusError(f"no sequence is longer than the window ({window} tokens)")
     return np.concatenate(inputs), np.concatenate(targets)
 
 
@@ -267,7 +271,7 @@ def train(
                 loss_sum += loss * len(batch)
                 example_count += len(batch)
             if example_count == 0:
-                raise ValueError("every batch was skipped; decrease batch_size or add data")
+                raise ShortCorpusError("every batch was skipped; decrease batch_size or add data")
             mean_loss = loss_sum / example_count
             improved = mean_loss < best_loss
             if improved:

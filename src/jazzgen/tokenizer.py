@@ -145,16 +145,7 @@ def _parse_distinct(texts: list[str]) -> dict[str, tuple[int | None, Fraction]]:
 
 def detokenize(tokens: Iterable[str]) -> tuple[NoteEvent, ...]:
     """Tokens back to contiguous events, onsets accumulated from zero."""
-    texts = list(tokens)
-    parsed = _parse_distinct(texts)
-    events = []
-    onset = Fraction(0)
-    for text in texts:
-        pitch, duration = parsed[text]
-        event = NoteEvent(pitch, duration, onset)
-        events.append(event)
-        onset = event.end
-    return tuple(events)
+    return tick_line(tokens).events()
 
 
 def tick_line(tokens: Iterable[str]) -> TickLine:

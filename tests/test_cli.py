@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from jazzgen import cli, files, metrics, neural
 from jazzgen.cli import SETTINGS, ExperimentConfig, derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
+from jazzgen.report import CSV_HEADER
 from jazzgen.rnn import CHECKPOINT_MAGIC, RnnConfig
 from jazzgen.synthetic import write_corpus, write_seeds
 from jazzgen.tokenizer import tick_line
@@ -39,13 +40,19 @@ def invoke(args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+SIZE_ONE_BATCH = "warning: skipping size-1 batch"
+
+
 def invoke_stage(command, args):
     """invoke([command, *args]); train at TINY sizes on the workspace corpus
-    leaves one window over, which it must warn about."""
+    leaves one window over, which it must warn about in one printed line."""
     if command != "train":
         return invoke([command, *args])
-    with pytest.warns(UserWarning, match="skipping size-1 batch"):
-        return invoke([command, *args])
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)  # every other filter stays in force
+        result = invoke([command, *args])
+    assert result.stderr.count(SIZE_ONE_BATCH) == 1, result.stderr
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -352,9 +359,47 @@ def test_train_warns_once_per_run_about_a_size_one_batch(workspace, tmp_path):
         warnings.simplefilter("always")
         result = invoke(["train", *args])
     assert result.exit_code == 0, result.output
-    skipped = [str(w.message) for w in caught if "skipping size-1 batch" in str(w.message)]
-    assert len(skipped) == 1, skipped
+    assert not caught  # printed, not passed on as a Python warning
+    skipped = [line for line in result.stderr.splitlines() if line.startswith(SIZE_ONE_BATCH)]
+    assert len(skipped) == 1, result.stderr
     assert "in 2 epoch(s)" in skipped[0]
+
+
+def test_commands_keep_the_callers_warning_filters(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_ingest", lambda config: warnings.warn("probe"))
+    args = ["ingest", *dirs(workspace, out=str(tmp_path / "out"))]
+    result = invoke(args)  # the test-wide error::UserWarning filter turns it into a failure
+    assert result.exit_code == 1 and isinstance(result.exception, UserWarning), result.output
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert invoke(args).stderr == ""
+        warnings.simplefilter("always")
+        assert invoke(args).stderr == "warning: probe\n"
+
+
+def test_train_on_a_corpus_shorter_than_the_window_exits_2(workspace, tmp_path):
+    # the seeds as the corpus: 16 tokens each, so no window of 16 has a next token
+    args = ["--corpus", workspace / "seeds", "--seeds", workspace / "seeds", "--out", tmp_path / "out"]
+    assert invoke(["ingest", *args]).exit_code == 0
+    result = invoke(["train", *args])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "Error: rnn training failed: no sequence is longer than the window (16 tokens)\n"
+    assert not (tmp_path / "out" / "models").exists()
+
+
+def test_train_prints_its_warning_as_one_line_on_stderr(workspace, tmp_path):
+    # CliRunner mixes the streams; only a child process shows what a user sees
+    out = tmp_path / "out"
+    assert invoke(["ingest", *dirs(workspace, out=str(out)), *TINY]).exit_code == 0
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run(
+        [sys.executable, "-m", "jazzgen.cli", "train", *map(str, dirs(workspace, out=str(out))), *TINY],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"{SIZE_ONE_BATCH} in 2 epoch(s): "), line
 
 
 def test_train_writes_artifacts(pipeline):
@@ -727,8 +772,9 @@ def test_failed_training_leaves_models_as_they_were(workspace, pipeline, tmp_pat
     before = files_under(out / "models")
     result = invoke_stage("train", ["--config", config, *dirs(workspace, out=str(out)), *TINY, "--order", "1"])
     assert result.exit_code == 1, result.output
-    # the divergence raises no numpy warning: stderr is the one Error: line
-    (line,) = result.stderr.splitlines()
+    # the divergence raises no numpy warning: after the size-1 batch warning,
+    # stderr is the one Error: line
+    _, line = result.stderr.splitlines()
     assert line.startswith("Error: rnn training failed: "), line
     assert files_under(out / "models") == before
     assert sorted(p.name for p in (out / "models").iterdir()) == ["markov.json", "rnn.ckpt", "training_log.json"]
@@ -853,6 +899,10 @@ def test_evaluate_table_rejects_malformed_csv(tmp_path):
     result = invoke(["evaluate", "--table", bad])
     assert result.exit_code == 2
     assert "bad table" in result.output
+    bad.write_text(",".join(CSV_HEADER) + "\n")  # a header and no rows
+    result = invoke(["evaluate", "--table", bad])
+    assert result.exit_code == 2
+    assert result.output == f"Error: bad table {bad}: no rows to summarize\n"
 
 
 def test_lock_file_blocks_second_writer(workspace, tmp_path):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jazzgen.metrics import (
@@ -17,7 +17,7 @@ from jazzgen.metrics import (
     mean_groove_similarity,
     pitch_class_histogram,
 )
-from jazzgen.midi_io import NoteEvent
+from jazzgen.midi_io import NoteEvent, TickLine
 from jazzgen.tokenizer import tick_line, tokenize
 
 
@@ -163,6 +163,21 @@ def test_single_bit_flip_changes_similarity_by_exactly_one_slot(bits, position):
         Fraction(groove_similarity(a, a)) - Fraction(groove_similarity(a, b))
     )
     assert delta == Fraction(1, GRID)
+
+
+@given(bits_strategy, bits_strategy)
+def test_groove_similarity_equals_evaluate_lines_score_of_the_bar_pair(bits_a, bits_b):
+    # two bars at 16 ticks per quarter, so slot s of a bar is its tick s
+    onsets = {tick for tick, bit in enumerate(bits_a + bits_b) if bit}
+    assume(onsets)
+    bounds = sorted({0, *onsets, 2 * GRID})  # a rest fills any gap before the first onset
+    line = TickLine(
+        16,
+        tuple(60 if start in onsets else None for start in bounds[:-1]),
+        tuple(end - start for start, end in zip(bounds, bounds[1:])),
+    )
+    gs = groove_similarity(GroovePattern(bits_a), GroovePattern(bits_b))
+    assert evaluate_line("pair", line).gs_series == (gs,)
 
 
 def test_mean_similarity_needs_two_bars():

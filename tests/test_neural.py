@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jazzgen import neural
-from jazzgen.checks import lstm_fd, lstm_index_fd
+from jazzgen.checks import batchnorm_train, lstm_fd, lstm_index_fd, probe, signed_uniform
 from jazzgen.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -108,12 +108,6 @@ def reference_lstm(xs, dhs, w, u, b):
         du += du_t
         db += db_t
     return hs, dxs, dw, du, db
-
-
-def signed_uniform(rng, shape, dtype=np.float64):
-    """Weights bounded away from zero, random sign: keeps upstream gradients
-    from cancelling to magnitudes the finite-difference oracle cannot resolve."""
-    return (rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)).astype(dtype)
 
 
 def test_ensure_finite_raises_on_nan_and_inf():
@@ -369,16 +363,7 @@ def test_batchnorm_gradients_match_finite_differences(seed):
     gamma = signed_uniform(rng, 5)
     beta = rng.uniform(-1.0, 1.0, 5)
     k = signed_uniform(rng, (6, 5))
-
-    def loss_fn():
-        y, _ = batchnorm_forward(x, gamma, beta, np.zeros(5), np.ones(5), training=True)
-        return float((y * k).sum())
-
-    _, cache = batchnorm_forward(x, gamma, beta, np.zeros(5), np.ones(5), training=True)
-    dx, dgamma, dbeta = batchnorm_backward(k, cache)
-    tensors = {"x": x, "gamma": gamma, "beta": beta}
-    grads = {"x": dx, "gamma": dgamma, "beta": dbeta}
-    assert gradient_check(loss_fn, tensors, grads) < 1e-5
+    assert probe(batchnorm_train, batchnorm_backward, {"x": x, "gamma": gamma, "beta": beta}, k) < 1e-5
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -424,27 +409,10 @@ def test_float32_dense_gradients_against_float64_oracle(seed):
 def test_float32_batchnorm_gradients_against_float64_oracle(seed):
     rng = np.random.default_rng(600 + seed)
     x = rng.uniform(-2.0, 2.0, (6, 5)).astype(np.float32)
-    gamma = signed_uniform(rng, 5, np.float32)
+    gamma = signed_uniform(rng, 5).astype(np.float32)
     beta = rng.uniform(-1.0, 1.0, 5).astype(np.float32)
-    k = signed_uniform(rng, (6, 5), np.float32)
-    _, cache = batchnorm_forward(
-        x, gamma, beta, np.zeros(5, np.float32), np.ones(5, np.float32), training=True
-    )
-    dx, dgamma, dbeta = batchnorm_backward(k, cache)
-
-    x64, g64, b64, k64 = (a.astype(np.float64) for a in (x, gamma, beta, k))
-
-    def loss_fn():
-        y, _ = batchnorm_forward(x64, g64, b64, np.zeros(5), np.ones(5), training=True)
-        return float((y * k64).sum())
-
-    tensors = {"x": x64, "gamma": g64, "beta": b64}
-    grads = {
-        "x": dx.astype(np.float64),
-        "gamma": dgamma.astype(np.float64),
-        "beta": dbeta.astype(np.float64),
-    }
-    assert gradient_check(loss_fn, tensors, grads) < 1e-4
+    k = signed_uniform(rng, (6, 5)).astype(np.float32)
+    assert probe(batchnorm_train, batchnorm_backward, {"x": x, "gamma": gamma, "beta": beta}, k) < 1e-4
 
 
 @pytest.mark.parametrize("seed", range(4))
