@@ -190,48 +190,68 @@ def lstm_forward(xs, w, u, b):
     return hs[1:].swapaxes(0, 1), LstmCache(inputs, hs, cs, gates, tanh_cs)
 
 
+def lstm_backward_step(dh, dh_next, dc_next, cache: LstmCache, t: int, u, dz_t):
+    """Step t of backpropagation through time.
+
+    dh (B, H) is the upstream gradient of step t's hidden output, and
+    (dh_next, dc_next) what step t + 1 passes back to its state. Writes the
+    gradient of step t's gate pre-activations into dz_t (B, 4H) and returns
+    (dh, dc) for step t - 1: dz_t @ u and the cell state's share. Every
+    training step and lstm_backward run this one function.
+    """
+    hidden = u.shape[1]
+    gate, tanh_c = cache.gates[t], cache.tanh_cs[t]
+    i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
+    dh = dh + dh_next
+    do = dh * tanh_c
+    dc_total = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+    di = dc_total * g
+    df = dc_total * cache.cs[t]
+    dg = dc_total * i
+    dz_t[:, :hidden] = di * i * (1.0 - i)
+    dz_t[:, hidden : 2 * hidden] = df * f * (1.0 - f)
+    dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
+    dz_t[:, 3 * hidden :] = do * o * (1.0 - o)
+    return dz_t @ u, dc_total * f
+
+
+def lstm_weight_gradients(dz, cache: LstmCache, w):
+    """(dw, du, db) from the gate pre-activation gradients dz, (L, B, 4H) in
+    the time-major order of cache. For index input, column v of dw sums the
+    dz rows of token v's occurrences one at a time, in time-major order
+    (step, then batch row), starting from the first (_index_gradient)."""
+    length, batch, gates = dz.shape
+    dz = dz.reshape(length * batch, gates)
+    du = dz.T @ cache.hs[:-1].reshape(length * batch, -1)
+    db = dz.sum(axis=0)
+    dw = _index_gradient(dz, cache.inputs, w) if cache.inputs.ndim == 1 else dz.T @ cache.inputs
+    return dw, du, db
+
+
 def lstm_backward(dhs, cache: LstmCache, w, u):
     """Backpropagate through time.
 
     dhs (B, L, H) carries the upstream gradient for every timestep's hidden
     output (zero-filled where a caller only consumes the final step).
     Returns (dxs, dw, du, db); dxs is None when the forward pass was fed
-    token indices, which have no gradient.  For index input, column v of dw
-    sums the dz rows of token v's occurrences one at a time, in time-major
-    order (step, then batch row), starting from the first (_index_gradient).
+    token indices, which have no gradient. Each step's input gradient is
+    its own product dz_t @ w, as in training.
     """
     batch, length, hidden = dhs.shape
     dz = np.empty((length, batch, 4 * hidden), dtype=dhs.dtype)
     dh_next = np.zeros((batch, hidden), dtype=dhs.dtype)
     dc_next = np.zeros((batch, hidden), dtype=dhs.dtype)
+    dxs = None if cache.inputs.ndim == 1 else np.empty((length, batch, w.shape[1]), dtype=dhs.dtype)
     for t in range(length - 1, -1, -1):
-        gate, tanh_c = cache.gates[t], cache.tanh_cs[t]
-        i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
-        dh = dhs[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc_total = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        di = dc_total * g
-        df = dc_total * cache.cs[t]
-        dg = dc_total * i
-        dc_next = dc_total * f
-        dz_t = dz[t]
-        dz_t[:, :hidden] = di * i * (1.0 - i)
-        dz_t[:, hidden : 2 * hidden] = df * f * (1.0 - f)
-        dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
-        dz_t[:, 3 * hidden :] = do * o * (1.0 - o)
-        dh_next = dz_t @ u
-    dz = dz.reshape(length * batch, 4 * hidden)
-    du = dz.T @ cache.hs[:-1].reshape(length * batch, hidden)
-    db = dz.sum(axis=0)
-    if cache.inputs.ndim == 1:
-        dxs = None
-        dw = _index_gradient(dz, cache.inputs, w)
-        ensure_finite("lstm gradients", dw, du, db)
-    else:
-        dw = dz.T @ cache.inputs
-        dxs = (dz @ w).reshape(length, batch, -1).swapaxes(0, 1)
-        ensure_finite("lstm gradients", dxs, dw, du, db)
-    return dxs, dw, du, db
+        dh_next, dc_next = lstm_backward_step(dhs[:, t, :], dh_next, dc_next, cache, t, u, dz[t])
+        if dxs is not None:
+            np.matmul(dz[t], w, out=dxs[t])
+    dw, du, db = lstm_weight_gradients(dz, cache, w)
+    ensure_finite("lstm gradients", dw, du, db)
+    if dxs is None:
+        return None, dw, du, db
+    ensure_finite("lstm gradients", dxs)
+    return dxs.swapaxes(0, 1), dw, du, db
 
 
 def _index_gradient(dz, inputs, w):

@@ -5,7 +5,8 @@ layers (the first gathers its input projection by index) ->
 last timestep's hidden state -> batch norm -> dropout -> dense relu ->
 dropout -> dense to vocabulary logits.  Training minimizes softmax
 cross-entropy with Adam and keeps the parameters from the epoch with the
-lowest mean loss.
+lowest mean loss; layer 1 and the rest of the network train as two halves,
+in two processes where the platform allows (see train).
 
 Sequences everywhere are lists of token text strings; the vocabulary maps
 them to the contiguous indices the network consumes.
@@ -15,8 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import signal
 import struct
+import sys
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
@@ -25,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .neural import (
     AdamState,
+    LstmCache,
     NumericalFault,
     adam_step,
     batchnorm_backward,
@@ -36,9 +44,10 @@ from .neural import (
     ensure_finite,
     init_dense,
     init_lstm,
-    lstm_backward,
+    lstm_backward_step,
     lstm_cell,
     lstm_forward,
+    lstm_weight_gradients,
     one_blas_thread,
     softmax,
     softmax_cross_entropy,
@@ -148,7 +157,8 @@ def init_tensors(config: RnnConfig, n_vocab: int, seed: int) -> dict:
 
 
 class Network:
-    """Parameter container plus the fixed forward/backward wiring."""
+    """Parameter container plus the fixed forward wiring and the head's
+    backward; train runs the two LSTM layers' halves itself."""
 
     def __init__(self, config: RnnConfig, tensors: dict):
         self.config = config
@@ -178,21 +188,17 @@ class Network:
         logits, dense2_cache = dense_forward(dropped2, t["dense2/w"], t["dense2/b"])
         return logits, (bn_cache, mask1, dense1_cache, mask2, dense2_cache)
 
-    def backward(self, dlogits, cache) -> dict:
+    def head_backward(self, dlogits, cache):
+        """Backward through head from the logits' gradient: returns the
+        gradient of its input (B, H) and those of its tensors by name."""
         t = self.tensors
-        hs2_shape, cache1, cache2, (bn_cache, mask1, dense1_cache, mask2, dense2_cache) = cache
+        bn_cache, mask1, dense1_cache, mask2, dense2_cache = cache
         ddropped2, dw2, db2 = dense_backward(dlogits, dense2_cache, t["dense2/w"])
         dhidden = dropout_backward(ddropped2, mask2)
         ddropped1, dw1, db1 = dense_backward(dhidden, dense1_cache, t["dense1/w"])
         dnormed = dropout_backward(ddropped1, mask1)
         dlast, dgamma, dbeta = batchnorm_backward(dnormed, bn_cache)
-        dhs2 = np.zeros(hs2_shape, dtype=dlast.dtype)
-        dhs2[:, -1, :] = dlast
-        dhs1, dw_l2, du_l2, db_l2 = lstm_backward(dhs2, cache2, t["lstm2/w"], t["lstm2/u"])
-        _, dw_l1, du_l1, db_l1 = lstm_backward(dhs1, cache1, t["lstm1/w"], t["lstm1/u"])
-        return {
-            "lstm1/w": dw_l1, "lstm1/u": du_l1, "lstm1/b": db_l1,
-            "lstm2/w": dw_l2, "lstm2/u": du_l2, "lstm2/b": db_l2,
+        return dlast, {
             "norm/gamma": dgamma, "norm/beta": dbeta,
             "dense1/w": dw1, "dense1/b": db1,
             "dense2/w": dw2, "dense2/b": db2,
@@ -220,6 +226,280 @@ def make_training_windows(
     return np.concatenate(inputs), np.concatenate(targets)
 
 
+def two_process_training() -> bool:
+    """Whether train runs layer 1 in a forked helper process: on Linux x86-64
+    with two or more CPUs to run on. The halves hand over their steps with
+    plain int64 stores, which x86-64 keeps in order with the stores before
+    them; elsewhere both halves run in the calling process."""
+    return sys.platform.startswith("linux") and os.uname().machine == "x86_64" and len(os.sched_getaffinity(0)) >= 2
+
+
+# Handoff counters. Each only grows and one half alone writes it. Steps count
+# on across batches: batch k (from 1) hands over step t of L as number
+# (k - 1) * L + t + 1 going forward and (k - 1) * L + L - t going back.
+_ORDERS, _H1_STEPS, _H1_CHECKED, _DH1_STEPS, _LAYER1_DONE, _HELPER_FAULT = range(6)
+_FAULT_BYTES = 1024
+# how often a waiting half checks that the other is still alive
+_POLL_S = 0.05
+
+
+class _HelperStopped(Exception):
+    """The layer-1 helper reported a fault or died; args[0] is the error to raise."""
+
+
+class _Handoff:
+    """What the two halves share, in one anonymous shared mapping made before
+    the fork: the tensors, layer 1's hidden states for two batches in turn
+    (each as (L + 1, B, H), row 0 zero), the gradient flowing back into them,
+    the epoch's batch order, the counters and the helper's fault text.
+
+    A half waits for the other by spinning on a counter, never by sleeping:
+    a wake-up would cost more than a step. check_peer is None in one
+    process, where every wait must already be met.
+    """
+
+    def __init__(self, config: RnnConfig, n_vocab: int, n_windows: int):
+        dtype = np.dtype(config.dtype)
+        self.window, self.hidden = config.window, config.hidden_units
+        states = config.batch_size * self.hidden
+        layout = {name: (shape, dtype) for name, shape in tensor_shapes(config, n_vocab).items()}
+        layout.update({
+            "h1": ((2, (self.window + 1) * states), dtype),
+            "dh1": ((self.window * states,), dtype),
+            "order": ((n_windows,), np.int64),
+            "counters": ((6,), np.int64),
+            "fault": ((_FAULT_BYTES,), np.uint8),
+        })
+        counts = [math.prod(shape) for shape, _ in layout.values()]
+        # every array starts on its own 64-byte line
+        sizes = [-(-count * np.dtype(dt).itemsize // 64) * 64 for count, (_, dt) in zip(counts, layout.values())]
+        block = mmap.mmap(-1, sum(sizes))
+        offsets = np.cumsum([0, *sizes[:-1]]).tolist()
+        arrays = {
+            name: np.frombuffer(block, dt, count, offset).reshape(shape)
+            for (name, (shape, dt)), count, offset in zip(layout.items(), counts, offsets)
+        }
+        self.tensors = {name: arrays[name] for name in tensor_shapes(config, n_vocab)}
+        self.order, self.counters, self._fault = arrays["order"], arrays["counters"], arrays["fault"]
+        self._h1, self._dh1 = arrays["h1"], arrays["dh1"]
+        self.check_peer: Callable[[], None] | None = None
+
+    def h1(self, count: int, batch: int) -> np.ndarray:
+        """Layer 1's hidden states (L + 1, batch, H) for batch number count."""
+        return self._h1[count % 2][: (self.window + 1) * batch * self.hidden].reshape(-1, batch, self.hidden)
+
+    def dh1(self, batch: int) -> np.ndarray:
+        """The gradient (L, batch, H) of the current batch's h1[1:]."""
+        return self._dh1[: self.window * batch * self.hidden].reshape(-1, batch, self.hidden)
+
+    def publish(self, counter: int, value: int) -> None:
+        self.counters[counter] = value
+
+    def wait(self, counter: int, target: int) -> None:
+        counters = self.counters
+        if counters[counter] >= target:
+            return
+        if self.check_peer is None:
+            raise RuntimeError("training in one process waited for a step it has not run")
+        poll = time.monotonic() + _POLL_S
+        while counters[counter] < target:
+            if counters[_HELPER_FAULT]:
+                raise _HelperStopped(self.helper_fault())
+            if time.monotonic() >= poll:
+                self.check_peer()
+                poll = time.monotonic() + _POLL_S
+
+    def report(self, error: BaseException) -> None:
+        """The helper's last act on an error: leave its text for the parent."""
+        numerical = isinstance(error, NumericalFault)
+        text = str(error) if numerical else f"{type(error).__name__}: {error}"
+        data = np.frombuffer(text.encode("utf-8")[:_FAULT_BYTES], np.uint8)
+        self._fault[: data.size] = data
+        self.publish(_HELPER_FAULT, 1 if numerical else 2)
+
+    def helper_fault(self) -> Exception:
+        text = self._fault.tobytes().rstrip(b"\0").decode("utf-8", "replace")
+        if self.counters[_HELPER_FAULT] == 1:
+            return NumericalFault(text)
+        return RuntimeError(f"layer-1 helper failed: {text}")
+
+
+class _LayerOne:
+    """lstm1 forward and backward, one batch at a time, with its index
+    gradient and its own Adam state. It writes only the lstm1 tensors, and
+    hands each step's hidden state out and takes its gradient back through
+    the handoff."""
+
+    def __init__(self, config: RnnConfig, handoff: _Handoff, inputs: np.ndarray):
+        self.config, self.handoff, self.inputs = config, handoff, inputs
+        self.adam = AdamState()
+        self.cache: LstmCache | None = None
+
+    def forward(self, count: int, batch: np.ndarray) -> None:
+        handoff, length = self.handoff, self.config.window
+        t = handoff.tensors
+        hs = handoff.h1(count, len(batch))
+        hs[0] = 0.0
+        inputs = self.inputs[batch].T.reshape(-1)
+        w_t, u_t, b = t["lstm1/w"].T, np.ascontiguousarray(t["lstm1/u"].T), t["lstm1/b"]
+        cs = np.zeros_like(hs)
+        gates = np.empty((length, len(batch), u_t.shape[1]), dtype=u_t.dtype)
+        tanh_cs = np.empty_like(hs[1:])
+        first = (count - 1) * length
+        for step, tokens in enumerate(inputs.reshape(length, -1)):
+            # the input projection gathered a step at a time, so step 0 starts sooner
+            xw = w_t[tokens]
+            lstm_cell(xw, hs[step], cs[step], u_t, b, gates[step], cs[step + 1], tanh_cs[step], hs[step + 1])
+            handoff.publish(_H1_STEPS, first + step + 1)
+        ensure_finite("lstm output", hs, cs)
+        handoff.publish(_H1_CHECKED, count)
+        self.cache = LstmCache(inputs, hs, cs, gates, tanh_cs)
+
+    def backward(self, count: int) -> None:
+        handoff, cache = self.handoff, self.cache
+        t = handoff.tensors
+        length, batch = cache.gates.shape[:2]
+        dh1 = handoff.dh1(batch)
+        dz = np.empty_like(cache.gates)
+        dh_next = dc_next = np.zeros_like(dh1[0])
+        first = (count - 1) * length
+        for step in range(length - 1, -1, -1):
+            handoff.wait(_DH1_STEPS, first + length - step)
+            dh_next, dc_next = lstm_backward_step(dh1[step], dh_next, dc_next, cache, step, t["lstm1/u"], dz[step])
+        dw, du, db = lstm_weight_gradients(dz, cache, t["lstm1/w"])
+        ensure_finite("lstm gradients", dw, du, db)
+        adam_step(t, {"lstm1/w": dw, "lstm1/u": du, "lstm1/b": db}, self.adam, lr=self.config.learning_rate)
+        handoff.publish(_LAYER1_DONE, count)
+
+
+class _Rest:
+    """lstm2, the head and the loss with their Adam state, one batch at a
+    time; the rng draws the dropout masks. It writes every tensor but lstm1's."""
+
+    def __init__(self, config: RnnConfig, handoff: _Handoff, rng: np.random.Generator):
+        self.config, self.handoff, self.rng = config, handoff, rng
+        self.net = Network(config, handoff.tensors)
+        self.adam = AdamState()
+
+    def step(self, count: int, targets: np.ndarray) -> float:
+        """Forward, loss, backward and Adam for batch number count; returns its loss."""
+        handoff, length, batch = self.handoff, self.config.window, len(targets)
+        t = handoff.tensors
+        w, u, b = t["lstm2/w"], t["lstm2/u"], t["lstm2/b"]
+        h1 = handoff.h1(count, batch)
+        hs = np.zeros_like(h1)
+        cs = np.zeros_like(h1)
+        gates = np.empty((length, batch, u.shape[0]), dtype=u.dtype)
+        tanh_cs = np.empty_like(h1[1:])
+        u_t = np.ascontiguousarray(u.T)
+        first = (count - 1) * length
+        for step in range(length):
+            handoff.wait(_H1_STEPS, first + step + 1)
+            xw = h1[step + 1] @ w.T  # one product per step, as h1 arrives
+            lstm_cell(xw, hs[step], cs[step], u_t, b, gates[step], cs[step + 1], tanh_cs[step], hs[step + 1])
+        handoff.wait(_H1_CHECKED, count)
+        ensure_finite("lstm output", hs, cs)
+        cache = LstmCache(h1[1:].reshape(length * batch, -1), hs, cs, gates, tanh_cs)
+        logits, head_cache = self.net.head(hs[length], training=True, rng=self.rng)
+        loss, dlogits = softmax_cross_entropy(logits, targets)
+        dlast, grads = self.net.head_backward(dlogits, head_cache)
+
+        dh1 = handoff.dh1(batch)
+        dz = np.empty_like(gates)
+        upstream = np.zeros_like(dlast)  # only the last step's output reaches the head
+        dh_next = dc_next = upstream
+        for step in range(length - 1, -1, -1):
+            dh = dlast if step == length - 1 else upstream
+            dh_next, dc_next = lstm_backward_step(dh, dh_next, dc_next, cache, step, u, dz[step])
+            np.matmul(dz[step], w, out=dh1[step])
+            handoff.publish(_DH1_STEPS, first + length - step)
+        dw, du, db = lstm_weight_gradients(dz, cache, w)
+        ensure_finite("lstm gradients", dh1, dw, du, db)
+        adam_step(t, {"lstm2/w": dw, "lstm2/u": du, "lstm2/b": db, **grads}, self.adam, lr=self.config.learning_rate)
+        return loss
+
+
+def _batches(order: np.ndarray, batch_size: int):
+    """(number, indices) of each batch of order that trains; a size-1 tail
+    is skipped, since batch normalization needs two."""
+    for start in range(0, len(order), batch_size):
+        if len(order) - start > 1:
+            yield start // batch_size, order[start : start + batch_size]
+
+
+@contextmanager
+def _located(epoch: int, number: int):
+    """Name the batch in a NumericalFault raised in the body."""
+    try:
+        yield
+    except NumericalFault as fault:
+        raise NumericalFault(f"epoch {epoch}, batch {number}: {fault}") from fault
+
+
+class _Helper:
+    """The forked process that runs layer 1 for every epoch, once started.
+
+    It never returns into the caller's stack: every exit is os._exit, so no
+    finally block, atexit handler or stdio buffer of the caller runs in it.
+    SIGINT stays blocked there; Ctrl-C reaches the parent, which kills it.
+    It runs only numpy arithmetic; the one other thread a process may hold
+    is OpenBLAS's pool, which OpenBLAS's own fork handler stops first.
+    """
+
+    def __init__(self):
+        self.pid: int | None = None
+        self.status: int | None = None
+
+    def start(self, config: RnnConfig, handoff: _Handoff, layer_one: _LayerOne) -> None:
+        parent = os.getpid()
+        # blocked across the fork, so an interrupt finds self.pid set
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                self._run(config, handoff, layer_one, parent)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        handoff.check_peer = self.check
+
+    @staticmethod
+    def _run(config: RnnConfig, handoff: _Handoff, layer_one: _LayerOne, parent: int) -> None:
+        status = 1
+        try:
+            def check_parent() -> None:
+                if os.getppid() != parent:
+                    raise RuntimeError("the training process is gone")
+
+            handoff.check_peer = check_parent
+            count = 0
+            for epoch in range(config.epochs):
+                handoff.wait(_ORDERS, epoch + 1)
+                for number, batch in _batches(handoff.order, config.batch_size):
+                    count += 1
+                    with _located(epoch, number):
+                        layer_one.forward(count, batch)
+                        layer_one.backward(count)
+            status = 0
+        except BaseException as error:  # noqa: BLE001 - the parent raises it
+            handoff.report(error)
+        finally:
+            os._exit(status)
+
+    def check(self) -> None:
+        """Raise _HelperStopped if the helper has exited."""
+        pid, status = os.waitpid(self.pid, os.WNOHANG)
+        if pid:
+            self.status = status
+            code = os.waitstatus_to_exitcode(status)
+            raise _HelperStopped(RuntimeError(f"layer-1 helper exited with status {code}"))
+
+    def stop(self) -> None:
+        """Kill and reap the helper, if one started and is not reaped yet."""
+        if self.pid and self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+            _, self.status = os.waitpid(self.pid, 0)
+
+
 @one_blas_thread()
 def train(
     config: RnnConfig,
@@ -233,53 +513,71 @@ def train(
     seed starts two separate generators: one draws the initial parameters,
     the other the shuffles and dropout masks. on_epoch, when given, is called
     after every epoch with (epoch index, mean loss, improved flag).
+
+    Layer 1 (_LayerOne) and the rest of the network (_Rest) train as two
+    halves that hand one (B, H) slice per step across the layer boundary.
+    Where two_process_training() holds, a forked helper runs layer 1, a step
+    ahead of layer 2 going forward and a step behind it going back; the
+    helper is killed and reaped before train returns or raises. Elsewhere
+    both halves run here in dependency order. Either way each half runs the
+    same arithmetic, so the results are equal bit for bit, and the first
+    NumericalFault is the one the serial order meets first.
     """
     inputs, targets = make_training_windows(sequences, vocab, config.window)
-
-    net = Network(config, init_tensors(config, len(vocab), seed))
-    rng = np.random.default_rng(seed)
-    adam = AdamState()
-    best_loss = float("inf")
-    best_epoch = -1
-    best_tensors = None
     if len(targets) % config.batch_size == 1:
         warnings.warn(
             f"skipping size-1 batch in {config.epochs} epoch(s): {len(targets)} windows"
             f" in batches of {config.batch_size} leave one over (batch normalization needs >= 2)"
         )
+    if len(targets) < 2:
+        raise ShortCorpusError("every batch was skipped; decrease batch_size or add data")
 
+    handoff = _Handoff(config, len(vocab), len(targets))
+    for name, tensor in init_tensors(config, len(vocab), seed).items():
+        handoff.tensors[name][...] = tensor
+    rng = np.random.default_rng(seed)
+    rest = _Rest(config, handoff, rng)
+    layer_one = _LayerOne(config, handoff, inputs)
+    best_loss = float("inf")
+    best_epoch = -1
+    best_tensors = None
+    count = 0
     # a diverging run overflows to inf and nan; ensure_finite reports that as
     # NumericalFault, so numpy's own warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(targets))
-            loss_sum = 0.0
-            example_count = 0
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
-                if len(batch) == 1:
-                    continue
-                try:
-                    logits, cache = net.forward(inputs[batch], training=True, rng=rng)
-                    loss, dlogits = softmax_cross_entropy(logits, targets[batch])
-                    grads = net.backward(dlogits, cache)
-                    adam_step(net.tensors, grads, adam, lr=config.learning_rate)
-                except NumericalFault as fault:
-                    raise NumericalFault(
-                        f"epoch {epoch}, batch {start // config.batch_size}: {fault}"
-                    ) from fault
-                loss_sum += loss * len(batch)
-                example_count += len(batch)
-            if example_count == 0:
-                raise ShortCorpusError("every batch was skipped; decrease batch_size or add data")
-            mean_loss = loss_sum / example_count
-            improved = mean_loss < best_loss
-            if improved:
-                best_loss = mean_loss
-                best_epoch = epoch
-                best_tensors = {name: array.copy() for name, array in net.tensors.items()}
-            if on_epoch is not None:
-                on_epoch(epoch, mean_loss, improved)
+        helper = _Helper()
+        try:
+            if two_process_training():
+                helper.start(config, handoff, layer_one)
+            local = None if helper.pid else layer_one
+            for epoch in range(config.epochs):
+                handoff.order[:] = rng.permutation(len(targets))
+                handoff.publish(_ORDERS, epoch + 1)
+                loss_sum = 0.0
+                example_count = 0
+                for number, batch in _batches(handoff.order, config.batch_size):
+                    count += 1
+                    with _located(epoch, number):
+                        if local:
+                            local.forward(count, batch)
+                        loss = rest.step(count, targets[batch])
+                        if local:
+                            local.backward(count)
+                    loss_sum += loss * len(batch)
+                    example_count += len(batch)
+                handoff.wait(_LAYER1_DONE, count)
+                mean_loss = loss_sum / example_count
+                improved = mean_loss < best_loss
+                if improved:
+                    best_loss = mean_loss
+                    best_epoch = epoch
+                    best_tensors = {name: array.copy() for name, array in handoff.tensors.items()}
+                if on_epoch is not None:
+                    on_epoch(epoch, mean_loss, improved)
+        except _HelperStopped as stopped:
+            raise stopped.args[0] from None
+        finally:
+            helper.stop()
     return Checkpoint(best_tensors, vocab, config, best_loss, best_epoch)
 
 

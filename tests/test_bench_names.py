@@ -34,6 +34,10 @@ GONE_FOR_GOOD = {
     # rnn.encode_checkpoint) and writes them with its log in one cli.commit
     "jazzgen.cli.save_transition_table",
     "jazzgen.cli.save_checkpoint",
+    # train runs layer 1 and the rest of the network as two halves that step
+    # through neural.lstm_backward_step; neither calls these
+    "jazzgen.rnn.Network.backward",
+    "jazzgen.rnn.lstm_backward",
 }
 
 

@@ -2,10 +2,12 @@ import errno
 import json
 import os
 import re
+import select
 import shutil
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import MISSING, fields
 from fractions import Fraction
@@ -1072,18 +1074,59 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     write_seeds(tmp_path / "seeds")
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     trees = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
+    # the last run sees one CPU, so train keeps layer 1 in its own process
+    runs = [("1", None), ("2", None)]
+    if hasattr(os, "sched_setaffinity"):
+        runs.append(("2", lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})))
+    for number, (threads, preexec_fn) in enumerate(runs):
+        out = tmp_path / f"out{number}"
         env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
         args = ["--corpus", tmp_path / "corpus", "--seeds", tmp_path / "seeds", "--out", out, "--epochs", "1"]
         result = subprocess.run([sys.executable, "-c", PIPELINE_IN_CHILD, *map(str, args)],
-                                capture_output=True, text=True, env=env, timeout=600)
+                                capture_output=True, text=True, env=env, timeout=600, preexec_fn=preexec_fn)
         assert result.returncode == 0, result.stderr
         trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
     config = RnnConfig()
     manifest = json.loads(trees[0]["ingest/manifest.json"])
     windows = sum(entry["tokens"] - config.window for entry in manifest["corpus"])
     assert windows % config.batch_size == 57
-    assert trees[0].keys() == trees[1].keys()
-    for name in trees[0]:
-        assert trees[0][name] == trees[1][name], f"{name} differs"
+    for tree in trees[1:]:
+        assert tree.keys() == trees[0].keys()
+        for name in trees[0]:
+            assert tree[name] == trees[0][name], f"{name} differs"
+
+
+def test_a_killed_train_leaves_no_process_behind(workspace, tmp_path):
+    out = tmp_path / "out"
+    assert invoke(["ingest", *dirs(workspace, out=str(out))]).exit_code == 0
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    train = subprocess.Popen(
+        [sys.executable, "-m", "jazzgen.cli", "train", *map(str, dirs(workspace, out=str(out))),
+         "--hidden", "8", "--batch", "16", "--epochs", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": pythonpath}, start_new_session=True,
+    )
+    group = train.pid  # a new session's leader leads its own process group
+    try:
+        output = b""
+        deadline = time.monotonic() + 120
+        while b"\nepoch " not in b"\n" + output:
+            assert time.monotonic() < deadline, "no epoch line within 120 s"
+            if select.select([train.stdout], [], [], 1.0)[0]:
+                chunk = os.read(train.stdout.fileno(), 4096)
+                assert chunk, "train ended before its first epoch"
+                output += chunk
+        train.kill()
+        train.wait()
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                os.killpg(group, 0)  # sends nothing; only asks whether the group has members
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the killed train is still alive"
+            time.sleep(0.05)
+    finally:
+        train.kill()
+        train.wait()
+        train.stdout.close()

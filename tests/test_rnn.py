@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +25,7 @@ from jazzgen.rnn import (
     CheckpointError,
     Network,
     RnnConfig,
+    ShortCorpusError,
     encode_checkpoint,
     generate_rnn,
     init_tensors,
@@ -164,19 +168,24 @@ def test_network_tensor_inventory():
 
 
 def test_adam_moments_cover_exactly_the_trainable_tensors(monkeypatch):
-    """train hands Adam every tensor; the running statistics get no moments."""
-    states = []
+    """Layer 1 and the rest of the network each keep an Adam state; between
+    them they cover every trained tensor once, and the running statistics get
+    no moments. In one process, where both halves' calls are seen here."""
+    states = {}
     real_adam_step = jazzgen.rnn.adam_step
 
     def recording_adam_step(params, grads, state, lr):
-        states.append(state)
+        states[id(state)] = state
         real_adam_step(params, grads, state, lr)
 
     monkeypatch.setattr(jazzgen.rnn, "adam_step", recording_adam_step)
+    monkeypatch.setattr(jazzgen.rnn, "two_process_training", lambda: False)
     seq = cycle_tokens(24)
     train(small_config(epochs=1), [seq], build_vocabulary(seq), SMALL_SEED)
-    assert states
-    assert set(states[-1].m) == set(states[-1].v) == TRAINABLE
+    first, second = states.values()
+    assert set(first.m) == set(first.v) and set(second.m) == set(second.v)
+    assert not set(first.m) & set(second.m)
+    assert set(first.m) | set(second.m) == TRAINABLE
 
 
 def test_memorization_reaches_low_loss(memorized):
@@ -230,6 +239,147 @@ def test_numerical_fault_names_epoch_and_batch():
     config = small_config(learning_rate=1e300, epochs=4)
     with pytest.raises(NumericalFault, match=r"epoch \d+, batch \d+"):
         train(config, [seq], vocab, SMALL_SEED)
+
+
+def force_mode(monkeypatch, two_processes: bool) -> list[int]:
+    """Make train run layer 1 in a helper process or in its own; returns the
+    list that collects the pid of every process forked from here on."""
+    monkeypatch.setattr(jazzgen.rnn, "two_process_training", lambda: two_processes)
+    forked = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("windows", [8 * 3 + 1, 8 * 3 + 5])  # a skipped size-1 tail; a short last batch
+def test_one_and_two_processes_train_the_same_bits(monkeypatch, dtype, windows):
+    seq = cycle_tokens(16 + windows)
+    vocab = build_vocabulary(seq)
+    assert len(make_training_windows([seq], vocab, 16)[1]) == windows
+    config = small_config(dtype=dtype, dropout=0.3, epochs=4)
+    runs = []
+    for two_processes in (False, True):
+        forked = force_mode(monkeypatch, two_processes)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the size-1 tail's warning
+            ckpt = train(config, [seq], vocab, SMALL_SEED, on_epoch=lambda *call: calls.append(call))
+        assert len(forked) == two_processes
+        assert_no_child_left()
+        runs.append((encode_checkpoint(ckpt), calls))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == config.epochs
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("tokens", [24, 40])  # one batch an epoch; three
+def test_a_numerical_fault_reads_the_same_in_one_and_two_processes(monkeypatch, tokens):
+    seq = cycle_tokens(tokens)
+    vocab = build_vocabulary(seq)
+    config = small_config(learning_rate=1e300, epochs=4)
+    messages = []
+    for two_processes in (False, True):
+        forked = force_mode(monkeypatch, two_processes)
+        with pytest.raises(NumericalFault) as fault:
+            train(config, [seq], vocab, SMALL_SEED)
+        assert len(forked) == two_processes
+        assert_no_child_left()
+        messages.append(str(fault.value))
+    assert messages[0] == messages[1]
+    assert re.fullmatch(r"epoch \d+, batch \d+: [a-z -]+ contains non-finite values", messages[0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_fault_in_the_rest_of_the_network_reads_the_same_in_one_and_two_processes(monkeypatch):
+    seq = cycle_tokens(40)
+    vocab = build_vocabulary(seq)
+    real_loss = jazzgen.rnn.softmax_cross_entropy
+    messages = []
+    for two_processes in (False, True):
+        forked = force_mode(monkeypatch, two_processes)
+        calls = []
+
+        def nan_at_the_second_batch(logits, targets):
+            calls.append(len(targets))
+            return real_loss(logits * np.nan if len(calls) == 2 else logits, targets)
+
+        monkeypatch.setattr(jazzgen.rnn, "softmax_cross_entropy", nan_at_the_second_batch)
+        with pytest.raises(NumericalFault) as fault:
+            train(small_config(), [seq], vocab, SMALL_SEED)
+        assert len(forked) == two_processes
+        assert_no_child_left()
+        messages.append(str(fault.value))
+    assert messages == ["epoch 0, batch 1: cross-entropy loss contains non-finite values"] * 2
+
+
+def test_no_helper_outlives_train(monkeypatch):
+    seq = cycle_tokens(40)
+    vocab = build_vocabulary(seq)
+    forked = force_mode(monkeypatch, True)
+    train(small_config(), [seq], vocab, SMALL_SEED)
+    assert_no_child_left()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFault):
+        train(small_config(learning_rate=1e300), [seq], vocab, SMALL_SEED)
+    assert_no_child_left()
+
+    class Stop(Exception):
+        pass
+
+    for error in (Stop, KeyboardInterrupt):
+        def stop(*call):
+            raise error
+
+        with pytest.raises(error):
+            train(small_config(), [seq], vocab, SMALL_SEED, on_epoch=stop)
+        assert_no_child_left()
+    assert len(forked) == 4
+
+
+def test_a_helper_that_fails_or_dies_stops_train(monkeypatch):
+    seq = cycle_tokens(40)
+    vocab = build_vocabulary(seq)
+    forked = force_mode(monkeypatch, True)
+    real_gradients = jazzgen.rnn.lstm_weight_gradients
+
+    def failing_for_layer_one(dz, cache, w):
+        if cache.inputs.ndim == 1:  # token indices: layer 1, in the helper
+            raise MemoryError("no room")
+        return real_gradients(dz, cache, w)
+
+    monkeypatch.setattr(jazzgen.rnn, "lstm_weight_gradients", failing_for_layer_one)
+    with pytest.raises(RuntimeError, match="^layer-1 helper failed: MemoryError: no room$"):
+        train(small_config(), [seq], vocab, SMALL_SEED)
+    assert_no_child_left()
+    monkeypatch.setattr(jazzgen.rnn, "lstm_weight_gradients", real_gradients)
+
+    def kill_the_helper(*call):
+        os.kill(forked[-1], signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match="^layer-1 helper exited with status -9$"):
+        train(small_config(), [seq], vocab, SMALL_SEED, on_epoch=kill_the_helper)
+    assert_no_child_left()
+
+
+def test_a_corpus_of_one_window_fails_before_any_fork(monkeypatch):
+    seq = cycle_tokens(17)
+    forked = force_mode(monkeypatch, True)
+    with pytest.warns(UserWarning, match="size-1 batch"), pytest.raises(ShortCorpusError, match="every batch"):
+        train(small_config(), [seq], build_vocabulary(seq), SMALL_SEED)
+    assert forked == []
 
 
 def test_generate_zero_steps_returns_seed(memorized):
