@@ -25,6 +25,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -165,12 +166,12 @@ class Network:
         self.tensors = tensors
 
     def forward(self, windows, training: bool, rng: np.random.Generator | None = None):
-        """windows is integer token indices (B, L); returns (logits, cache)."""
+        """windows is integer token indices (B, L); returns (logits, head
+        cache), as head does."""
         t = self.tensors
-        hs1, cache1 = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
-        hs2, cache2 = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
-        logits, head_cache = self.head(hs2[:, -1, :], training, rng)
-        return logits, (hs2.shape, cache1, cache2, head_cache)
+        hs1, _ = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
+        hs2, _ = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
+        return self.head(hs2[:, -1, :], training, rng)
 
     def head(self, last, training: bool, rng: np.random.Generator | None = None):
         """Logits (B, V) from the last LSTM layer's final hidden state (B, H):
@@ -226,12 +227,49 @@ def make_training_windows(
     return np.concatenate(inputs), np.concatenate(targets)
 
 
+def cgroup_cpu_limit(proc_cgroup: str = "/proc/self/cgroup", mount: str = "/sys/fs/cgroup") -> float:
+    """The CPUs' worth of time per period that this process's cgroups allow
+    it: the least quota / period along its cgroup path, from cgroup v2's
+    cpu.max or v1's cpu.cfs_quota_us and cpu.cfs_period_us. inf where no
+    quota is set or none can be read. A quota caps the time however many
+    CPUs the affinity mask lists."""
+    try:
+        lines = Path(proc_cgroup).read_text().splitlines()
+    except OSError:
+        return math.inf
+    limit = math.inf
+    for line in lines:
+        _, controllers, path = (line.split(":", 2) + ["", ""])[:3]
+        if controllers == "" and path:  # the v2 hierarchy
+            base, files = Path(mount), ("cpu.max",)
+        elif "cpu" in controllers.split(","):
+            base, files = Path(mount, "cpu"), ("cpu.cfs_quota_us", "cpu.cfs_period_us")
+        else:
+            continue
+        here = PurePosixPath(path)
+        for directory in (here, *here.parents):
+            try:
+                quota, period = " ".join((base / directory.relative_to("/") / name).read_text() for name in files).split()
+                if int(quota) > 0:  # v1 writes -1 and v2 "max" for none
+                    limit = min(limit, int(quota) / int(period))
+            except (OSError, ValueError):
+                pass
+    return limit
+
+
 def two_process_training() -> bool:
     """Whether train runs layer 1 in a forked helper process: on Linux x86-64
-    with two or more CPUs to run on. The halves hand over their steps with
+    where the affinity mask lists two or more CPUs and no cgroup quota
+    allows less than two CPUs' time. The halves hand over their steps with
     plain int64 stores, which x86-64 keeps in order with the stores before
-    them; elsewhere both halves run in the calling process."""
-    return sys.platform.startswith("linux") and os.uname().machine == "x86_64" and len(os.sched_getaffinity(0)) >= 2
+    them; elsewhere both halves run in the calling process. Load from other
+    processes on those CPUs is not seen here (see README)."""
+    return (
+        sys.platform.startswith("linux")
+        and os.uname().machine == "x86_64"
+        and len(os.sched_getaffinity(0)) >= 2
+        and cgroup_cpu_limit() >= 2
+    )
 
 
 # Handoff counters. Each only grows and one half alone writes it. Steps count
@@ -241,6 +279,11 @@ _ORDERS, _H1_STEPS, _H1_CHECKED, _DH1_STEPS, _LAYER1_DONE, _HELPER_FAULT = range
 _FAULT_BYTES = 1024
 # how often a waiting half checks that the other is still alive
 _POLL_S = 0.05
+
+
+def _leading(flat: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of the 1-D array flat as a C-contiguous array of shape."""
+    return flat[: math.prod(shape)].reshape(shape)
 
 
 class _HelperStopped(Exception):
@@ -254,8 +297,9 @@ class _Handoff:
     the epoch's batch order, the counters and the helper's fault text.
 
     A half waits for the other by spinning on a counter, never by sleeping:
-    a wake-up would cost more than a step. check_peer is None in one
-    process, where every wait must already be met.
+    a wake-up would cost more than a step. check_peer returns None while the
+    other half runs and the error to raise once it has ended; it is None in
+    one process, where every wait must already be met.
     """
 
     def __init__(self, config: RnnConfig, n_vocab: int, n_windows: int):
@@ -282,15 +326,15 @@ class _Handoff:
         self.tensors = {name: arrays[name] for name in tensor_shapes(config, n_vocab)}
         self.order, self.counters, self._fault = arrays["order"], arrays["counters"], arrays["fault"]
         self._h1, self._dh1 = arrays["h1"], arrays["dh1"]
-        self.check_peer: Callable[[], None] | None = None
+        self.check_peer: Callable[[], Exception | None] | None = None
 
     def h1(self, count: int, batch: int) -> np.ndarray:
         """Layer 1's hidden states (L + 1, batch, H) for batch number count."""
-        return self._h1[count % 2][: (self.window + 1) * batch * self.hidden].reshape(-1, batch, self.hidden)
+        return _leading(self._h1[count % 2], self.window + 1, batch, self.hidden)
 
     def dh1(self, batch: int) -> np.ndarray:
         """The gradient (L, batch, H) of the current batch's h1[1:]."""
-        return self._dh1[: self.window * batch * self.hidden].reshape(-1, batch, self.hidden)
+        return _leading(self._dh1, self.window, batch, self.hidden)
 
     def publish(self, counter: int, value: int) -> None:
         self.counters[counter] = value
@@ -305,9 +349,17 @@ class _Handoff:
         while counters[counter] < target:
             if counters[_HELPER_FAULT]:
                 raise _HelperStopped(self.helper_fault())
-            if time.monotonic() >= poll:
-                self.check_peer()
-                poll = time.monotonic() + _POLL_S
+            if time.monotonic() < poll:
+                # not a sleep: a CPU the halves share goes to the other one
+                os.sched_yield()
+                continue
+            gone = self.check_peer()
+            if gone is not None:
+                # the peer may have published this step, or left its fault, just before it ended
+                if counters[counter] >= target:
+                    return
+                raise _HelperStopped(self.helper_fault() if counters[_HELPER_FAULT] else gone)
+            poll = time.monotonic() + _POLL_S
 
     def report(self, error: BaseException) -> None:
         """The helper's last act on an error: leave its text for the parent."""
@@ -324,6 +376,35 @@ class _Handoff:
         return RuntimeError(f"layer-1 helper failed: {text}")
 
 
+class _Workspace:
+    """One LSTM layer's arrays for a batch, allocated once for the largest
+    batch and reused by every batch, so that no batch pays for freshly
+    mapped pages. Layer 1 keeps its hidden states in the handoff instead."""
+
+    def __init__(self, config: RnnConfig):
+        self.length, self.hidden = config.window, config.hidden_units
+        states = config.batch_size * self.hidden
+        dtype = np.dtype(config.dtype)
+        self._hs, self._cs = np.empty((2, (self.length + 1) * states), dtype)
+        self._tanh_cs = np.empty(self.length * states, dtype)
+        self._gates, self._dz = np.empty((2, self.length * 4 * states), dtype)
+
+    def states(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """(hs, cs), each (L + 1, batch, H) with a zero row 0, the state step 0 starts from."""
+        hs, cs = (_leading(flat, self.length + 1, batch, self.hidden) for flat in (self._hs, self._cs))
+        hs[0] = cs[0] = 0.0
+        return hs, cs
+
+    def steps(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gates (L, batch, 4H), tanh_cs (L, batch, H)) for lstm_cell to fill."""
+        gates = _leading(self._gates, self.length, batch, 4 * self.hidden)
+        return gates, _leading(self._tanh_cs, self.length, batch, self.hidden)
+
+    def dz(self, batch: int) -> np.ndarray:
+        """(L, batch, 4H) for the gate pre-activation gradients."""
+        return _leading(self._dz, self.length, batch, 4 * self.hidden)
+
+
 class _LayerOne:
     """lstm1 forward and backward, one batch at a time, with its index
     gradient and its own Adam state. It writes only the lstm1 tensors, and
@@ -333,6 +414,7 @@ class _LayerOne:
     def __init__(self, config: RnnConfig, handoff: _Handoff, inputs: np.ndarray):
         self.config, self.handoff, self.inputs = config, handoff, inputs
         self.adam = AdamState()
+        self.work = _Workspace(config)
         self.cache: LstmCache | None = None
 
     def forward(self, count: int, batch: np.ndarray) -> None:
@@ -342,13 +424,18 @@ class _LayerOne:
         hs[0] = 0.0
         inputs = self.inputs[batch].T.reshape(-1)
         w_t, u_t, b = t["lstm1/w"].T, np.ascontiguousarray(t["lstm1/u"].T), t["lstm1/b"]
-        cs = np.zeros_like(hs)
-        gates = np.empty((length, len(batch), u_t.shape[1]), dtype=u_t.dtype)
-        tanh_cs = np.empty_like(hs[1:])
+        _, cs = self.work.states(len(batch))
+        gates, tanh_cs = self.work.steps(len(batch))
         first = (count - 1) * length
-        for step, tokens in enumerate(inputs.reshape(length, -1)):
-            # the input projection gathered a step at a time, so step 0 starts sooner
-            xw = w_t[tokens]
+        if handoff.check_peer is None:
+            # nothing waits for step 0 here, so one gather fills every step's
+            # input projection, into the gradient buffer backward fills later
+            projections = np.take(w_t, inputs, axis=0, out=self.work.dz(len(batch)).reshape(len(inputs), -1))
+            projections = projections.reshape(length, len(batch), -1)
+        else:
+            # a step at a time, so that layer 2 starts sooner
+            projections = (w_t[tokens] for tokens in inputs.reshape(length, -1))
+        for step, xw in enumerate(projections):
             lstm_cell(xw, hs[step], cs[step], u_t, b, gates[step], cs[step + 1], tanh_cs[step], hs[step + 1])
             handoff.publish(_H1_STEPS, first + step + 1)
         ensure_finite("lstm output", hs, cs)
@@ -360,7 +447,7 @@ class _LayerOne:
         t = handoff.tensors
         length, batch = cache.gates.shape[:2]
         dh1 = handoff.dh1(batch)
-        dz = np.empty_like(cache.gates)
+        dz = self.work.dz(batch)
         dh_next = dc_next = np.zeros_like(dh1[0])
         first = (count - 1) * length
         for step in range(length - 1, -1, -1):
@@ -380,6 +467,7 @@ class _Rest:
         self.config, self.handoff, self.rng = config, handoff, rng
         self.net = Network(config, handoff.tensors)
         self.adam = AdamState()
+        self.work = _Workspace(config)
 
     def step(self, count: int, targets: np.ndarray) -> float:
         """Forward, loss, backward and Adam for batch number count; returns its loss."""
@@ -387,10 +475,8 @@ class _Rest:
         t = handoff.tensors
         w, u, b = t["lstm2/w"], t["lstm2/u"], t["lstm2/b"]
         h1 = handoff.h1(count, batch)
-        hs = np.zeros_like(h1)
-        cs = np.zeros_like(h1)
-        gates = np.empty((length, batch, u.shape[0]), dtype=u.dtype)
-        tanh_cs = np.empty_like(h1[1:])
+        hs, cs = self.work.states(batch)
+        gates, tanh_cs = self.work.steps(batch)
         u_t = np.ascontiguousarray(u.T)
         first = (count - 1) * length
         for step in range(length):
@@ -405,7 +491,7 @@ class _Rest:
         dlast, grads = self.net.head_backward(dlogits, head_cache)
 
         dh1 = handoff.dh1(batch)
-        dz = np.empty_like(gates)
+        dz = self.work.dz(batch)
         upstream = np.zeros_like(dlast)  # only the last step's output reaches the head
         dh_next = dc_next = upstream
         for step in range(length - 1, -1, -1):
@@ -466,9 +552,8 @@ class _Helper:
     def _run(config: RnnConfig, handoff: _Handoff, layer_one: _LayerOne, parent: int) -> None:
         status = 1
         try:
-            def check_parent() -> None:
-                if os.getppid() != parent:
-                    raise RuntimeError("the training process is gone")
+            def check_parent() -> Exception | None:
+                return RuntimeError("the training process is gone") if os.getppid() != parent else None
 
             handoff.check_peer = check_parent
             count = 0
@@ -485,13 +570,14 @@ class _Helper:
         finally:
             os._exit(status)
 
-    def check(self) -> None:
-        """Raise _HelperStopped if the helper has exited."""
+    def check(self) -> Exception | None:
+        """None while the helper runs; once it has exited, reap it and return
+        the error that names its exit status."""
         pid, status = os.waitpid(self.pid, os.WNOHANG)
-        if pid:
-            self.status = status
-            code = os.waitstatus_to_exitcode(status)
-            raise _HelperStopped(RuntimeError(f"layer-1 helper exited with status {code}"))
+        if not pid:
+            return None
+        self.status = status
+        return RuntimeError(f"layer-1 helper exited with status {os.waitstatus_to_exitcode(status)}")
 
     def stop(self) -> None:
         """Kill and reap the helper, if one started and is not reaped yet."""

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -372,6 +373,113 @@ def test_a_helper_that_fails_or_dies_stops_train(monkeypatch):
     with pytest.raises(RuntimeError, match="^layer-1 helper exited with status -9$"):
         train(small_config(), [seq], vocab, SMALL_SEED, on_epoch=kill_the_helper)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_a_wait_sees_what_the_peer_left_just_before_it_ended(monkeypatch, fault):
+    """The peer publishes the step waited for, or reports its fault, and then
+    exits, all between the wait's read of the counter and its check on the
+    peer: the wait returns, or raises that fault, not the exit."""
+    monkeypatch.setattr(jazzgen.rnn, "_POLL_S", 0.0)
+    handoff = jazzgen.rnn._Handoff(small_config(), 8, 40)
+    done = jazzgen.rnn._LAYER1_DONE
+    text = "epoch 2, batch 4: lstm gradients contains non-finite values"
+
+    def leave_then_exit():
+        if fault:
+            handoff.report(NumericalFault(text))
+        else:
+            handoff.publish(done, 3)
+        return RuntimeError("layer-1 helper exited with status 0")
+
+    handoff.check_peer = leave_then_exit
+    if fault:
+        with pytest.raises(jazzgen.rnn._HelperStopped) as stopped:
+            handoff.wait(done, 3)
+        assert isinstance(stopped.value.args[0], NumericalFault)
+        assert str(stopped.value.args[0]) == text
+    else:
+        handoff.wait(done, 3)
+
+
+def test_a_helper_that_exits_during_the_last_wait_ends_train_normally(monkeypatch):
+    """The helper publishes its last batch and exits between the parent's
+    read of the counter and its check on the helper, as when the parent is
+    descheduled on a busy host: train still returns normally."""
+    seq = cycle_tokens(40)
+    vocab = build_vocabulary(seq)
+    expected = encode_checkpoint(train(small_config(epochs=1), [seq], vocab, SMALL_SEED))
+    forked = force_mode(monkeypatch, True)
+    real_adam_step, real_check = jazzgen.rnn.adam_step, jazzgen.rnn._Helper.check
+
+    def slow_for_layer_one(params, grads, state, lr):
+        if "lstm1/w" in grads:  # in the helper: the parent reaches its wait first
+            time.sleep(0.05)
+        real_adam_step(params, grads, state, lr)
+
+    def check_once_the_helper_has_ended(helper):
+        deadline = time.monotonic() + 0.1
+        while time.monotonic() < deadline and not os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+            time.sleep(0.001)
+        return real_check(helper)
+
+    monkeypatch.setattr(jazzgen.rnn, "adam_step", slow_for_layer_one)
+    monkeypatch.setattr(jazzgen.rnn._Helper, "check", check_once_the_helper_has_ended)
+    monkeypatch.setattr(jazzgen.rnn, "_POLL_S", 0.0)
+    assert encode_checkpoint(train(small_config(epochs=1), [seq], vocab, SMALL_SEED)) == expected
+    assert_no_child_left()
+    assert len(forked) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_two_processes_sharing_one_cpu_train_the_same_bits(monkeypatch):
+    """Both halves pinned to one CPU, so that every wait runs while the
+    half it waits for is off the CPU: the same bits as one process."""
+    seq = cycle_tokens(40)
+    vocab = build_vocabulary(seq)
+    config = small_config(epochs=2)
+    expected = encode_checkpoint(train(config, [seq], vocab, SMALL_SEED))
+    forked = force_mode(monkeypatch, True)
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert encode_checkpoint(train(config, [seq], vocab, SMALL_SEED)) == expected
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert_no_child_left()
+    assert len(forked) == 1
+
+
+def write_files(root: Path, files: dict) -> None:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_cgroup_cpu_limit_is_the_least_quota_on_the_cgroup_path(tmp_path):
+    proc, mount = tmp_path / "cgroup", tmp_path / "fs"
+    write_files(mount, {
+        "cpu.max": "max 100000\n",
+        "jobs/cpu.max": "150000 100000\n",
+        "jobs/train/cpu.max": "max 100000\n",
+        "cpu/docker/cpu.cfs_quota_us": "300000\n",
+        "cpu/docker/cpu.cfs_period_us": "100000\n",
+        "cpu/docker/abc/cpu.cfs_quota_us": "-1\n",
+        "cpu/docker/abc/cpu.cfs_period_us": "100000\n",
+    })
+    proc.write_text("0::/jobs/train\n")
+    assert jazzgen.rnn.cgroup_cpu_limit(str(proc), str(mount)) == 1.5
+    proc.write_text("5:memory:/jobs\n4:cpu,cpuacct:/docker/abc\n0::/\n")
+    assert jazzgen.rnn.cgroup_cpu_limit(str(proc), str(mount)) == 3.0
+    proc.write_text("4:cpu,cpuacct:/elsewhere\n0::/gone\n")
+    assert jazzgen.rnn.cgroup_cpu_limit(str(proc), str(mount)) == math.inf
+    assert jazzgen.rnn.cgroup_cpu_limit(str(tmp_path / "missing"), str(mount)) == math.inf
+
+
+@pytest.mark.parametrize("limit", [1.0, 1.99])
+def test_a_cpu_quota_under_two_cpus_keeps_training_in_one_process(monkeypatch, limit):
+    monkeypatch.setattr(jazzgen.rnn, "cgroup_cpu_limit", lambda: limit)
+    assert not jazzgen.rnn.two_process_training()
 
 
 def test_a_corpus_of_one_window_fails_before_any_fork(monkeypatch):
