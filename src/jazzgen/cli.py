@@ -44,6 +44,7 @@ from .report import (
     write_comparison_csv,
 )
 from .rnn import (
+    HelperError,
     RnnConfig,
     ShortCorpusError,
     check_setting_types,
@@ -427,7 +428,7 @@ def run_train(config: ExperimentConfig) -> None:
         ckpt = train(config.rnn, sequences, vocab, derive_seed(config.global_seed, "rnn-train"), on_epoch)
     except ShortCorpusError as err:
         raise InputError(f"rnn training failed: {err}")
-    except (ArithmeticError, ValueError) as err:
+    except (ArithmeticError, ValueError, HelperError) as err:
         raise click.ClickException(f"rnn training failed: {err}")
     # both models are written together, so a failed training or write leaves
     # models/ as it was, never one new model beside an old one

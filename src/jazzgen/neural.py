@@ -161,94 +161,96 @@ def lstm_cell(xw, h, c, u_t, b, gate, c_out, tanh_c, h_out) -> None:
     np.multiply(o, tanh_c, out=h_out)
 
 
-def lstm_forward(xs, w, u, b):
+def lstm_forward(xs, w, u, b, buffers=None, sync=None):
     """Run a whole sequence from zero state.  Returns hs (B, L, H) plus cache.
 
     xs is either float (B, L, D) inputs or integer (B, L) token indices; an
     index stands for the one-hot row it selects, so its input projection is
-    the column gather w.T[idx].  The input projection for every step is
-    computed before the time loop; only the h @ u.T term is recurrent.
+    the column gather w.T[idx].  Step t projects its own input xs[:, t] as it
+    runs, and xs is read only through views until the last step has run, so
+    a caller may pass a block that another process is still filling.
+
+    buffers, when given, is the caller's (hs, cs, gates, tanh_cs), shaped as
+    in LstmCache, with row 0 of hs and cs zero; otherwise they are allocated.
+    sync(t), when given, runs before step t reads xs[:, t], and sync(L) once
+    the output has passed its finite check.
     """
     batch, length = xs.shape[:2]
     hidden = u.shape[1]
-    if np.issubdtype(xs.dtype, np.integer):
-        inputs = xs.T.reshape(-1)
-        xw = w.T[inputs]
+    index = np.issubdtype(xs.dtype, np.integer)
+    if buffers is None:
+        dtype = w.dtype if index else np.result_type(xs, w)
+        hs, cs = np.zeros((2, length + 1, batch, hidden), dtype=dtype)
+        gates = np.empty((length, batch, 4 * hidden), dtype=dtype)
+        tanh_cs = np.empty((length, batch, hidden), dtype=dtype)
     else:
-        inputs = xs.swapaxes(0, 1).reshape(length * batch, -1)
-        xw = inputs @ w.T
-    xw = xw.reshape(length, batch, 4 * hidden)
-    dtype = xw.dtype
-    hs = np.zeros((length + 1, batch, hidden), dtype=dtype)
-    cs = np.zeros((length + 1, batch, hidden), dtype=dtype)
-    gates = np.empty((length, batch, 4 * hidden), dtype=dtype)
-    tanh_cs = np.empty((length, batch, hidden), dtype=dtype)
-    u_t = np.ascontiguousarray(u.T)
+        hs, cs, gates, tanh_cs = buffers
+    w_t, u_t = w.T, np.ascontiguousarray(u.T)
     for t in range(length):
-        lstm_cell(xw[t], hs[t], cs[t], u_t, b, gates[t], cs[t + 1], tanh_cs[t], hs[t + 1])
+        if sync is not None:
+            sync(t)
+        xw = w_t[xs[:, t]] if index else xs[:, t] @ w_t
+        lstm_cell(xw, hs[t], cs[t], u_t, b, gates[t], cs[t + 1], tanh_cs[t], hs[t + 1])
     ensure_finite("lstm output", hs, cs)
+    if sync is not None:
+        sync(length)
+    inputs = xs.T.reshape(-1) if index else xs.swapaxes(0, 1).reshape(length * batch, -1)
     return hs[1:].swapaxes(0, 1), LstmCache(inputs, hs, cs, gates, tanh_cs)
 
 
-def lstm_backward_step(dh, dh_next, dc_next, cache: LstmCache, t: int, u, dz_t):
-    """Step t of backpropagation through time.
-
-    dh (B, H) is the upstream gradient of step t's hidden output, and
-    (dh_next, dc_next) what step t + 1 passes back to its state. Writes the
-    gradient of step t's gate pre-activations into dz_t (B, 4H) and returns
-    (dh, dc) for step t - 1: dz_t @ u and the cell state's share. Every
-    training step and lstm_backward run this one function.
-    """
-    hidden = u.shape[1]
-    gate, tanh_c = cache.gates[t], cache.tanh_cs[t]
-    i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
-    dh = dh + dh_next
-    do = dh * tanh_c
-    dc_total = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-    di = dc_total * g
-    df = dc_total * cache.cs[t]
-    dg = dc_total * i
-    dz_t[:, :hidden] = di * i * (1.0 - i)
-    dz_t[:, hidden : 2 * hidden] = df * f * (1.0 - f)
-    dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
-    dz_t[:, 3 * hidden :] = do * o * (1.0 - o)
-    return dz_t @ u, dc_total * f
-
-
-def lstm_weight_gradients(dz, cache: LstmCache, w):
-    """(dw, du, db) from the gate pre-activation gradients dz, (L, B, 4H) in
-    the time-major order of cache. For index input, column v of dw sums the
-    dz rows of token v's occurrences one at a time, in time-major order
-    (step, then batch row), starting from the first (_index_gradient)."""
-    length, batch, gates = dz.shape
-    dz = dz.reshape(length * batch, gates)
-    du = dz.T @ cache.hs[:-1].reshape(length * batch, -1)
-    db = dz.sum(axis=0)
-    dw = _index_gradient(dz, cache.inputs, w) if cache.inputs.ndim == 1 else dz.T @ cache.inputs
-    return dw, du, db
-
-
-def lstm_backward(dhs, cache: LstmCache, w, u):
+def lstm_backward(dhs, cache: LstmCache, w, u, dz=None, dxs=None, sync=None):
     """Backpropagate through time.
 
-    dhs (B, L, H) carries the upstream gradient for every timestep's hidden
-    output (zero-filled where a caller only consumes the final step).
-    Returns (dxs, dw, du, db); dxs is None when the forward pass was fed
-    token indices, which have no gradient. Each step's input gradient is
-    its own product dz_t @ w, as in training.
+    dhs (B, L', H) carries the upstream gradient of the last L' <= L steps'
+    hidden outputs; the steps before them get none, bit for bit as if dhs
+    were zero-filled there. Returns (dxs, dw, du, db); dxs is None when the
+    forward pass was fed token indices, which have no gradient. Each step's
+    input gradient is its own product dz_t @ w.
+
+    dz (L, B, 4H) and dxs (L, B, D), when given, are the caller's time-major
+    buffers for the gate pre-activation gradients and the input gradient.
+    sync(n), when given, runs before the n-th step back (from 0) reads dhs,
+    and sync(L) right after the last, before the weight gradients. For index
+    input, column v of dw sums the dz rows of token v's occurrences one at a
+    time, in time-major order (step, then batch row), starting from the
+    first (_index_gradient).
     """
-    batch, length, hidden = dhs.shape
-    dz = np.empty((length, batch, 4 * hidden), dtype=dhs.dtype)
-    dh_next = np.zeros((batch, hidden), dtype=dhs.dtype)
-    dc_next = np.zeros((batch, hidden), dtype=dhs.dtype)
-    dxs = None if cache.inputs.ndim == 1 else np.empty((length, batch, w.shape[1]), dtype=dhs.dtype)
-    for t in range(length - 1, -1, -1):
-        dh_next, dc_next = lstm_backward_step(dhs[:, t, :], dh_next, dc_next, cache, t, u, dz[t])
-        if dxs is not None:
-            np.matmul(dz[t], w, out=dxs[t])
-    dw, du, db = lstm_weight_gradients(dz, cache, w)
+    length, batch, hidden = cache.tanh_cs.shape
+    given = dhs.shape[1]
+    index = cache.inputs.ndim == 1
+    if dz is None:
+        dz = np.empty((length, batch, 4 * hidden), dtype=dhs.dtype)
+    if dxs is None and not index:
+        dxs = np.empty((length, batch, w.shape[1]), dtype=dhs.dtype)
+    zero = np.zeros((batch, hidden), dtype=dhs.dtype)
+    dh_next = dc_next = zero
+    for n in range(length):
+        t = length - 1 - n
+        if sync is not None:
+            sync(n)
+        gate, tanh_c, dz_t = cache.gates[t], cache.tanh_cs[t], dz[t]
+        i, f, g, o = (gate[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        dh = (dhs[:, given - 1 - n] if n < given else zero) + dh_next
+        do = dh * tanh_c
+        dc_total = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
+        di = dc_total * g
+        df = dc_total * cache.cs[t]
+        dg = dc_total * i
+        dz_t[:, :hidden] = di * i * (1.0 - i)
+        dz_t[:, hidden : 2 * hidden] = df * f * (1.0 - f)
+        dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
+        dz_t[:, 3 * hidden :] = do * o * (1.0 - o)
+        dh_next, dc_next = dz_t @ u, dc_total * f
+        if not index:
+            np.matmul(dz_t, w, out=dxs[t])
+    if sync is not None:
+        sync(length)
+    dz = dz.reshape(length * batch, 4 * hidden)
+    du = dz.T @ cache.hs[:-1].reshape(length * batch, -1)
+    db = dz.sum(axis=0)
+    dw = _index_gradient(dz, cache.inputs, w) if index else dz.T @ cache.inputs
     ensure_finite("lstm gradients", dw, du, db)
-    if dxs is None:
+    if index:
         return None, dw, du, db
     ensure_finite("lstm gradients", dxs)
     return dxs.swapaxes(0, 1), dw, du, db

@@ -45,10 +45,9 @@ from .neural import (
     ensure_finite,
     init_dense,
     init_lstm,
-    lstm_backward_step,
+    lstm_backward,
     lstm_cell,
     lstm_forward,
-    lstm_weight_gradients,
     one_blas_thread,
     softmax,
     softmax_cross_entropy,
@@ -275,7 +274,9 @@ def two_process_training() -> bool:
 # Handoff counters. Each only grows and one half alone writes it. Steps count
 # on across batches: batch k (from 1) hands over step t of L as number
 # (k - 1) * L + t + 1 going forward and (k - 1) * L + L - t going back.
-_ORDERS, _H1_STEPS, _H1_CHECKED, _DH1_STEPS, _LAYER1_DONE, _HELPER_FAULT = range(6)
+# Going forward, number (k - 1) * L + L comes only once layer 1's output
+# has passed its finite check.
+_ORDERS, _H1_STEPS, _DH1_STEPS, _LAYER1_DONE, _HELPER_FAULT = range(5)
 _FAULT_BYTES = 1024
 # how often a waiting half checks that the other is still alive
 _POLL_S = 0.05
@@ -284,6 +285,10 @@ _POLL_S = 0.05
 def _leading(flat: np.ndarray, *shape: int) -> np.ndarray:
     """The leading entries of the 1-D array flat as a C-contiguous array of shape."""
     return flat[: math.prod(shape)].reshape(shape)
+
+
+class HelperError(RuntimeError):
+    """The layer-1 helper failed or died; the message says which."""
 
 
 class _HelperStopped(Exception):
@@ -311,7 +316,7 @@ class _Handoff:
             "h1": ((2, (self.window + 1) * states), dtype),
             "dh1": ((self.window * states,), dtype),
             "order": ((n_windows,), np.int64),
-            "counters": ((6,), np.int64),
+            "counters": ((_HELPER_FAULT + 1,), np.int64),
             "fault": ((_FAULT_BYTES,), np.uint8),
         })
         counts = [math.prod(shape) for shape, _ in layout.values()]
@@ -338,6 +343,18 @@ class _Handoff:
 
     def publish(self, counter: int, value: int) -> None:
         self.counters[counter] = value
+
+    def producer(self, counter: int, first: int) -> Callable[[int], None]:
+        """A kernel's sync for the half that hands steps over: at n, publish first + n."""
+        return lambda n: self.publish(counter, first + n)
+
+    def consumer(self, counter: int, first: int, length: int) -> Callable[[int], None]:
+        """A kernel's sync for the half that takes them: at n < length, wait for first + n + 1."""
+        def sync(n: int) -> None:
+            if n < length:
+                self.wait(counter, first + n + 1)
+
+        return sync
 
     def wait(self, counter: int, target: int) -> None:
         counters = self.counters
@@ -373,7 +390,7 @@ class _Handoff:
         text = self._fault.tobytes().rstrip(b"\0").decode("utf-8", "replace")
         if self.counters[_HELPER_FAULT] == 1:
             return NumericalFault(text)
-        return RuntimeError(f"layer-1 helper failed: {text}")
+        return HelperError(f"layer-1 helper failed: {text}")
 
 
 class _Workspace:
@@ -389,16 +406,15 @@ class _Workspace:
         self._tanh_cs = np.empty(self.length * states, dtype)
         self._gates, self._dz = np.empty((2, self.length * 4 * states), dtype)
 
-    def states(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """(hs, cs), each (L + 1, batch, H) with a zero row 0, the state step 0 starts from."""
-        hs, cs = (_leading(flat, self.length + 1, batch, self.hidden) for flat in (self._hs, self._cs))
+    def buffers(self, batch: int, hs: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """lstm_forward's (hs, cs, gates, tanh_cs) for batch rows, with row 0
+        of hs and cs zero; hs may be the caller's own (L + 1, batch, H) array."""
+        if hs is None:
+            hs = _leading(self._hs, self.length + 1, batch, self.hidden)
+        cs = _leading(self._cs, self.length + 1, batch, self.hidden)
         hs[0] = cs[0] = 0.0
-        return hs, cs
-
-    def steps(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """(gates (L, batch, 4H), tanh_cs (L, batch, H)) for lstm_cell to fill."""
         gates = _leading(self._gates, self.length, batch, 4 * self.hidden)
-        return gates, _leading(self._tanh_cs, self.length, batch, self.hidden)
+        return hs, cs, gates, _leading(self._tanh_cs, self.length, batch, self.hidden)
 
     def dz(self, batch: int) -> np.ndarray:
         """(L, batch, 4H) for the gate pre-activation gradients."""
@@ -406,10 +422,9 @@ class _Workspace:
 
 
 class _LayerOne:
-    """lstm1 forward and backward, one batch at a time, with its index
-    gradient and its own Adam state. It writes only the lstm1 tensors, and
-    hands each step's hidden state out and takes its gradient back through
-    the handoff."""
+    """lstm1 forward and backward, one batch at a time, with its own Adam
+    state. It writes only the lstm1 tensors, and hands each step's hidden
+    state out and takes its gradient back through the handoff."""
 
     def __init__(self, config: RnnConfig, handoff: _Handoff, inputs: np.ndarray):
         self.config, self.handoff, self.inputs = config, handoff, inputs
@@ -418,43 +433,17 @@ class _LayerOne:
         self.cache: LstmCache | None = None
 
     def forward(self, count: int, batch: np.ndarray) -> None:
-        handoff, length = self.handoff, self.config.window
-        t = handoff.tensors
-        hs = handoff.h1(count, len(batch))
-        hs[0] = 0.0
-        inputs = self.inputs[batch].T.reshape(-1)
-        w_t, u_t, b = t["lstm1/w"].T, np.ascontiguousarray(t["lstm1/u"].T), t["lstm1/b"]
-        _, cs = self.work.states(len(batch))
-        gates, tanh_cs = self.work.steps(len(batch))
-        first = (count - 1) * length
-        if handoff.check_peer is None:
-            # nothing waits for step 0 here, so one gather fills every step's
-            # input projection, into the gradient buffer backward fills later
-            projections = np.take(w_t, inputs, axis=0, out=self.work.dz(len(batch)).reshape(len(inputs), -1))
-            projections = projections.reshape(length, len(batch), -1)
-        else:
-            # a step at a time, so that layer 2 starts sooner
-            projections = (w_t[tokens] for tokens in inputs.reshape(length, -1))
-        for step, xw in enumerate(projections):
-            lstm_cell(xw, hs[step], cs[step], u_t, b, gates[step], cs[step + 1], tanh_cs[step], hs[step + 1])
-            handoff.publish(_H1_STEPS, first + step + 1)
-        ensure_finite("lstm output", hs, cs)
-        handoff.publish(_H1_CHECKED, count)
-        self.cache = LstmCache(inputs, hs, cs, gates, tanh_cs)
+        handoff, t = self.handoff, self.handoff.tensors
+        buffers = self.work.buffers(len(batch), hs=handoff.h1(count, len(batch)))
+        sync = handoff.producer(_H1_STEPS, (count - 1) * self.config.window)
+        _, self.cache = lstm_forward(self.inputs[batch], t["lstm1/w"], t["lstm1/u"], t["lstm1/b"], buffers, sync)
 
     def backward(self, count: int) -> None:
-        handoff, cache = self.handoff, self.cache
-        t = handoff.tensors
-        length, batch = cache.gates.shape[:2]
-        dh1 = handoff.dh1(batch)
-        dz = self.work.dz(batch)
-        dh_next = dc_next = np.zeros_like(dh1[0])
-        first = (count - 1) * length
-        for step in range(length - 1, -1, -1):
-            handoff.wait(_DH1_STEPS, first + length - step)
-            dh_next, dc_next = lstm_backward_step(dh1[step], dh_next, dc_next, cache, step, t["lstm1/u"], dz[step])
-        dw, du, db = lstm_weight_gradients(dz, cache, t["lstm1/w"])
-        ensure_finite("lstm gradients", dw, du, db)
+        handoff, t, length = self.handoff, self.handoff.tensors, self.config.window
+        batch = self.cache.gates.shape[1]
+        sync = handoff.consumer(_DH1_STEPS, (count - 1) * length, length)
+        dhs = handoff.dh1(batch).swapaxes(0, 1)
+        _, dw, du, db = lstm_backward(dhs, self.cache, t["lstm1/w"], t["lstm1/u"], dz=self.work.dz(batch), sync=sync)
         adam_step(t, {"lstm1/w": dw, "lstm1/u": du, "lstm1/b": db}, self.adam, lr=self.config.learning_rate)
         handoff.publish(_LAYER1_DONE, count)
 
@@ -474,33 +463,16 @@ class _Rest:
         handoff, length, batch = self.handoff, self.config.window, len(targets)
         t = handoff.tensors
         w, u, b = t["lstm2/w"], t["lstm2/u"], t["lstm2/b"]
-        h1 = handoff.h1(count, batch)
-        hs, cs = self.work.states(batch)
-        gates, tanh_cs = self.work.steps(batch)
-        u_t = np.ascontiguousarray(u.T)
         first = (count - 1) * length
-        for step in range(length):
-            handoff.wait(_H1_STEPS, first + step + 1)
-            xw = h1[step + 1] @ w.T  # one product per step, as h1 arrives
-            lstm_cell(xw, hs[step], cs[step], u_t, b, gates[step], cs[step + 1], tanh_cs[step], hs[step + 1])
-        handoff.wait(_H1_CHECKED, count)
-        ensure_finite("lstm output", hs, cs)
-        cache = LstmCache(h1[1:].reshape(length * batch, -1), hs, cs, gates, tanh_cs)
-        logits, head_cache = self.net.head(hs[length], training=True, rng=self.rng)
+        h1 = handoff.h1(count, batch)[1:].swapaxes(0, 1)
+        sync = handoff.consumer(_H1_STEPS, first, length)
+        hs, cache = lstm_forward(h1, w, u, b, self.work.buffers(batch), sync)
+        logits, head_cache = self.net.head(hs[:, -1], training=True, rng=self.rng)
         loss, dlogits = softmax_cross_entropy(logits, targets)
         dlast, grads = self.net.head_backward(dlogits, head_cache)
-
-        dh1 = handoff.dh1(batch)
-        dz = self.work.dz(batch)
-        upstream = np.zeros_like(dlast)  # only the last step's output reaches the head
-        dh_next = dc_next = upstream
-        for step in range(length - 1, -1, -1):
-            dh = dlast if step == length - 1 else upstream
-            dh_next, dc_next = lstm_backward_step(dh, dh_next, dc_next, cache, step, u, dz[step])
-            np.matmul(dz[step], w, out=dh1[step])
-            handoff.publish(_DH1_STEPS, first + length - step)
-        dw, du, db = lstm_weight_gradients(dz, cache, w)
-        ensure_finite("lstm gradients", dh1, dw, du, db)
+        # only the last step's output reaches the head
+        sync = handoff.producer(_DH1_STEPS, first)
+        _, dw, du, db = lstm_backward(dlast[:, None], cache, w, u, self.work.dz(batch), handoff.dh1(batch), sync)
         adam_step(t, {"lstm2/w": dw, "lstm2/u": du, "lstm2/b": db, **grads}, self.adam, lr=self.config.learning_rate)
         return loss
 
@@ -577,7 +549,7 @@ class _Helper:
         if not pid:
             return None
         self.status = status
-        return RuntimeError(f"layer-1 helper exited with status {os.waitstatus_to_exitcode(status)}")
+        return HelperError(f"layer-1 helper exited with status {os.waitstatus_to_exitcode(status)}")
 
     def stop(self) -> None:
         """Kill and reap the helper, if one started and is not reaped yet."""

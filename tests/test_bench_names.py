@@ -13,7 +13,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import jazzgen.rnn
 from jazzgen import cli
+from jazzgen.tokenizer import build_vocabulary
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,10 +38,9 @@ GONE_FOR_GOOD = {
     # rnn.encode_checkpoint) and writes them with its log in one cli.commit
     "jazzgen.cli.save_transition_table",
     "jazzgen.cli.save_checkpoint",
-    # train runs layer 1 and the rest of the network as two halves that step
-    # through neural.lstm_backward_step; neither calls these
+    # train runs layer 1 and the rest of the network as two halves, each
+    # calling lstm_forward and lstm_backward itself
     "jazzgen.rnn.Network.backward",
-    "jazzgen.rnn.lstm_backward",
 }
 
 
@@ -56,10 +59,15 @@ def test_experiment_config_builds_as_the_benchmark_builds_it(tmp_path):
         assert hasattr(cli, name), name
 
 
-def test_every_span_target_resolves():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_span_target_resolves():
+    spans = load_spans()
     absent = set()
     for module_name, path, _, _ in spans.TARGETS:
         owner = importlib.import_module(module_name)
@@ -68,3 +76,25 @@ def test_every_span_target_resolves():
         if owner is None:
             absent.add(f"{module_name}.{path}")
     assert absent == GONE_FOR_GOOD
+
+
+@pytest.mark.parametrize("two_processes", [False, True], ids=["one-process", "two-processes"])
+def test_the_trace_sees_training_call_the_lstm_kernels(monkeypatch, two_processes):
+    """Each batch runs lstm_forward and lstm_backward once per layer. A
+    layer-1 helper's calls happen in its own process, out of the trace's
+    sight, so the trace sees one of each per batch there and two here."""
+    monkeypatch.setattr(jazzgen.rnn, "two_process_training", lambda: two_processes)
+    seq = ["C4_1.0", "D4_1.0", "E4_1.0", "R_1.0"] * 10
+    config = cli.RnnConfig(window=8, hidden_units=8, dense_units=8, epochs=2, batch_size=8)
+    batches = 2 * (len(seq) - config.window) // config.batch_size
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        cli.train(config, [seq], build_vocabulary(seq), 0)
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    per_batch = 1 if two_processes else 2
+    assert totals[("rnn.train", "train")]["calls"] == 1
+    assert totals[("neural.lstm_forward", "train")]["calls"] == per_batch * batches
+    assert totals[("neural.lstm_backward", "train")]["calls"] == per_batch * batches

@@ -4,6 +4,7 @@ import os
 import re
 import select
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import jazzgen.rnn
 from jazzgen import cli, files, metrics, neural
 from jazzgen.cli import SETTINGS, ExperimentConfig, derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
@@ -780,6 +782,33 @@ def test_failed_training_leaves_models_as_they_were(workspace, pipeline, tmp_pat
     assert line.startswith("Error: rnn training failed: "), line
     assert files_under(out / "models") == before
     assert sorted(p.name for p in (out / "models").iterdir()) == ["markov.json", "rnn.ckpt", "training_log.json"]
+
+
+@pytest.mark.parametrize("kill, reason", [
+    (True, "layer-1 helper exited with status -9"),
+    (False, "layer-1 helper failed: MemoryError: no room"),
+], ids=["killed", "failed"])
+def test_a_stopped_training_helper_is_one_error_line(workspace, pipeline, tmp_path, monkeypatch, kill, reason):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline, out)
+    before = files_under(out / "models")
+    real_adam_step = jazzgen.rnn.adam_step
+
+    def stopping_layer_one(params, grads, state, lr):
+        if "lstm1/w" in grads:  # layer 1, in the helper
+            if kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError("no room")
+        real_adam_step(params, grads, state, lr)
+
+    monkeypatch.setattr(jazzgen.rnn, "two_process_training", lambda: True)
+    monkeypatch.setattr(jazzgen.rnn, "adam_step", stopping_layer_one)
+    result = invoke_stage("train", [*dirs(workspace, out=str(out)), *TINY, "--order", "1"])
+    assert result.exit_code == 1, result.output
+    # after the size-1 batch warning, stderr is the one Error: line
+    _, line = result.stderr.splitlines()
+    assert line == f"Error: rnn training failed: {reason}"
+    assert files_under(out / "models") == before
 
 
 def test_failed_first_train_write_leaves_no_models_directory(workspace, tmp_path, monkeypatch):

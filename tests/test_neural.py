@@ -330,6 +330,130 @@ def test_lstm_index_gradient_with_repeated_and_absent_tokens(dtype):
         np.testing.assert_allclose(dw, want, rtol=tol, atol=tol * np.abs(want).max())
 
 
+def lstm_case(seed, dtype, index):
+    """(xs, params): a (3, 5) batch of token indices over 6 tokens, or of
+    6-wide float inputs, for 4 units in dtype."""
+    rng = np.random.default_rng(seed)
+    params = init_lstm(rng, 6, 4, dtype=dtype)
+    xs = rng.integers(0, 6, (3, 5)) if index else rng.uniform(-1.0, 1.0, (3, 5, 6)).astype(dtype)
+    return xs, params
+
+
+def assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def nan_filled(*shape, dtype):
+    return np.full(shape, np.nan, dtype=dtype)
+
+
+LSTM_CASES = pytest.mark.parametrize("dtype, index", [
+    (np.float32, False), (np.float32, True), (np.float64, False), (np.float64, True),
+])
+
+
+@LSTM_CASES
+def test_lstm_kernels_fill_caller_buffers_with_the_bits_they_allocate(dtype, index):
+    xs, params = lstm_case(61, dtype, index)
+    batch, length = xs.shape[:2]
+    dhs = np.random.default_rng(62).standard_normal((batch, length, 4)).astype(dtype)
+    hs, cache = lstm_forward(xs, **params)
+    want = lstm_backward(dhs, cache, params["w"], params["u"])
+
+    buffers = (nan_filled(length + 1, batch, 4, dtype=dtype), nan_filled(length + 1, batch, 4, dtype=dtype),
+               nan_filled(length, batch, 16, dtype=dtype), nan_filled(length, batch, 4, dtype=dtype))
+    buffers[0][0] = buffers[1][0] = 0.0
+    got_hs, got_cache = lstm_forward(xs, **params, buffers=buffers)
+    assert_same_bits(got_hs, hs)
+    for buffer, name in zip(buffers, ("hs", "cs", "gates", "tanh_cs")):
+        assert getattr(got_cache, name) is buffer
+        assert_same_bits(buffer, getattr(cache, name))
+    dz = nan_filled(length, batch, 16, dtype=dtype)
+    dxs = None if index else nan_filled(length, batch, 6, dtype=dtype)
+    got = lstm_backward(dhs, got_cache, params["w"], params["u"], dz=dz, dxs=dxs)
+    for got_grad, want_grad in zip(got, want):
+        assert_same_bits(got_grad, want_grad)
+    if not index:
+        assert np.shares_memory(got[0], dxs)
+
+
+@LSTM_CASES
+@pytest.mark.parametrize("given", [1, 3])
+def test_lstm_backward_from_the_last_steps_equals_a_zero_filled_upstream(dtype, index, given):
+    xs, params = lstm_case(63, dtype, index)
+    hs, cache = lstm_forward(xs, **params)
+    tail = np.random.default_rng(64).standard_normal((xs.shape[0], given, 4)).astype(dtype)
+    full = np.zeros_like(hs)
+    full[:, -given:] = tail
+    want = lstm_backward(full, cache, params["w"], params["u"])
+    got = lstm_backward(tail, cache, params["w"], params["u"])
+    for got_grad, want_grad in zip(got, want):
+        assert_same_bits(got_grad, want_grad)
+
+
+def test_lstm_kernels_sync_before_each_step_reads_its_input():
+    """sync(t) fills the input step t reads, as a handoff from another
+    process would: the result equals the kernels run on the filled arrays."""
+    xs, params = lstm_case(65, np.float64, False)
+    batch, length = xs.shape[:2]
+    dhs = np.random.default_rng(66).standard_normal((batch, length, 4))
+    hs, cache = lstm_forward(xs, **params)
+    want = lstm_backward(dhs, cache, params["w"], params["u"])
+
+    seen, late = [], nan_filled(*xs.shape, dtype=xs.dtype)
+
+    def arrive(t):
+        seen.append(t)
+        if t < length:
+            late[:, t] = xs[:, t]
+
+    got_hs, got_cache = lstm_forward(late, **params, sync=arrive)
+    assert seen == list(range(length + 1))
+    assert_same_bits(got_hs, hs)
+
+    seen, late = [], nan_filled(*dhs.shape, dtype=dhs.dtype)
+
+    def arrive_back(n):
+        seen.append(n)
+        if n < length:
+            late[:, length - 1 - n] = dhs[:, length - 1 - n]
+
+    got = lstm_backward(late, got_cache, params["w"], params["u"], sync=arrive_back)
+    assert seen == list(range(length + 1))
+    for got_grad, want_grad in zip(got, want):
+        assert_same_bits(got_grad, want_grad)
+
+
+def test_lstm_forward_faults_before_its_last_sync():
+    xs, params = lstm_case(67, np.float64, False)
+    xs[1, 2, 3] = np.nan
+    seen = []
+    with pytest.raises(NumericalFault, match="lstm output"):
+        lstm_forward(xs, **params, sync=seen.append)
+    assert seen == list(range(xs.shape[1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lstm_last_step_gradients_match_finite_differences(seed):
+    """The L' = 1 backward a network reading only the last output runs."""
+    rng = np.random.default_rng(900 + seed)
+    params = init_lstm(rng, 3, 4)
+    xs = rng.uniform(-1.0, 1.0, (2, 3, 3))
+
+    def last_output(xs, w, u, b):
+        hs, cache = lstm_forward(xs, w, u, b)
+        return hs[:, -1], cache
+
+    def backward(dlast, cache):
+        return lstm_backward(dlast[:, None], cache, params["w"], params["u"])
+
+    assert probe(last_output, backward, {"xs": xs, **params}, signed_uniform(rng, (2, 4))) < 1e-5
+
+
 def test_float32_sigmoid_matches_float64_at_saturation():
     x = np.array([-20.0, -12.0, 12.0, 20.0])
     got = sigmoid(x.astype(np.float32))

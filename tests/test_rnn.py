@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jazzgen.rnn
-from jazzgen.neural import NumericalFault, softmax
+from jazzgen.neural import AdamState, NumericalFault, adam_step, lstm_backward, lstm_forward, softmax, softmax_cross_entropy
 from jazzgen.rnn import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -285,6 +285,53 @@ def test_one_and_two_processes_train_the_same_bits(monkeypatch, dtype, windows):
     assert len(runs[0][1]) == config.epochs
 
 
+def plain_training_epoch(config, seq, vocab, seed):
+    """One epoch of train as a plain composition of the allocating kernels,
+    with the full zero-filled upstream gradient of layer 2: (tensors, mean
+    loss). Every batch trains; none has size 1."""
+    inputs, targets = make_training_windows([seq], vocab, config.window)
+    tensors = init_tensors(config, len(vocab), seed)
+    net = Network(config, tensors)
+    rng = np.random.default_rng(seed)
+    adam = AdamState()
+    order = rng.permutation(len(targets))
+    loss_sum = 0.0
+    for start in range(0, len(order), config.batch_size):
+        batch = order[start : start + config.batch_size]
+        w1, u1, b1, w2, u2, b2 = (tensors[f"lstm{layer}/{name}"] for layer in (1, 2) for name in "wub")
+        hs1, cache1 = lstm_forward(inputs[batch], w1, u1, b1)
+        hs2, cache2 = lstm_forward(hs1, w2, u2, b2)
+        logits, head_cache = net.head(hs2[:, -1], training=True, rng=rng)
+        loss, dlogits = softmax_cross_entropy(logits, targets[batch])
+        dlast, grads = net.head_backward(dlogits, head_cache)
+        dhs2 = np.zeros_like(hs2)
+        dhs2[:, -1] = dlast
+        dhs1, dw2, du2, db2 = lstm_backward(dhs2, cache2, w2, u2)
+        _, dw1, du1, db1 = lstm_backward(dhs1, cache1, w1, u1)
+        grads.update({"lstm1/w": dw1, "lstm1/u": du1, "lstm1/b": db1, "lstm2/w": dw2, "lstm2/u": du2, "lstm2/b": db2})
+        adam_step(tensors, grads, adam, lr=config.learning_rate)
+        loss_sum += loss * len(batch)
+    return tensors, loss_sum / len(targets)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("two_processes", [False, True], ids=["one-process", "two-processes"])
+def test_train_equals_the_plain_composition_of_the_kernels(monkeypatch, dtype, two_processes):
+    seq = cycle_tokens(16 + 43)  # 43 windows: five batches of 8 and one of 3
+    vocab = build_vocabulary(seq)
+    config = small_config(dtype=dtype, dropout=0.3, epochs=1)
+    forked = force_mode(monkeypatch, two_processes)
+    ckpt = train(config, [seq], vocab, SMALL_SEED)
+    assert len(forked) == two_processes
+    assert_no_child_left()
+    tensors, mean_loss = plain_training_epoch(config, seq, vocab, SMALL_SEED)
+    assert ckpt.best_loss == mean_loss
+    assert sorted(ckpt.tensors) == sorted(tensors)
+    for name, tensor in tensors.items():
+        assert ckpt.tensors[name].dtype == tensor.dtype, name
+        assert ckpt.tensors[name].tobytes() == tensor.tobytes(), name
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("tokens", [24, 40])  # one batch an epoch; three
@@ -354,18 +401,18 @@ def test_a_helper_that_fails_or_dies_stops_train(monkeypatch):
     seq = cycle_tokens(40)
     vocab = build_vocabulary(seq)
     forked = force_mode(monkeypatch, True)
-    real_gradients = jazzgen.rnn.lstm_weight_gradients
+    real_adam_step = jazzgen.rnn.adam_step
 
-    def failing_for_layer_one(dz, cache, w):
-        if cache.inputs.ndim == 1:  # token indices: layer 1, in the helper
+    def failing_for_layer_one(params, grads, state, lr):
+        if "lstm1/w" in grads:  # layer 1, in the helper
             raise MemoryError("no room")
-        return real_gradients(dz, cache, w)
+        real_adam_step(params, grads, state, lr)
 
-    monkeypatch.setattr(jazzgen.rnn, "lstm_weight_gradients", failing_for_layer_one)
+    monkeypatch.setattr(jazzgen.rnn, "adam_step", failing_for_layer_one)
     with pytest.raises(RuntimeError, match="^layer-1 helper failed: MemoryError: no room$"):
         train(small_config(), [seq], vocab, SMALL_SEED)
     assert_no_child_left()
-    monkeypatch.setattr(jazzgen.rnn, "lstm_weight_gradients", real_gradients)
+    monkeypatch.setattr(jazzgen.rnn, "adam_step", real_adam_step)
 
     def kill_the_helper(*call):
         os.kill(forked[-1], signal.SIGKILL)
