@@ -229,14 +229,15 @@ class Layout:
         return self.generated_dir / f"{seed_id}_{model}.{extension}"
 
     def load(self, path: Path, load):
-        """load(path) for an artifact under out; InputError naming the stage
-        that writes it if that stage never ran ("run X first") or load fails ("rerun X")."""
+        """load(path.read_bytes()) for an artifact under out, the one read of it;
+        InputError naming the stage that writes it if that stage never ran
+        ("run X first") or the read or load fails ("rerun X")."""
         top = path.relative_to(self.out).parts[0]
         stage = WRITERS[top]
         if not (self.out / top).is_dir():
             raise InputError(f"missing {path}; run {stage} first")
         try:
-            return load(path)
+            return load(path.read_bytes())
         except (OSError, ValueError, LookupError, TypeError) as err:
             reason = getattr(err, "strerror", None) or f"{type(err).__name__}: {err}"
             raise InputError(f"cannot read {path} ({reason}); rerun {stage}") from None
@@ -317,11 +318,11 @@ def token_bytes(tokens) -> bytes:
 
 
 def read_tokens(
-    path: Path, vocab: Vocabulary | None = None, count: int | None = None, prefix: list[str] | None = None
+    data: bytes, vocab: Vocabulary | None = None, count: int | None = None, prefix: list[str] | None = None
 ) -> tuple[list[str], TickLine]:
-    """A token file and its TickLine; every token canonical and, when given,
-    in vocab, exactly count of them, and the first ones the prefix."""
-    tokens = path.read_text().split()
+    """A token file's tokens and their TickLine; every token canonical and,
+    when given, in vocab, exactly count of them, and the first ones the prefix."""
+    tokens = data.decode().split()
     line = tick_line(tokens)
     if count is not None and len(tokens) != count:
         raise ValueError(f"token count {len(tokens)}, expected {count}")
@@ -333,9 +334,9 @@ def read_tokens(
     return tokens, line
 
 
-def read_manifest(path: Path) -> tuple[list[str], list[str]]:
+def read_manifest(data: bytes) -> tuple[list[str], list[str]]:
     """The ingested corpus file stems, in manifest order, and the sorted seed ids."""
-    manifest = json.loads(path.read_text())
+    manifest = json.loads(data.decode())
     corpus, seeds = [entry["file"] for entry in manifest["corpus"]], sorted(manifest["seeds"])
     if not corpus or not seeds:
         raise ValueError("no corpus files or no seeds listed")
@@ -410,7 +411,7 @@ def run_ingest(config: ExperimentConfig) -> None:
 def run_train(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
     corpus, _ = layout.load(layout.manifest, read_manifest)
-    vocab = layout.load(layout.vocab_file, lambda path: Vocabulary(tuple(json.loads(path.read_text()))))
+    vocab = layout.load(layout.vocab_file, lambda data: Vocabulary(tuple(json.loads(data.decode()))))
     sequences = [
         layout.load(layout.tokens_dir / f"{stem}.tokens", partial(read_tokens, vocab=vocab))[0] for stem in corpus
     ]
@@ -623,7 +624,7 @@ def selfcheck(ckpt_path):
     """Run the built-in invariant sweep; nonzero exit on any failure."""
     checks = list(SELF_CHECKS)
     if ckpt_path is not None:
-        checks.append(("checkpoint file loads", lambda: load_checkpoint(ckpt_path)))
+        checks.append(("checkpoint file loads", lambda: load_checkpoint(Path(ckpt_path).read_bytes())))
     failures = 0
     with one_blas_thread():
         for name, check in checks:

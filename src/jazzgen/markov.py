@@ -142,9 +142,8 @@ def _check_counts(successors: dict) -> None:
             raise ValueError(f"count {count!r} is not an integer >= 1")
 
 
-def load_transition_table(path) -> TransitionTable:
-    with open(path, "rb") as handle:
-        data = handle.read()
+def load_transition_table(data: bytes) -> TransitionTable:
+    """The table encode_transition_table wrote as data, or TableError."""
     try:
         payload = json.loads(data)
         order = _positive_int("order", payload["order"])

@@ -65,14 +65,16 @@ def one_blas_thread():
 
     A threaded GEMM may split a long reduction, so some shapes round
     differently at 2 threads than at 1; one thread makes every result
-    independent of the count the process started with.
+    independent of the count the process started with. A count of 1 is left
+    alone: after a fork OpenBLAS has shut its pool down, and every later
+    set call, even to the count it has, starts a worker that spins.
     """
     threads = _openblas_threads(Path(np.__file__).parent)
-    if threads is None:
+    before = threads[0]() if threads else 1
+    if before == 1:
         yield
         return
-    get, set_ = threads
-    before = get()
+    set_ = threads[1]
     set_(1)
     try:
         yield

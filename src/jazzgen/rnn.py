@@ -287,6 +287,11 @@ def _leading(flat: np.ndarray, *shape: int) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape)
 
 
+def _shared(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero array in its own anonymous mapping, which a fork shares; a mapping starts on a page."""
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
+
+
 class HelperError(RuntimeError):
     """The layer-1 helper failed or died; the message says which."""
 
@@ -296,7 +301,7 @@ class _HelperStopped(Exception):
 
 
 class _Handoff:
-    """What the two halves share, in one anonymous shared mapping made before
+    """What the two halves share, in anonymous shared mappings made before
     the fork: the tensors, layer 1's hidden states for two batches in turn
     (each as (L + 1, B, H), row 0 zero), the gradient flowing back into them,
     the epoch's batch order, the counters and the helper's fault text.
@@ -311,26 +316,12 @@ class _Handoff:
         dtype = np.dtype(config.dtype)
         self.window, self.hidden = config.window, config.hidden_units
         states = config.batch_size * self.hidden
-        layout = {name: (shape, dtype) for name, shape in tensor_shapes(config, n_vocab).items()}
-        layout.update({
-            "h1": ((2, (self.window + 1) * states), dtype),
-            "dh1": ((self.window * states,), dtype),
-            "order": ((n_windows,), np.int64),
-            "counters": ((_HELPER_FAULT + 1,), np.int64),
-            "fault": ((_FAULT_BYTES,), np.uint8),
-        })
-        counts = [math.prod(shape) for shape, _ in layout.values()]
-        # every array starts on its own 64-byte line
-        sizes = [-(-count * np.dtype(dt).itemsize // 64) * 64 for count, (_, dt) in zip(counts, layout.values())]
-        block = mmap.mmap(-1, sum(sizes))
-        offsets = np.cumsum([0, *sizes[:-1]]).tolist()
-        arrays = {
-            name: np.frombuffer(block, dt, count, offset).reshape(shape)
-            for (name, (shape, dt)), count, offset in zip(layout.items(), counts, offsets)
-        }
-        self.tensors = {name: arrays[name] for name in tensor_shapes(config, n_vocab)}
-        self.order, self.counters, self._fault = arrays["order"], arrays["counters"], arrays["fault"]
-        self._h1, self._dh1 = arrays["h1"], arrays["dh1"]
+        self.tensors = {name: _shared(shape, dtype) for name, shape in tensor_shapes(config, n_vocab).items()}
+        self._h1 = _shared((2, (self.window + 1) * states), dtype)
+        self._dh1 = _shared((self.window * states,), dtype)
+        self.order = _shared((n_windows,), np.int64)
+        self.counters = _shared((_HELPER_FAULT + 1,), np.int64)
+        self._fault = _shared((_FAULT_BYTES,), np.uint8)
         self.check_peer: Callable[[], Exception | None] | None = None
 
     def h1(self, count: int, batch: int) -> np.ndarray:
@@ -789,9 +780,8 @@ def encode_checkpoint(ckpt: Checkpoint) -> bytes:
     ])
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as handle:
-        data = handle.read()
+def load_checkpoint(data: bytes) -> Checkpoint:
+    """The checkpoint encode_checkpoint wrote as data, or CheckpointError."""
     if len(data) < len(CHECKPOINT_MAGIC) + 4 or not data.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("not a checkpoint file (bad magic)")
     offset = len(CHECKPOINT_MAGIC)

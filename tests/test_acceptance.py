@@ -258,7 +258,7 @@ def test_acceptance_07_end_to_end_determinism(desk_run, tmp_path):
 
 
 @criterion(8, 60.0, "200 random inputs round-trip; checkpoints preserve the forward pass")
-def test_acceptance_08_round_trips(tmp_path):
+def test_acceptance_08_round_trips():
     rng = random.Random("acceptance-8")
     durations = [
         Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 8),
@@ -286,9 +286,7 @@ def test_acceptance_08_round_trips(tmp_path):
     config = RnnConfig(window=3, hidden_units=6, dense_units=6, epochs=1, batch_size=2, dropout=0.0)
     vocab = Vocabulary(("A4_1.0", "C4_1.0", "D4_0.5", "E4_0.25", "R_1.0"))
     net = Network(config, init_tensors(config, len(vocab), 1))
-    path = tmp_path / "roundtrip.ckpt"
-    path.write_bytes(encode_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0)))
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(encode_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0)))
     contexts = np.array([[0, 1, 2], [3, 4, 0]])
     before, _ = net.forward(contexts, training=False)
     reloaded_net = Network(loaded.config, tensors=loaded.tensors)

@@ -1,4 +1,6 @@
+import builtins
 import errno
+import io
 import json
 import os
 import re
@@ -14,6 +16,7 @@ from dataclasses import MISSING, fields
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -862,6 +865,45 @@ def test_generate_loads_models_through_the_names_a_trace_wraps(workspace, pipeli
     assert calls == {"load_transition_table": 1, "load_checkpoint": 1}
 
 
+def test_a_stage_reads_each_artifact_once_through_layout_load(workspace, tmp_path, monkeypatch):
+    # Layout.load is the one read of an artifact, so a check of the bytes
+    # there covers every input a stage takes from an earlier one
+    out = tmp_path / "out"
+    layout = cli.Layout(out)
+    reads = []
+    inside = []  # a Path reader's own open is not a second read
+
+    def record(how, file):
+        if isinstance(file, (str, os.PathLike)) and not inside and Path(file).is_relative_to(out):
+            reads.append((how, Path(file)))
+
+    def recording(how, real):
+        def read(file, *args, **kwargs):
+            caller = sys._getframe(1).f_code
+            record("Layout.load" if (how, caller) == ("read_bytes", cli.Layout.load.__code__) else how, file)
+            inside.append(file)
+            try:
+                return real(file, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        return read
+
+    for owner, name in ((Path, "read_bytes"), (Path, "read_text"), (io, "open"), (builtins, "open")):
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    stages = (
+        ("ingest", lambda: []),
+        ("train", lambda: [layout.manifest, layout.vocab_file, *layout.tokens_dir.iterdir()]),
+        ("generate", lambda: [layout.manifest, *layout.seeds_dir.iterdir(), layout.markov_table, layout.checkpoint]),
+        ("evaluate", lambda: [layout.manifest, *layout.seeds_dir.iterdir(), *layout.generated_dir.glob("*.tokens")]),
+    )
+    for command, inputs in stages:
+        reads.clear()
+        result = invoke_stage(command, [*dirs(workspace, out=str(out)), *TINY])
+        assert result.exit_code == 0, result.output
+        assert sorted(reads) == sorted(("Layout.load", path) for path in inputs()), command
+
+
 def test_generate_seed_output_does_not_depend_on_batch(tmp_path):
     write_corpus(tmp_path / "corpus", seed=2, n_files=3)
     write_seeds(tmp_path / "seeds", seed=2, n_files=4)
@@ -1123,6 +1165,36 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert tree.keys() == trees[0].keys()
         for name in trees[0]:
             assert tree[name] == trees[0][name], f"{name} differs"
+
+
+THREADS_AFTER_TRAIN_IN_CHILD = """
+import os, sys
+import jazzgen.rnn
+from jazzgen.cli import output_lock, resolve_config, run_ingest, run_train
+from jazzgen.neural import one_blas_thread
+jazzgen.rnn.two_process_training = lambda: True
+config = resolve_config(None, dict(zip(("corpus", "seeds", "out"), sys.argv[1:]), hidden=8, epochs=1))
+with output_lock(config.out_dir), one_blas_thread():  # as scripts/run_pipeline.py runs its stages
+    run_ingest(config)
+    run_train(config)
+    print(len(os.listdir("/proc/self/task")))
+"""
+
+
+def test_train_after_its_fork_starts_no_blas_worker_under_one_pin(workspace, tmp_path):
+    # the fork shuts OpenBLAS's pool down, and any later set call starts a
+    # worker that spins; under one pin for all stages train sets nothing
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads in")
+    if neural._openblas_threads(Path(np.__file__).parent) is None:
+        pytest.skip("this numpy bundles no OpenBLAS with thread control")
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    args = [workspace / "corpus", workspace / "seeds", tmp_path / "out"]
+    result = subprocess.run([sys.executable, "-c", THREADS_AFTER_TRAIN_IN_CHILD, *map(str, args)],
+                            capture_output=True, text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "2"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-1] == "1", result.stdout
 
 
 def test_a_killed_train_leaves_no_process_behind(workspace, tmp_path):

@@ -1,8 +1,6 @@
 import json
-import tempfile
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -119,13 +117,11 @@ def test_generation_is_deterministic():
     assert first == second
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip():
     table = build_transition_table(
         [["C4_1.0", "D4_0.5", "C4_1.0", "R_0.5"], ["D4_0.5", "C4_1.0"]], order=3
     )
-    path = tmp_path / "table.json"
-    path.write_bytes(encode_transition_table(table))
-    loaded = load_transition_table(path)
+    loaded = load_transition_table(encode_transition_table(table))
     assert loaded.order == table.order
     assert loaded.counts == table.counts
     assert loaded.unigram == table.unigram
@@ -141,22 +137,21 @@ def test_save_is_byte_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("n_states", [0, 1, SAVE_BATCH, SAVE_BATCH + 1, 2 * SAVE_BATCH + 3])
-def test_save_writes_one_sorted_compact_json_document(tmp_path, n_states):
+def test_save_writes_one_sorted_compact_json_document(n_states):
     tokens = [f"{name}{octave}_0.5" for name in "CDEFGAB" for octave in range(1, 8)]
     counts = {
         (tokens[i % len(tokens)], tokens[i // len(tokens)]): {"E4_1.0": i + 1, "C4_1.0": 2}
         for i in range(n_states)
     }
     table = TransitionTable(order=2, counts=counts, unigram={"E4_1.0": 3, "C4_1.0": 5})
-    path = tmp_path / "table.json"
-    path.write_bytes(encode_transition_table(table))
+    data = encode_transition_table(table)
     payload = {
         "order": 2,
         "unigram": table.unigram,
         "counts": [{"state": list(state), "next": nxt} for state, nxt in sorted(counts.items())],
     }
-    assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
-    loaded = load_transition_table(path)
+    assert data.decode() == json.dumps(payload, sort_keys=True) + "\n"
+    loaded = load_transition_table(data)
     assert (loaded.order, loaded.counts, loaded.unigram) == (table.order, table.counts, table.unigram)
 
 
@@ -216,14 +211,10 @@ def test_shared_table_decodes_as_fresh_tables_and_reference(seqs, order, seeds, 
     outputs = [generate_markov(shared, seed, n) for seed in seeds]
     assert outputs == [generate_markov(build_transition_table(seqs, order=order), seed, n) for seed in seeds]
     assert outputs == [reference_greedy(shared, seed, n) for seed in seeds]
-    with tempfile.TemporaryDirectory() as directory:
-        used, fresh = Path(directory, "used.json"), Path(directory, "fresh.json")
-        used.write_bytes(encode_transition_table(shared))
-        fresh.write_bytes(encode_transition_table(build_transition_table(seqs, order=order)))
-        assert used.read_bytes() == fresh.read_bytes()
-        loaded = load_transition_table(used)
-        assert loaded == shared
-        assert [generate_markov(loaded, seed, n) for seed in seeds] == outputs
-        used.write_bytes(encode_transition_table(loaded))
-        assert used.read_bytes() == fresh.read_bytes()
+    used, fresh = encode_transition_table(shared), encode_transition_table(build_transition_table(seqs, order=order))
+    assert used == fresh
+    loaded = load_transition_table(used)
+    assert loaded == shared
+    assert [generate_markov(loaded, seed, n) for seed in seeds] == outputs
+    assert encode_transition_table(loaded) == fresh
     assert "greedy" not in repr(shared)

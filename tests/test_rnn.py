@@ -6,7 +6,6 @@ import signal
 import struct
 import subprocess
 import sys
-import tempfile
 import time
 import warnings
 from dataclasses import asdict, fields
@@ -676,9 +675,10 @@ def test_generate_raises_numerical_fault_on_a_nonfinite_state():
 
 GENERATE_IN_CHILD = """
 import json, sys
+from pathlib import Path
 import numpy as np
 from jazzgen.rnn import generate_rnn, load_checkpoint
-ckpt = load_checkpoint(sys.argv[1])
+ckpt = load_checkpoint(Path(sys.argv[1]).read_bytes())
 seeds = json.loads(sys.argv[2])
 rngs = [np.random.default_rng(k) for k in range(len(seeds))]
 print(json.dumps(generate_rnn(ckpt, seeds, 40, temperature=1.0, rngs=rngs)))
@@ -788,11 +788,9 @@ def test_temperature_increases_entropy(memorized):
     assert entropy(0.5) <= entropy(1.0) <= entropy(2.0)
 
 
-def test_checkpoint_round_trip_forward_is_bitwise(memorized, tmp_path):
+def test_checkpoint_round_trip_forward_is_bitwise(memorized):
     seq, vocab, ckpt, _ = memorized
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(encode_checkpoint(ckpt))
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(encode_checkpoint(ckpt))
     assert loaded.config == ckpt.config
     assert loaded.vocab.tokens == vocab.tokens
     assert loaded.best_loss == ckpt.best_loss
@@ -816,23 +814,17 @@ def test_checkpoint_manifest_stores_version_3_and_the_config(memorized, tmp_path
     assert manifest["config"] == asdict(ckpt.config)
 
 
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
+def test_checkpoint_rejects_bad_magic():
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
+        load_checkpoint(b"NOTACKPT" + b"\x00" * 32)
 
 
-def test_checkpoint_rejects_truncation(memorized, tmp_path):
+def test_checkpoint_rejects_truncation(memorized):
     _, _, ckpt, _ = memorized
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(encode_checkpoint(ckpt))
-    whole = path.read_bytes()
+    whole = encode_checkpoint(ckpt)
     for cut in (4, len(CHECKPOINT_MAGIC) + 2, len(whole) // 2, len(whole) - 8):
-        clipped = tmp_path / "clipped.ckpt"
-        clipped.write_bytes(whole[:cut])
         with pytest.raises(CheckpointError):
-            load_checkpoint(clipped)
+            load_checkpoint(whole[:cut])
 
 
 def _rewrite_manifest(raw: bytes, mutate) -> bytes:
@@ -844,43 +836,33 @@ def _rewrite_manifest(raw: bytes, mutate) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(encoded)) + encoded + raw[offset + 4 + manifest_len :]
 
 
-def test_checkpoint_rejects_version_mismatch(memorized, tmp_path):
+def test_checkpoint_rejects_version_mismatch(memorized):
     _, _, ckpt, _ = memorized
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(encode_checkpoint(ckpt))
 
     def bump(manifest):
         manifest["format_version"] = 99
 
-    (tmp_path / "versioned.ckpt").write_bytes(_rewrite_manifest(path.read_bytes(), bump))
     with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(tmp_path / "versioned.ckpt")
+        load_checkpoint(_rewrite_manifest(encode_checkpoint(ckpt), bump))
 
 
-def test_checkpoint_rejects_shape_blob_disagreement(memorized, tmp_path):
+def test_checkpoint_rejects_shape_blob_disagreement(memorized):
     _, _, ckpt, _ = memorized
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(encode_checkpoint(ckpt))
 
     def grow_first_tensor(manifest):
         manifest["tensors"][0]["shape"][0] += 1
 
-    (tmp_path / "reshaped.ckpt").write_bytes(
-        _rewrite_manifest(path.read_bytes(), grow_first_tensor)
-    )
     with pytest.raises(CheckpointError):
-        load_checkpoint(tmp_path / "reshaped.ckpt")
+        load_checkpoint(_rewrite_manifest(encode_checkpoint(ckpt), grow_first_tensor))
 
 
-def test_float64_training_works_and_reloads_as_float32(tmp_path):
+def test_float64_training_works_and_reloads_as_float32():
     seq = cycle_tokens(24)
     vocab = build_vocabulary(seq)
     ckpt = train(small_config(dtype="float64", epochs=2), [seq], vocab, SMALL_SEED)
     assert ckpt.tensors["lstm1/w"].dtype == np.float64
     assert math.isfinite(ckpt.best_loss)
-    path = tmp_path / "f64.ckpt"
-    path.write_bytes(encode_checkpoint(ckpt))
-    loaded = load_checkpoint(path)
+    loaded = load_checkpoint(encode_checkpoint(ckpt))
     assert loaded.tensors["lstm1/w"].dtype == np.float64
     assert np.allclose(loaded.tensors["lstm1/w"], ckpt.tensors["lstm1/w"], atol=1e-6)
 
@@ -898,10 +880,7 @@ def test_checkpoint_round_trip_is_bit_equal_in_its_dtype(dtype, seed, hidden):
     # values with bits below float32 precision, which a float32 blob would drop
     tensors["lstm1/w"] += np.random.default_rng(seed).standard_normal(tensors["lstm1/w"].shape) * 1e-9
     ckpt = Checkpoint(tensors, vocab, config, best_loss=0.25, epoch=1)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        path.write_bytes(encode_checkpoint(ckpt))
-        loaded = load_checkpoint(path)
+    loaded = load_checkpoint(encode_checkpoint(ckpt))
     assert loaded.config == config
     assert sorted(loaded.tensors) == sorted(tensors)
     for name, tensor in tensors.items():
