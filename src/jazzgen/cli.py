@@ -343,6 +343,14 @@ def read_manifest(data: bytes) -> tuple[list[str], list[str]]:
     return corpus, seeds
 
 
+def read_vocab(data: bytes) -> Vocabulary:
+    """The ingested vocabulary, a JSON list of token texts."""
+    texts = json.loads(data.decode())
+    if not isinstance(texts, list):
+        raise ValueError(f"a JSON {type(texts).__name__}, not a list of token texts")
+    return Vocabulary(tuple(texts))
+
+
 def read_seeds(layout: Layout, seed_ids) -> dict[str, list[str]]:
     """Each ingested seed's tokens, exactly SEED_TOKEN_COUNT of them."""
     read_seed = partial(read_tokens, count=SEED_TOKEN_COUNT)
@@ -411,7 +419,7 @@ def run_ingest(config: ExperimentConfig) -> None:
 def run_train(config: ExperimentConfig) -> None:
     layout = Layout(config.out_dir)
     corpus, _ = layout.load(layout.manifest, read_manifest)
-    vocab = layout.load(layout.vocab_file, lambda data: Vocabulary(tuple(json.loads(data.decode()))))
+    vocab = layout.load(layout.vocab_file, read_vocab)
     sequences = [
         layout.load(layout.tokens_dir / f"{stem}.tokens", partial(read_tokens, vocab=vocab))[0] for stem in corpus
     ]

@@ -1,4 +1,4 @@
-"""Groove pattern similarity and pitch class entropy over note events.
+"""Groove pattern similarity and pitch class entropy of a tokenized line.
 
 A groove pattern is a 64-slot binary onset grid per bar; similarity between
 two bars is one minus the mean XOR of their grids.  The pitch histogram
@@ -7,11 +7,10 @@ summarizes pitch diversity.
 
 Every score comes from one integer core: onsets are ticks on a grid of
 `division` ticks per quarter note, bars are 64-bit masks and disagreements
-are popcounts.  A tokenized line arrives on that grid already (`evaluate_line`
-scores the pipeline's generations); the event functions put arbitrary
-events, gaps and overlaps included, on the coarsest grid that holds their
-onsets and ends first.  Floats appear only in returned values: each GS value
-and histogram entry is the correctly rounded value of an exact ratio.
+are popcounts.  A tokenized line arrives on that grid already, and
+`evaluate_line` scores the pipeline's generations there.  Floats appear only
+in returned values: each GS value and histogram entry is the correctly
+rounded value of an exact ratio.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .midi_io import NoteEvent, TickLine
+from .midi_io import TickLine
 
 GRID = 64
 PITCH_CLASSES = 12
@@ -33,17 +32,6 @@ MAX_ENTROPY = math.log2(PITCH_CLASSES)
 
 class MetricError(ValueError):
     """Metric is undefined for this input (e.g. fewer than two bars)."""
-
-
-@dataclass(frozen=True)
-class GroovePattern:
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != GRID:
-            raise ValueError(f"groove pattern needs {GRID} bits, got {len(self.bits)}")
-        if any(bit not in (0, 1) for bit in self.bits):
-            raise ValueError("groove pattern bits must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -101,39 +89,6 @@ def _histogram(pitches: Iterable[int]) -> PitchHistogram:
     return PitchHistogram(tuple(count / total for count in counts))
 
 
-def _on_ticks(events: Sequence[NoteEvent]) -> tuple[int, int, list[int]]:
-    """(division, span, pitched onsets) on the coarsest grid holding every
-    onset and end."""
-    division = math.lcm(*{d for ev in events for d in (ev.onset.denominator, ev.end.denominator)})
-
-    def ticks(value: Fraction) -> int:
-        return value.numerator * (division // value.denominator)
-
-    span = ticks(max(ev.end for ev in events)) if events else 0
-    return division, span, [ticks(ev.onset) for ev in events if not ev.is_rest]
-
-
-def groove_similarity(a: GroovePattern, b: GroovePattern) -> float:
-    """1 − (1/64)·Σ XOR, by evaluate's count on the patterns as 64-bit masks (slot s = bit s)."""
-    return _groove([sum(bit << slot for slot, bit in enumerate(p.bits)) for p in (a, b)])[0]
-
-
-def mean_groove_similarity(
-    events: Sequence[NoteEvent], bar_length: Fraction = BAR_LENGTH
-) -> tuple[float, list[float]]:
-    """Mean and series of GS over adjacent bar pairs; needs >= 2 bars."""
-    division, span, onsets = _on_ticks(list(events))
-    return _groove(_bar_masks(onsets, span, division, bar_length))
-
-
-def pitch_class_histogram(events: Iterable[NoteEvent]) -> PitchHistogram:
-    """Onset-count histogram over the 12 pitch classes; rests are ignored.
-
-    A composition with no pitched notes yields the all-zero sentinel.
-    """
-    return _histogram(event.pitch for event in events if not event.is_rest)
-
-
 def histogram_entropy(histogram: PitchHistogram) -> float:
     """H = −Σ h_i · log2 h_i with 0·log 0 = 0; the empty sentinel scores 0."""
     if histogram.is_sentinel:
@@ -152,9 +107,9 @@ class MetricReport:
 
 
 def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
-    """Mean GS with its series, the pitch class histogram and its entropy of
-    a tokenized line, as mean_groove_similarity, pitch_class_histogram and
-    histogram_entropy score its events."""
+    """Mean GS over adjacent bar pairs with its series (needs >= 2 bars), the
+    pitch class histogram of the note onsets (rests ignored) and its entropy
+    of a tokenized line."""
     starts = list(accumulate(line.ticks, initial=0))
     onsets = [start for start, pitch in zip(starts, line.pitches) if pitch is not None]
     mean_gs, series = _groove(_bar_masks(onsets, starts[-1], line.division, bar_length))

@@ -2,9 +2,8 @@
 
 Reads SMF format 0 and 1, emits format 0 only. The program's one timeline is
 an integer tick grid: `read_line` parses a file onto a `TickLine` at the file's
-own division and `write_line` encodes one. `read_midi` and `write_midi` are
-adapters for exact-rational events in quarter-note units, so triplet and
-sextuplet values (1/3, 1/6, 2/3) survive round trips without float drift.
+own division and `write_line` encodes one, so triplet and sextuplet values
+(1/3, 1/6, 2/3) survive round trips without float drift.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ class TickResolutionError(MidiError):
     """A duration or onset is not representable at the chosen time division."""
 
 
+# kept only for bench/child.py's chromatic inputs: NoteEvent, MidiDocument, lcm_time_division, write_midi
 @dataclass(frozen=True)
 class NoteEvent:
     """One monophonic note or rest.
@@ -108,8 +108,8 @@ class MidiDocument:
         _check_tempo(self.tempo)
         cursor = Fraction(0)
         for ev in self.events:
-            # TickLine.events passes each event's end on as the next onset, so
-            # for its events identity settles the comparison
+            # events built onset by onset from the previous end pass that end
+            # on as the next onset, so for them identity settles the comparison
             if ev.onset is not cursor and ev.onset != cursor:
                 raise ValueError(
                     f"events must be contiguous from onset 0: expected onset {cursor}, got {ev.onset}"
@@ -140,14 +140,6 @@ class TickLine:
     division: int
     pitches: tuple[int | None, ...]
     ticks: tuple[int, ...]
-
-    def events(self) -> tuple[NoteEvent, ...]:
-        """The line as exact-rational events, onsets accumulated from zero."""
-        events, onset = [], Fraction(0)
-        for pitch, length in zip(self.pitches, self.ticks):
-            events.append(NoteEvent(pitch, Fraction(length, self.division), onset))
-            onset = events[-1].end
-        return tuple(events)
 
 
 def _merge_adjacent_rests(events: Sequence[NoteEvent]) -> tuple[NoteEvent, ...]:
@@ -359,12 +351,6 @@ def read_line(data: bytes) -> tuple[TickLine, int]:
         cells.append((None, track_end - cursor))
     pitches, ticks = zip(*cells)
     return TickLine(division, pitches, ticks), tempo
-
-
-def read_midi(data: bytes) -> MidiDocument:
-    """read_line's line and tempo as a document of exact-rational events."""
-    line, tempo = read_line(data)
-    return MidiDocument(line.division, tempo, line.events())
 
 
 # the encoder's repeated pieces: delta-times recur, and note messages differ only by pitch

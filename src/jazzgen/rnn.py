@@ -157,20 +157,12 @@ def init_tensors(config: RnnConfig, n_vocab: int, seed: int) -> dict:
 
 
 class Network:
-    """Parameter container plus the fixed forward wiring and the head's
-    backward; train runs the two LSTM layers' halves itself."""
+    """Parameter container plus the head's forward and backward; train and
+    generate_rnn run the two LSTM layers themselves."""
 
     def __init__(self, config: RnnConfig, tensors: dict):
         self.config = config
         self.tensors = tensors
-
-    def forward(self, windows, training: bool, rng: np.random.Generator | None = None):
-        """windows is integer token indices (B, L); returns (logits, head
-        cache), as head does."""
-        t = self.tensors
-        hs1, _ = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
-        hs2, _ = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
-        return self.head(hs2[:, -1, :], training, rng)
 
     def head(self, last, training: bool, rng: np.random.Generator | None = None):
         """Logits (B, V) from the last LSTM layer's final hidden state (B, H):
@@ -630,12 +622,6 @@ def train(
     return Checkpoint(best_tensors, vocab, config, best_loss, best_epoch)
 
 
-def next_distribution(net: Network, context: Sequence[int], temperature: float) -> np.ndarray:
-    """Softmax over the next token given a full window of indices."""
-    logits, _ = net.forward(np.array([context], dtype=np.int64), training=False)
-    return softmax(logits[0].astype(np.float64), temperature)
-
-
 def select_index(
     logits: np.ndarray,
     temperature: float,
@@ -688,8 +674,8 @@ def generate_rnn(
     that reads position p reads the same token there, so one batched LSTM
     cell per layer moves all live windows of all seeds forward one position,
     and the window that has just read its last token gives the next token's
-    logits. Each row's arithmetic is that of the per-window forward pass, so
-    the result equals it bit for bit.
+    logits. Each row's arithmetic is that of a zero-state pass over its
+    window alone, so the result equals that pass bit for bit.
 
     Seed k draws only from rngs[k], and batch norm uses its running
     statistics, so a seed's continuation does not depend on which other

@@ -6,15 +6,13 @@ and C4 = MIDI 60.  Durations are quarter-note multiples: 1.0 is a quarter,
 64 renders as the shortest exact decimal (always at least one fractional
 digit); anything else renders as a reduced fraction, e.g. ``D5_1/6``.
 
-A token is its text, everywhere: `tokenize` returns token texts,
-`parse_token` reads one back as a ``(pitch, duration)`` pair (``None`` for a
-rest, an exact `Fraction` duration) and `render_token` writes it again.
-Rendering and parsing are inverse bijections on their domains; parsing is
-strict and rejects any spelling other than the canonical one.
-
-`tick_line` puts tokens on an integer grid, which is all writing MIDI and
-scoring need, and `tokenize_line` renders a line read from MIDI back into
-tokens. `tokenize` and `detokenize` do the same for exact-rational events.
+A token is its text, everywhere: `tokenize_line` renders a line read from
+MIDI as token texts, `parse_token` reads one back as a ``(pitch, duration)``
+pair (``None`` for a rest, an exact `Fraction` duration) and `render_token`
+writes it again. Rendering and parsing are inverse bijections on their
+domains; parsing is strict and rejects any spelling other than the canonical
+one. `tick_line` puts tokens on an integer grid, which is all writing MIDI
+and scoring need.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .midi_io import NoteEvent, TickLine
+from .midi_io import TickLine
 
 PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 REST_NAME = "R"
@@ -120,12 +118,8 @@ def parse_token(text: str) -> tuple[int | None, Fraction]:
     return parse_pitch(head), parse_duration(tail)
 
 
-def tokenize(events: Iterable[NoteEvent]) -> list[str]:
-    return [render_token(ev.pitch, ev.duration) for ev in events]
-
-
 def tokenize_line(line: TickLine) -> list[str]:
-    """tokenize's texts for the line's events; each distinct (pitch, ticks) is rendered once."""
+    """The line's token texts; each distinct (pitch, ticks) is rendered once."""
     cells = list(zip(line.pitches, line.ticks))
     texts = {cell: render_token(cell[0], Fraction(cell[1], line.division)) for cell in dict.fromkeys(cells)}
     return [texts[cell] for cell in cells]
@@ -143,18 +137,12 @@ def _parse_distinct(texts: list[str]) -> dict[str, tuple[int | None, Fraction]]:
     return parsed
 
 
-def detokenize(tokens: Iterable[str]) -> tuple[NoteEvent, ...]:
-    """Tokens back to contiguous events, onsets accumulated from zero."""
-    return tick_line(tokens).events()
-
-
 def tick_line(tokens: Iterable[str]) -> TickLine:
     """Tokens on the coarsest integer grid that holds them.
 
     The division is the lcm of the duration denominators. Every onset is a
-    sum of earlier durations, so its denominator divides that lcm too, and
-    the division equals lcm_time_division(detokenize(tokens)); it is not
-    capped at the SMF limit here, write_line checks that.
+    sum of earlier durations, so it lies on that grid too. The division is
+    not capped at the SMF limit here; write_line checks that.
     """
     texts = list(tokens)
     parsed = _parse_distinct(texts)

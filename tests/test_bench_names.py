@@ -1,10 +1,11 @@
 """The names the benchmark reaches into the program by.
 
-`bench/child.py` builds its experiment config and runs the stages through
-`jazzgen.cli`, and `bench/spans.py` wraps functions by module and attribute
-path. A rename in the program would otherwise show up in the benchmark only
-as failed stages (`passed_frac` falling to 0) or as per-layer spans reported
-absent, so these tests fail first.
+`bench/child.py` builds its experiment config, writes its chromatic inputs
+through `jazzgen.midi_io` and runs the stages through `jazzgen.cli`, and
+`bench/spans.py` wraps functions by module and attribute path. A rename in
+the program would otherwise show up in the benchmark only as failed stages
+(`passed_frac` falling to 0) or as per-layer spans reported absent, so these
+tests fail first.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 import jazzgen.rnn
 from jazzgen import cli
+from jazzgen.midi_io import read_line
 from jazzgen.tokenizer import build_vocabulary
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -41,6 +43,9 @@ GONE_FOR_GOOD = {
     # train runs layer 1 and the rest of the network as two halves, each
     # calling lstm_forward and lstm_backward itself
     "jazzgen.rnn.Network.backward",
+    # train and generate_rnn run the LSTM layers themselves; the per-window
+    # forward pass is the tests' reference (tests/oracle.py)
+    "jazzgen.rnn.Network.forward",
 }
 
 
@@ -64,6 +69,19 @@ def load_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def test_the_chromatic_writer_writes_files_read_line_reads(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # child.py imports spans.py as a top-level module
+    spec = importlib.util.spec_from_file_location("bench_child", BENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    child.write_chromatic(tmp_path, 0, 2, 40, True, "walk_{}.mid")
+    paths = sorted(tmp_path.iterdir())
+    assert [path.name for path in paths] == ["walk_1.mid", "walk_2.mid"]
+    for path in paths:
+        line, tempo = read_line(path.read_bytes())
+        assert (len(line.ticks), tempo) == (40, 240), path.name
 
 
 def test_every_span_target_resolves():

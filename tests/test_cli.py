@@ -613,13 +613,17 @@ def test_generate_render_error_writes_no_generation(workspace, pipeline, tmp_pat
     assert (out / "generated").exists() == earlier_run
 
 
-@pytest.mark.parametrize("damage", [
-    lambda ingest: next((ingest / "tokens").glob("*.tokens")).unlink(),
-    lambda ingest: (ingest / "manifest.json").write_text((ingest / "manifest.json").read_text()[:40]),
-    lambda ingest: next((ingest / "tokens").glob("*.tokens")).write_text("C#-1_1/7\n"),
-    lambda ingest: (ingest / "vocab.json").write_text("[1]"),
-], ids=["token-file-deleted", "manifest-truncated", "token-outside-vocab", "vocab-non-text"])
-def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path, damage):
+# (damage to ingest/, the artifact the error must name)
+@pytest.mark.parametrize("damage, named", [
+    (lambda ingest: next((ingest / "tokens").glob("*.tokens")).unlink(), "tokens"),
+    (lambda ingest: (ingest / "manifest.json").write_text((ingest / "manifest.json").read_text()[:40]),
+     "manifest.json"),
+    (lambda ingest: next((ingest / "tokens").glob("*.tokens")).write_text("C#-1_1/7\n"), "tokens"),
+    (lambda ingest: (ingest / "vocab.json").write_text("[1]"), "vocab.json"),
+    # an object's keys would make a vocabulary, and an intact token file would take the blame
+    (lambda ingest: (ingest / "vocab.json").write_text('{"A4_1.0": 1}'), "vocab.json"),
+], ids=["token-file-deleted", "manifest-truncated", "token-outside-vocab", "vocab-non-text", "vocab-object"])
+def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path, damage, named):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
     damage(out / "ingest")
@@ -627,7 +631,7 @@ def test_train_with_stale_ingest_artifacts_exits_2(workspace, pipeline, tmp_path
     result = invoke(["train", *dirs(workspace, out=str(out)), *TINY])
     assert result.exit_code == 2, result.output
     (line,) = result.output.strip().splitlines()
-    assert line.startswith("Error: cannot read ") and line.endswith("rerun ingest")
+    assert line.startswith(f"Error: cannot read {out / 'ingest' / named}") and line.endswith("rerun ingest")
     assert files_under(out) == before
 
 

@@ -2,11 +2,10 @@
 
 The program puts a token list on an integer tick grid once and takes both
 the MIDI bytes and the scores from there; ingest reads MIDI onto the same
-kind of grid and renders tokens from its ticks; events are put on a grid
-before scoring too. The references below are the NoteEvent/Fraction
-computations that path replaced, kept here the way tests/test_neural.py
-keeps the per-cell LSTM: every result must agree exactly, errors and
-warnings included.
+kind of grid and renders tokens from its ticks. The references below and the
+event functions of tests/oracle.py are the NoteEvent/Fraction computations
+that path replaced, kept in the tests the way tests/test_neural.py keeps the
+per-cell LSTM: every result must agree exactly, errors and warnings included.
 """
 
 import math
@@ -25,8 +24,6 @@ from jazzgen.metrics import (
     MetricReport,
     evaluate_line,
     histogram_entropy,
-    mean_groove_similarity,
-    pitch_class_histogram,
 )
 from jazzgen.midi_io import (
     MAX_DIVISION,
@@ -37,12 +34,12 @@ from jazzgen.midi_io import (
     encode_vlq,
     lcm_time_division,
     read_line,
-    read_midi,
     write_line,
     write_midi,
 )
 from jazzgen.synthetic import write_corpus, write_seeds
-from jazzgen.tokenizer import TokenError, detokenize, parse_token, render_token, tick_line, tokenize, tokenize_line
+from jazzgen.tokenizer import TokenError, parse_token, render_token, tick_line, tokenize_line
+from oracle import detokenize, mean_groove_similarity, pitch_class_histogram, read_midi, tokenize
 
 TRIPLETS = tuple(Fraction(n, d) for n, d in ((1, 3), (2, 3), (4, 3), (1, 6), (5, 6), (1, 12)))
 DOTTED = tuple(Fraction(n, d) for n, d in ((3, 16), (3, 8), (3, 4), (3, 2), (3, 1)))

@@ -129,10 +129,16 @@ def test_save_load_round_trip():
 
 
 def test_save_is_byte_deterministic(tmp_path):
-    seqs = [["B", "A", "C", "A", "B"]]
+    seqs = [["B", "A", "C", "A", "B"], ["A", "B", "C", "C", "A"]]
+    first = build_transition_table(seqs, order=2)
+    second = build_transition_table(list(reversed(seqs)), order=2)
+    # equal tables whose count dicts were filled in different orders
+    assert first.counts == second.counts and first.unigram == second.unigram
+    assert list(first.unigram) != list(second.unigram) and list(first.counts) != list(second.counts)
+    assert list(first.counts[("A",)]) != list(second.counts[("A",)])
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    p1.write_bytes(encode_transition_table(build_transition_table(seqs, order=2)))
-    p2.write_bytes(encode_transition_table(build_transition_table(list(reversed(seqs[0])) and seqs, order=2)))
+    p1.write_bytes(encode_transition_table(first))
+    p2.write_bytes(encode_transition_table(second))
     assert p1.read_bytes() == p2.read_bytes()
 
 

