@@ -24,7 +24,6 @@ from jazzgen.cli import (
     run_train,
     warnings_as_lines,
 )
-from jazzgen.neural import one_blas_thread
 from jazzgen.synthetic import write_corpus, write_seeds
 
 
@@ -38,9 +37,7 @@ def run(args: argparse.Namespace) -> None:
     if not config.seeds_dir.is_dir():
         write_seeds(config.seeds_dir, seed=config.global_seed)
         print(f"synthesized seeds in {config.seeds_dir}")
-    # one pin for all four stages: each stage then finds one thread and sets
-    # nothing, so no set call after train's fork starts a spinning BLAS worker
-    with output_lock(config.out_dir), one_blas_thread():
+    with output_lock(config.out_dir):
         run_ingest(config)
         run_train(config)
         run_generate(config, MODEL_NAMES, ())

@@ -337,10 +337,12 @@ def read_tokens(
 def read_manifest(data: bytes) -> tuple[list[str], list[str]]:
     """The ingested corpus file stems, in manifest order, and the sorted seed ids."""
     manifest = json.loads(data.decode())
-    corpus, seeds = [entry["file"] for entry in manifest["corpus"]], sorted(manifest["seeds"])
+    corpus, seeds = [entry["file"] for entry in manifest["corpus"]], manifest["seeds"]
+    if not isinstance(seeds, list) or not all(isinstance(name, str) for name in [*corpus, *seeds]):
+        raise ValueError("seeds must be a list of strings and each corpus file a string")
     if not corpus or not seeds:
         raise ValueError("no corpus files or no seeds listed")
-    return corpus, seeds
+    return corpus, sorted(seeds)
 
 
 def read_vocab(data: bytes) -> Vocabulary:
@@ -634,15 +636,15 @@ def selfcheck(ckpt_path):
     if ckpt_path is not None:
         checks.append(("checkpoint file loads", lambda: load_checkpoint(Path(ckpt_path).read_bytes())))
     failures = 0
-    with one_blas_thread():
-        for name, check in checks:
-            try:
-                check()
-            except Exception as err:  # noqa: BLE001 - every failure must be reported, not raised
-                failures += 1
-                click.echo(f"FAIL: {name}: {err}")
-            else:
-                click.echo(f"PASS: {name}")
+    one_blas_thread()
+    for name, check in checks:
+        try:
+            check()
+        except Exception as err:  # noqa: BLE001 - every failure must be reported, not raised
+            failures += 1
+            click.echo(f"FAIL: {name}: {err}")
+        else:
+            click.echo(f"PASS: {name}")
     if failures:
         raise click.ClickException(f"{failures} of {len(checks)} checks failed")
     click.echo(f"all {len(checks)} checks passed")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,27 +58,18 @@ def _openblas_threads(numpy_dir: Path):
     return None
 
 
-@contextmanager
-def one_blas_thread():
-    """Run the body with numpy's BLAS on one thread, then restore its count.
+def one_blas_thread() -> None:
+    """Set numpy's BLAS to one thread, unless it already runs one, and leave it.
 
     A threaded GEMM may split a long reduction, so some shapes round
     differently at 2 threads than at 1; one thread makes every result
-    independent of the count the process started with. A count of 1 is left
-    alone: after a fork OpenBLAS has shut its pool down, and every later
+    independent of the count the process started with. The count is never
+    put back: after a fork OpenBLAS has shut its pool down, and every later
     set call, even to the count it has, starts a worker that spins.
     """
     threads = _openblas_threads(Path(np.__file__).parent)
-    before = threads[0]() if threads else 1
-    if before == 1:
-        yield
-        return
-    set_ = threads[1]
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    if threads and threads[0]() != 1:
+        threads[1](1)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -484,7 +484,9 @@ class _Helper:
     finally block, atexit handler or stdio buffer of the caller runs in it.
     SIGINT stays blocked there; Ctrl-C reaches the parent, which kills it.
     It runs only numpy arithmetic; the one other thread a process may hold
-    is OpenBLAS's pool, which OpenBLAS's own fork handler stops first.
+    is OpenBLAS's pool, which OpenBLAS's own fork handler stops first. train
+    pins one BLAS thread before the fork and never sets the count again, so
+    neither process restarts that pool.
     """
 
     def __init__(self):
@@ -541,7 +543,6 @@ class _Helper:
             _, self.status = os.waitpid(self.pid, 0)
 
 
-@one_blas_thread()
 def train(
     config: RnnConfig,
     sequences: Iterable[Sequence[str]],
@@ -564,6 +565,7 @@ def train(
     same arithmetic, so the results are equal bit for bit, and the first
     NumericalFault is the one the serial order meets first.
     """
+    one_blas_thread()
     inputs, targets = make_training_windows(sequences, vocab, config.window)
     if len(targets) % config.batch_size == 1:
         warnings.warn(
@@ -658,7 +660,6 @@ def select_index(
     return int(picks[0]) if single else picks
 
 
-@one_blas_thread()
 def generate_rnn(
     ckpt: Checkpoint,
     seeds: Sequence[Sequence[str]],
@@ -684,6 +685,7 @@ def generate_rnn(
     because the vocabulary is sorted; without rngs, only argmax sampling
     works.
     """
+    one_blas_thread()
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     window = ckpt.config.window

@@ -655,6 +655,7 @@ FAULTS = {
     "emptied": lambda path: path.write_text(""),
     "three-tokens": lambda path: path.write_text("\n".join(path.read_text().split()[:3]) + "\n"),
     "seed-2-copy": lambda path: shutil.copyfile(path.with_name(path.name.replace("seed_1", "seed_2")), path),
+    "seeds-string": lambda path: path.write_text(json.dumps({**json.loads(path.read_text()), "seeds": "seed_1"})),
 }
 # a truncated token file can still be a valid one
 PARSED_FILE = ("deleted", "directory", "garbage", "truncated")
@@ -662,7 +663,7 @@ TOKEN_FILE = ("deleted", "directory", "garbage", "bad-token")
 GENERATE = ("generate", "--model", "both")
 # artifact -> (faults, commands that read it)
 ARTIFACTS = {
-    "ingest/manifest.json": (PARSED_FILE, [("train",), GENERATE, ("evaluate",)]),
+    "ingest/manifest.json": ((*PARSED_FILE, "seeds-string"), [("train",), GENERATE, ("evaluate",)]),
     "ingest/vocab.json": (PARSED_FILE, [("train",)]),
     "ingest/tokens/corpus_01.tokens": (TOKEN_FILE, [("train",)]),
     "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE, ("evaluate",)]),
@@ -1173,21 +1174,25 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 THREADS_AFTER_TRAIN_IN_CHILD = """
 import os, sys
+from pathlib import Path
+import numpy as np
 import jazzgen.rnn
-from jazzgen.cli import output_lock, resolve_config, run_ingest, run_train
-from jazzgen.neural import one_blas_thread
+from jazzgen import neural
+from jazzgen.cli import MODEL_NAMES, output_lock, resolve_config, run_generate, run_ingest, run_train
 jazzgen.rnn.two_process_training = lambda: True
 config = resolve_config(None, dict(zip(("corpus", "seeds", "out"), sys.argv[1:]), hidden=8, epochs=1))
-with output_lock(config.out_dir), one_blas_thread():  # as scripts/run_pipeline.py runs its stages
+with output_lock(config.out_dir):  # as `jazzgen train` and `jazzgen generate` run, with no wrapper
     run_ingest(config)
     run_train(config)
-    print(len(os.listdir("/proc/self/task")))
+    run_generate(config, MODEL_NAMES, ())
+    print(len(os.listdir("/proc/self/task")), neural._openblas_threads(Path(np.__file__).parent)[0]())
 """
 
 
 def test_train_after_its_fork_starts_no_blas_worker_under_one_pin(workspace, tmp_path):
     # the fork shuts OpenBLAS's pool down, and any later set call starts a
-    # worker that spins; under one pin for all stages train sets nothing
+    # worker that spins; train pins one thread and leaves it, so nothing
+    # after the fork, generate's own pin included, sets the count again
     if not Path("/proc/self/task").is_dir():
         pytest.skip("no /proc/self/task to count threads in")
     if neural._openblas_threads(Path(np.__file__).parent) is None:
@@ -1198,7 +1203,8 @@ def test_train_after_its_fork_starts_no_blas_worker_under_one_pin(workspace, tmp
                             capture_output=True, text=True, timeout=300,
                             env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "2"})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split()[-1] == "1", result.stdout
+    tasks, blas_threads = result.stdout.split()[-2:]
+    assert (tasks, blas_threads) == ("1", "1"), result.stdout
 
 
 def test_a_killed_train_leaves_no_process_behind(workspace, tmp_path):

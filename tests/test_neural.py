@@ -821,17 +821,26 @@ def test_adam_decreases_quadratic_loss():
     assert np.all(np.abs(theta["t"]) < 1e-3)
 
 
-def test_one_blas_thread_pins_the_count_and_restores_it():
+def test_one_blas_thread_pins_the_count_and_leaves_it(monkeypatch):
     threads = neural._openblas_threads(Path(np.__file__).parent)
     if threads is None:
         pytest.skip("this numpy bundles no OpenBLAS with thread control")
     get, set_ = threads
+    counts = []
+
+    def counted_set(count):
+        counts.append(count)
+        set_(count)
+
+    monkeypatch.setattr(neural, "_openblas_threads", lambda numpy_dir: (get, counted_set))
     before = get()
     set_(2)
     try:
-        with neural.one_blas_thread():
-            assert get() == 1
-        assert get() == 2
+        neural.one_blas_thread()
+        assert get() == 1 and counts == [1]
+        # at one thread already, a second pin sets nothing
+        neural.one_blas_thread()
+        assert get() == 1 and counts == [1]
     finally:
         set_(before)
 
