@@ -156,45 +156,37 @@ def init_tensors(config: RnnConfig, n_vocab: int, seed: int) -> dict:
     }
 
 
-class Network:
-    """Parameter container plus the head's forward and backward; train and
-    generate_rnn run the two LSTM layers themselves."""
+def head(tensors: dict, dropout: float, last, training: bool, rng: np.random.Generator | None = None):
+    """Logits (B, V) from the last LSTM layer's final hidden state (B, H):
+    batch norm -> dropout -> dense relu -> dropout -> dense. Returns
+    (logits, cache) for head_backward; train and generate_rnn run the two
+    LSTM layers themselves."""
+    t = tensors
+    normed, bn_cache = batchnorm_forward(
+        last, t["norm/gamma"], t["norm/beta"], t["norm/mean"], t["norm/var"], training
+    )
+    dropped1, mask1 = dropout_forward(normed, dropout, rng, training)
+    hidden, dense1_cache = dense_forward(dropped1, t["dense1/w"], t["dense1/b"], activation="relu")
+    dropped2, mask2 = dropout_forward(hidden, dropout, rng, training)
+    logits, dense2_cache = dense_forward(dropped2, t["dense2/w"], t["dense2/b"])
+    return logits, (bn_cache, mask1, dense1_cache, mask2, dense2_cache)
 
-    def __init__(self, config: RnnConfig, tensors: dict):
-        self.config = config
-        self.tensors = tensors
 
-    def head(self, last, training: bool, rng: np.random.Generator | None = None):
-        """Logits (B, V) from the last LSTM layer's final hidden state (B, H):
-        batch norm -> dropout -> dense relu -> dropout -> dense. Returns
-        (logits, cache) for backward."""
-        t = self.tensors
-        normed, bn_cache = batchnorm_forward(
-            last, t["norm/gamma"], t["norm/beta"], t["norm/mean"], t["norm/var"], training
-        )
-        dropped1, mask1 = dropout_forward(normed, self.config.dropout, rng, training)
-        hidden, dense1_cache = dense_forward(
-            dropped1, t["dense1/w"], t["dense1/b"], activation="relu"
-        )
-        dropped2, mask2 = dropout_forward(hidden, self.config.dropout, rng, training)
-        logits, dense2_cache = dense_forward(dropped2, t["dense2/w"], t["dense2/b"])
-        return logits, (bn_cache, mask1, dense1_cache, mask2, dense2_cache)
-
-    def head_backward(self, dlogits, cache):
-        """Backward through head from the logits' gradient: returns the
-        gradient of its input (B, H) and those of its tensors by name."""
-        t = self.tensors
-        bn_cache, mask1, dense1_cache, mask2, dense2_cache = cache
-        ddropped2, dw2, db2 = dense_backward(dlogits, dense2_cache, t["dense2/w"])
-        dhidden = dropout_backward(ddropped2, mask2)
-        ddropped1, dw1, db1 = dense_backward(dhidden, dense1_cache, t["dense1/w"])
-        dnormed = dropout_backward(ddropped1, mask1)
-        dlast, dgamma, dbeta = batchnorm_backward(dnormed, bn_cache)
-        return dlast, {
-            "norm/gamma": dgamma, "norm/beta": dbeta,
-            "dense1/w": dw1, "dense1/b": db1,
-            "dense2/w": dw2, "dense2/b": db2,
-        }
+def head_backward(tensors: dict, dlogits, cache):
+    """Backward through head from the logits' gradient: returns the
+    gradient of its input (B, H) and those of its tensors by name."""
+    t = tensors
+    bn_cache, mask1, dense1_cache, mask2, dense2_cache = cache
+    ddropped2, dw2, db2 = dense_backward(dlogits, dense2_cache, t["dense2/w"])
+    dhidden = dropout_backward(ddropped2, mask2)
+    ddropped1, dw1, db1 = dense_backward(dhidden, dense1_cache, t["dense1/w"])
+    dnormed = dropout_backward(ddropped1, mask1)
+    dlast, dgamma, dbeta = batchnorm_backward(dnormed, bn_cache)
+    return dlast, {
+        "norm/gamma": dgamma, "norm/beta": dbeta,
+        "dense1/w": dw1, "dense1/b": db1,
+        "dense2/w": dw2, "dense2/b": db2,
+    }
 
 
 def make_training_windows(
@@ -437,7 +429,6 @@ class _Rest:
 
     def __init__(self, config: RnnConfig, handoff: _Handoff, rng: np.random.Generator):
         self.config, self.handoff, self.rng = config, handoff, rng
-        self.net = Network(config, handoff.tensors)
         self.adam = AdamState()
         self.work = _Workspace(config)
 
@@ -450,9 +441,9 @@ class _Rest:
         h1 = handoff.h1(count, batch)[1:].swapaxes(0, 1)
         sync = handoff.consumer(_H1_STEPS, first, length)
         hs, cache = lstm_forward(h1, w, u, b, self.work.buffers(batch), sync)
-        logits, head_cache = self.net.head(hs[:, -1], training=True, rng=self.rng)
+        logits, head_cache = head(t, self.config.dropout, hs[:, -1], training=True, rng=self.rng)
         loss, dlogits = softmax_cross_entropy(logits, targets)
-        dlast, grads = self.net.head_backward(dlogits, head_cache)
+        dlast, grads = head_backward(t, dlogits, head_cache)
         # only the last step's output reaches the head
         sync = handoff.producer(_DH1_STEPS, first)
         _, dw, du, db = lstm_backward(dlast[:, None], cache, w, u, self.work.dz(batch), handoff.dh1(batch), sync)
@@ -627,10 +618,10 @@ def train(
 def select_index(
     logits: np.ndarray,
     temperature: float,
-    rngs: np.random.Generator | Sequence[np.random.Generator | None] | None = None,
-) -> int | np.ndarray:
+    rngs: Sequence[np.random.Generator | None] | None = None,
+) -> np.ndarray:
     """One sampling step for a (B, V) batch of logits, row k drawing from
-    rngs[k]; a single (V,) row takes a single generator and returns one int.
+    rngs[k]; returns the B picked indices.
 
     At or below the temperature floor each row takes its argmax. Otherwise
     each row is drawn from its tempered softmax, computed in float64, exactly
@@ -638,26 +629,20 @@ def select_index(
     by searchsorted(side="right") on the row's cumsum normalized by its last
     entry.
     """
-    rows = np.asarray(logits)
-    single = rows.ndim == 1
-    if single:
-        rows, rngs = rows[None], [rngs]
     if temperature <= ARGMAX_TEMPERATURE:
-        picks = rows.argmax(axis=1)
-    else:
-        if rngs is None or any(rng is None for rng in rngs):
-            raise ValueError("sampling at temperature > 0 requires an rng")
-        probs = softmax(rows.astype(np.float64), temperature)
-        probs /= probs.sum(axis=1, keepdims=True)
-        if not np.isfinite(probs).all():
-            raise ValueError("probabilities contain non-finite values")
-        cdf = probs.cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        uniforms = np.array([rng.random() for rng in rngs])
-        # a cumsum of nonnegative terms never decreases, so the count of
-        # entries <= u is searchsorted(cdf, u, side="right"), for all rows at once
-        picks = (cdf <= uniforms[:, None]).sum(axis=1)
-    return int(picks[0]) if single else picks
+        return logits.argmax(axis=1)
+    if rngs is None or any(rng is None for rng in rngs):
+        raise ValueError("sampling at temperature > 0 requires an rng")
+    probs = softmax(logits.astype(np.float64), temperature)
+    probs /= probs.sum(axis=1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities contain non-finite values")
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = np.array([rng.random() for rng in rngs])
+    # a cumsum of nonnegative terms never decreases, so the count of
+    # entries <= u is searchsorted(cdf, u, side="right"), for all rows at once
+    return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
 def generate_rnn(
@@ -675,12 +660,15 @@ def generate_rnn(
     that reads position p reads the same token there, so one batched LSTM
     cell per layer moves all live windows of all seeds forward one position,
     and the window that has just read its last token gives the next token's
-    logits. Each row's arithmetic is that of a zero-state pass over its
-    window alone, so the result equals that pass bit for bit.
+    logits. Each row runs the operations of a zero-state pass over its
+    window alone, and gives the same tokens. The logits are bit-equal only
+    where every matrix product has enough rows: BLAS may round a one-row
+    float32 product, or one of another batch size, differently from the
+    same row inside a larger one, so the last bits can differ.
 
     Seed k draws only from rngs[k], and batch norm uses its running
-    statistics, so a seed's continuation does not depend on which other
-    seeds share the batch. Temperatures at or below 1e-6 short-circuit to
+    statistics, so a seed's tokens do not depend on which other seeds
+    share the batch (its logits' last bits may). Temperatures at or below 1e-6 short-circuit to
     argmax, which lands on the lexicographically smallest token among ties
     because the vocabulary is sorted; without rngs, only argmax sampling
     works.
@@ -700,7 +688,6 @@ def generate_rnn(
     outputs = [list(seed) for seed in seeds]
     if not seeds or steps == 0:
         return outputs
-    net = Network(ckpt.config, ckpt.tensors)
     t = ckpt.tensors
     batch, hidden = len(seeds), ckpt.config.hidden_units
     tokens = np.empty((batch, window + steps), dtype=np.int64)
@@ -734,7 +721,7 @@ def generate_rnn(
         lstm_cell(xw2, h2[block], c2[block], u2_t, t["lstm2/b"], gate, c2[block], tanh_c, h2[block])
         ensure_finite("lstm output", states[:, block])
         if p >= window - 1:  # window p - window + 1 has read its last token
-            logits, _ = net.head(h2[lo], training=False)
+            logits, _ = head(t, ckpt.config.dropout, h2[lo], training=False)
             tokens[:, p + 1] = select_index(logits, temperature, rngs)
             lo += 1
     for output, picks in zip(outputs, tokens[:, window:].tolist()):

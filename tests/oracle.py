@@ -21,7 +21,7 @@ import numpy as np
 from jazzgen.metrics import BAR_LENGTH, GRID, PitchHistogram, _bar_masks, _groove, _histogram
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickLine, read_line
 from jazzgen.neural import lstm_forward, softmax
-from jazzgen.rnn import Network
+from jazzgen.rnn import head
 from jazzgen.tokenizer import render_token, tick_line
 
 
@@ -94,17 +94,17 @@ def pitch_class_histogram(notes: Iterable[NoteEvent]) -> PitchHistogram:
     return _histogram(ev.pitch for ev in notes if not ev.is_rest)
 
 
-def forward(net: Network, windows, training: bool, rng: np.random.Generator | None = None):
+def forward(tensors: dict, dropout: float, windows, training: bool, rng: np.random.Generator | None = None):
     """The network on whole windows of integer token indices (B, L), each
     LSTM layer over every timestep; returns (logits, head cache), as
-    Network.head does."""
-    t = net.tensors
+    rnn.head does."""
+    t = tensors
     hs1, _ = lstm_forward(windows, t["lstm1/w"], t["lstm1/u"], t["lstm1/b"])
     hs2, _ = lstm_forward(hs1, t["lstm2/w"], t["lstm2/u"], t["lstm2/b"])
-    return net.head(hs2[:, -1, :], training, rng)
+    return head(t, dropout, hs2[:, -1, :], training, rng)
 
 
-def next_distribution(net: Network, context: Sequence[int], temperature: float) -> np.ndarray:
+def next_distribution(tensors: dict, dropout: float, context: Sequence[int], temperature: float) -> np.ndarray:
     """Softmax over the next token given a full window of indices."""
-    logits, _ = forward(net, np.array([context], dtype=np.int64), training=False)
+    logits, _ = forward(tensors, dropout, np.array([context], dtype=np.int64), training=False)
     return softmax(logits[0].astype(np.float64), temperature)

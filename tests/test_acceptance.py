@@ -24,7 +24,6 @@ from jazzgen.midi_io import MidiDocument, NoteEvent, lcm_time_division, write_mi
 from jazzgen.report import read_comparison_csv, win_fractions
 from jazzgen.rnn import (
     Checkpoint,
-    Network,
     RnnConfig,
     encode_checkpoint,
     generate_rnn,
@@ -204,20 +203,20 @@ def test_acceptance_05_memorization():
 @criterion(6, 60.0, "sampling: 10^4 draws within TV 0.05 of softmax; tiny temperature = argmax")
 def test_acceptance_06_sampling():
     config = RnnConfig(window=4, hidden_units=8, dense_units=8, epochs=1, batch_size=2, dropout=0.0)
-    net = Network(config, init_tensors(config, 8, 3))
+    tensors = init_tensors(config, 8, 3)
     context = [0, 1, 2, 3]
-    logits, _ = forward(net, np.array([context]), training=False)
+    logits, _ = forward(tensors, config.dropout, np.array([context]), training=False)
     logits = logits[0]
     probs = neural.softmax(logits.astype(np.float64), 1.0)
-    assert np.allclose(probs, next_distribution(net, context, 1.0))
+    assert np.allclose(probs, next_distribution(tensors, config.dropout, context, 1.0))
     rng = np.random.default_rng(11)
-    draws = Counter(select_index(logits, 1.0, rng) for _ in range(10_000))
+    draws = Counter(int(select_index(logits[None], 1.0, [rng])[0]) for _ in range(10_000))
     tv = 0.5 * sum(abs(draws.get(i, 0) / 10_000 - probs[i]) for i in range(len(probs)))
     assert tv <= 0.05, f"total variation {tv:.4f}"
     vector_rng = np.random.default_rng(12)
     for _ in range(100):
         vector = vector_rng.normal(0.0, 3.0, 12)
-        assert select_index(vector, 1e-9) == int(np.argmax(vector))
+        assert select_index(vector[None], 1e-9)[0] == int(np.argmax(vector))
 
 
 def _run_pipeline(root: Path, out: Path) -> None:
@@ -288,12 +287,11 @@ def test_acceptance_08_round_trips():
         assert read_midi(write_midi(doc)) == doc
     config = RnnConfig(window=3, hidden_units=6, dense_units=6, epochs=1, batch_size=2, dropout=0.0)
     vocab = Vocabulary(("A4_1.0", "C4_1.0", "D4_0.5", "E4_0.25", "R_1.0"))
-    net = Network(config, init_tensors(config, len(vocab), 1))
-    loaded = load_checkpoint(encode_checkpoint(Checkpoint(net.tensors, vocab, config, best_loss=2.0, epoch=0)))
+    tensors = init_tensors(config, len(vocab), 1)
+    loaded = load_checkpoint(encode_checkpoint(Checkpoint(tensors, vocab, config, best_loss=2.0, epoch=0)))
     contexts = np.array([[0, 1, 2], [3, 4, 0]])
-    before, _ = forward(net, contexts, training=False)
-    reloaded_net = Network(loaded.config, tensors=loaded.tensors)
-    after, _ = forward(reloaded_net, contexts, training=False)
+    before, _ = forward(tensors, config.dropout, contexts, training=False)
+    after, _ = forward(loaded.tensors, loaded.config.dropout, contexts, training=False)
     assert np.array_equal(before, after)
 
 

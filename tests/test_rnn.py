@@ -23,11 +23,12 @@ from jazzgen.rnn import (
     CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointError,
-    Network,
     RnnConfig,
     ShortCorpusError,
     encode_checkpoint,
     generate_rnn,
+    head,
+    head_backward,
     init_tensors,
     load_checkpoint,
     make_training_windows,
@@ -290,7 +291,6 @@ def plain_training_epoch(config, seq, vocab, seed):
     loss). Every batch trains; none has size 1."""
     inputs, targets = make_training_windows([seq], vocab, config.window)
     tensors = init_tensors(config, len(vocab), seed)
-    net = Network(config, tensors)
     rng = np.random.default_rng(seed)
     adam = AdamState()
     order = rng.permutation(len(targets))
@@ -300,9 +300,9 @@ def plain_training_epoch(config, seq, vocab, seed):
         w1, u1, b1, w2, u2, b2 = (tensors[f"lstm{layer}/{name}"] for layer in (1, 2) for name in "wub")
         hs1, cache1 = lstm_forward(inputs[batch], w1, u1, b1)
         hs2, cache2 = lstm_forward(hs1, w2, u2, b2)
-        logits, head_cache = net.head(hs2[:, -1], training=True, rng=rng)
+        logits, head_cache = head(tensors, config.dropout, hs2[:, -1], training=True, rng=rng)
         loss, dlogits = softmax_cross_entropy(logits, targets[batch])
-        dlast, grads = net.head_backward(dlogits, head_cache)
+        dlast, grads = head_backward(tensors, dlogits, head_cache)
         dhs2 = np.zeros_like(hs2)
         dhs2[:, -1] = dlast
         dhs1, dw2, du2, db2 = lstm_backward(dhs2, cache2, w2, u2)
@@ -571,11 +571,10 @@ def test_generate_names_unknown_seed_token(memorized):
 def test_tiny_temperature_equals_explicit_argmax(memorized):
     seq, vocab, ckpt, _ = memorized
     (sampled,) = generate_rnn(ckpt, [seq[:16]], 12, temperature=1e-9)
-    net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
     manual = list(seq[:16])
     for _ in range(12):
-        probs = next_distribution(net, context, 1.0)
+        probs = next_distribution(ckpt.tensors, ckpt.config.dropout, context, 1.0)
         index = int(np.argmax(probs))
         manual.append(vocab.tokens[index])
         context = context[1:] + [index]
@@ -591,9 +590,8 @@ def test_generation_is_deterministic_given_rng(memorized):
 
 def test_sampled_frequencies_match_softmax(memorized):
     seq, vocab, ckpt, _ = memorized
-    net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
-    probs = next_distribution(net, context, 1.0)
+    probs = next_distribution(ckpt.tensors, ckpt.config.dropout, context, 1.0)
     rng = np.random.default_rng(123)
     counts = np.zeros(len(probs))
     draws = 10_000
@@ -606,9 +604,8 @@ def test_sampled_frequencies_match_softmax(memorized):
 def test_generate_uses_the_injected_rng_stream(memorized):
     seq, vocab, ckpt, _ = memorized
     (out,) = generate_rnn(ckpt, [seq[:16]], 1, temperature=1.0, rngs=[np.random.default_rng(9)])
-    net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
-    probs = next_distribution(net, context, 1.0)
+    probs = next_distribution(ckpt.tensors, ckpt.config.dropout, context, 1.0)
     probs = probs / probs.sum()
     want = int(np.random.default_rng(9).choice(len(probs), p=probs))
     assert out[-1] == vocab.tokens[want]
@@ -631,14 +628,13 @@ def random_checkpoint(dtype, window, seed, n_vocab=12, hidden=8):
 def sliding_window_reference(ckpt, seeds, steps, temperature, rngs):
     """The per-window sampler: every token from a fresh zero-state
     oracle.forward over the last `window` tokens, drawn by select_index."""
-    net = Network(ckpt.config, ckpt.tensors)
     window = ckpt.config.window
     contexts = np.array(
         [[ckpt.vocab.encode(token) for token in seed][-window:] for seed in seeds], dtype=np.int64
     )
     outputs = [list(seed) for seed in seeds]
     for _ in range(steps):
-        logits, _ = forward(net, contexts, training=False)
+        logits, _ = forward(ckpt.tensors, ckpt.config.dropout, contexts, training=False)
         picks = select_index(logits, temperature, rngs)
         for output, index in zip(outputs, picks.tolist()):
             output.append(ckpt.vocab.tokens[index])
@@ -646,10 +642,12 @@ def sliding_window_reference(ckpt, seeds, steps, temperature, rngs):
     return outputs
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
+# at the default width 64 the wavefront's float32 logits differ from the
+# per-window forward's in the last bits; the tokens must not
+@pytest.mark.parametrize("dtype, hidden", [("float32", 8), ("float64", 8), ("float32", 64)])
 @pytest.mark.parametrize("window", [1, 3, 16])
-def test_wavefront_sampling_equals_the_sliding_window_forward(dtype, window):
-    ckpt = random_checkpoint(dtype, window, seed=window)
+def test_wavefront_sampling_equals_the_sliding_window_forward(dtype, hidden, window):
+    ckpt = random_checkpoint(dtype, window, seed=window, hidden=hidden)
     tokens = ckpt.vocab.tokens
     rng = np.random.default_rng([window, 1])
     # 2*window+1 and 40 steps move the live windows back to the buffer's front
@@ -663,6 +661,19 @@ def test_wavefront_sampling_equals_the_sliding_window_forward(dtype, window):
                 got = generate_rnn(ckpt, seeds, steps, temperature, rngs())
                 want = sliding_window_reference(ckpt, seeds, steps, temperature, rngs())
                 assert got == want, (n_seeds, steps, temperature)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_seed_sampled_alone_equals_its_row_of_the_batch(seed):
+    """At the default width a seed sampled alone gets logits that differ from
+    its row of an 8-seed batch in the last bits; its tokens are the same."""
+    ckpt = random_checkpoint("float32", window=16, seed=seed, n_vocab=40, hidden=64)
+    rng = np.random.default_rng([seed, 8])
+    seeds = [[ckpt.vocab.tokens[i] for i in rng.integers(0, 40, 16)] for _ in range(8)]
+    together = generate_rnn(ckpt, seeds, 40, 1.0, [np.random.default_rng([seed, k]) for k in range(8)])
+    for k, tokens in enumerate(seeds):
+        (alone,) = generate_rnn(ckpt, [tokens], 40, 1.0, [np.random.default_rng([seed, k])])
+        assert alone == together[k], k
 
 
 def test_generate_raises_numerical_fault_on_a_nonfinite_state():
@@ -744,12 +755,12 @@ def test_batched_select_index_draws_like_per_row_choice():
     assert cases >= 200
 
 
-def test_select_index_on_one_row_returns_one_int():
-    logits = np.random.default_rng(4).normal(0.0, 2.0, 9).astype(np.float32)
-    pick = select_index(logits, 1.0, np.random.default_rng(6))
-    assert type(pick) is int
-    assert pick == reference_pick(logits, 1.0, np.random.default_rng(6))
-    assert select_index(logits, 1e-9) == int(np.argmax(logits))
+def test_select_index_on_a_one_row_batch_returns_one_pick():
+    logits = np.random.default_rng(4).normal(0.0, 2.0, (1, 9)).astype(np.float32)
+    picks = select_index(logits, 1.0, [np.random.default_rng(6)])
+    assert picks.shape == (1,)
+    assert picks[0] == reference_pick(logits[0], 1.0, np.random.default_rng(6))
+    assert select_index(logits, 1e-9)[0] == int(np.argmax(logits))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -759,27 +770,25 @@ def test_select_index_rejects_nonfinite_probabilities_and_missing_rngs():
     with pytest.raises(ValueError, match="non-finite"):
         select_index(logits, 1.0, [np.random.default_rng(0), np.random.default_rng(1)])
     with pytest.raises(ValueError, match="non-finite"):
-        select_index(np.zeros(4), float("nan"), np.random.default_rng(0))
+        select_index(np.zeros((1, 4)), float("nan"), [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="requires an rng"):
         select_index(np.zeros((2, 4)), 1.0, [np.random.default_rng(0), None])
 
 
 def test_distributions_are_valid_probability_vectors(memorized):
     seq, vocab, ckpt, _ = memorized
-    net = Network(ckpt.config, tensors=ckpt.tensors)
     rng = np.random.default_rng(2)
     for _ in range(10):
         context = list(rng.integers(0, len(vocab), size=16))
-        probs = next_distribution(net, context, 1.0)
+        probs = next_distribution(ckpt.tensors, ckpt.config.dropout, context, 1.0)
         assert abs(probs.sum() - 1.0) <= 1e-6
         assert np.all(probs >= 0)
 
 
 def test_temperature_increases_entropy(memorized):
     seq, vocab, ckpt, _ = memorized
-    net = Network(ckpt.config, tensors=ckpt.tensors)
     context = [vocab.encode(t) for t in seq[:16]]
-    logits, _ = forward(net, np.array([context], dtype=np.int64), training=False)
+    logits, _ = forward(ckpt.tensors, ckpt.config.dropout, np.array([context], dtype=np.int64), training=False)
 
     def entropy(temperature):
         p = softmax(logits[0].astype(np.float64), temperature)
@@ -796,10 +805,8 @@ def test_checkpoint_round_trip_forward_is_bitwise(memorized):
     assert loaded.best_loss == ckpt.best_loss
     assert loaded.epoch == ckpt.epoch
     context = np.array([[vocab.encode(t) for t in seq[:16]]], dtype=np.int64)
-    net_a = Network(ckpt.config, tensors=ckpt.tensors)
-    net_b = Network(loaded.config, tensors=loaded.tensors)
-    logits_a, _ = forward(net_a, context, training=False)
-    logits_b, _ = forward(net_b, context, training=False)
+    logits_a, _ = forward(ckpt.tensors, ckpt.config.dropout, context, training=False)
+    logits_b, _ = forward(loaded.tensors, loaded.config.dropout, context, training=False)
     assert np.array_equal(logits_a, logits_b)
 
 
