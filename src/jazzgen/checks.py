@@ -111,14 +111,13 @@ def sce_fd(rng) -> float:
     """Softmax cross-entropy of (6, 9) logits drawn with standard deviation 2."""
     logits = rng.normal(0.0, 2.0, (6, 9))
     targets = rng.integers(0, 9, 6)
-    _, dlogits = neural.softmax_cross_entropy(logits, targets)
-    tensors = {"logits": logits}
-
-    def loss_fn():
-        loss, _ = neural.softmax_cross_entropy(tensors["logits"], targets)
-        return loss
-
-    return neural.gradient_check(loss_fn, tensors, {"logits": dlogits})
+    # the loss is a scalar and its (loss, dlogits) is probe's (output, cache)
+    return probe(
+        lambda logits: neural.softmax_cross_entropy(logits, targets),
+        lambda k, dlogits: [dlogits * k],
+        {"logits": logits},
+        np.ones(()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,11 @@ def output_lock(out_dir: Path):
     """One writer per output directory, enforced with an exclusive lock file
     that names the holder's pid and command. A lock is never taken over, even
     when its holder is gone; the error says so and the user removes it."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # outside the try below: a file at out_dir makes mkdir raise FileExistsError too
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise InputError(f"cannot create output directory {out_dir}: {err.strerror}") from None
     lock = out_dir / ".lock"
     try:
         handle = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -282,6 +286,8 @@ def output_lock(out_dir: Path):
         raise click.ClickException(
             f"{out_dir} is locked by {_lock_holder(lock)}; remove {lock} if that run is gone"
         ) from None
+    except OSError as err:
+        raise InputError(f"cannot create lock file {lock}: {err.strerror}") from None
     try:
         with os.fdopen(handle, "w") as stamp:
             stamp.write(f"{os.getpid()} {shlex.join(sys.argv)}\n")
@@ -471,6 +477,11 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
     ckpt = layout.load(layout.checkpoint, load_checkpoint) if "rnn" in models else None
     rnn_outputs = {}
     if ckpt is not None:
+        if ckpt.config.window > SEED_TOKEN_COUNT:
+            raise InputError(
+                f"{layout.checkpoint} has window {ckpt.config.window}, longer than the "
+                f"{SEED_TOKEN_COUNT}-token seeds; rerun train"
+            )
         for seed_id in seed_ids:
             unknown = [token for token in seeds[seed_id] if token not in ckpt.vocab]
             if unknown:

@@ -800,6 +800,8 @@ def load_checkpoint(data: bytes) -> Checkpoint:
     cursor = 0
     for (name, shape), count in zip(shapes, counts):
         flat = np.frombuffer(blob, dtype=stored, count=count, offset=cursor * stored.itemsize)
+        if not np.isfinite(flat).all():  # train stops before it saves one; generate could not sample it
+            raise CheckpointError(f"tensor {name} holds a non-finite value")
         tensors[name] = flat.reshape(shape).astype(dtype)
         cursor += count
     return Checkpoint(tensors, vocab, config, best_loss, epoch)

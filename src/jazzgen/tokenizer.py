@@ -9,10 +9,11 @@ digit); anything else renders as a reduced fraction, e.g. ``D5_1/6``.
 A token is its text, everywhere: `tokenize_line` renders a line read from
 MIDI as token texts, `parse_token` reads one back as a ``(pitch, duration)``
 pair (``None`` for a rest, an exact `Fraction` duration) and `render_token`
-writes it again. Rendering and parsing are inverse bijections on their
-domains; parsing is strict and rejects any spelling other than the canonical
-one. `tick_line` puts tokens on an integer grid, which is all writing MIDI
-and scoring need.
+writes it again. Parsing accepts exactly the texts the renderers write: a
+pitch name is looked up among the names `render_pitch` gives, and a duration
+stands only when `render_duration` gives back the same text. Anything else is
+a `TokenError` naming the token. `tick_line` puts tokens on an integer grid,
+which is all writing MIDI and scoring need.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ PITCH_CLASS_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#",
 REST_NAME = "R"
 MAX_DECIMAL_DENOMINATOR = 64
 
-_PITCH_RE = re.compile(r"^([A-G]#?)(-1|[0-9])$")
-_DECIMAL_RE = re.compile(r"^(0|[1-9][0-9]*)\.([0-9]+)$")
-_FRACTION_RE = re.compile(r"^([1-9][0-9]*)/([1-9][0-9]*)$")
-
-_NAME_TO_CLASS = {name: i for i, name in enumerate(PITCH_CLASS_NAMES)}
+# the shape of every rendered duration; Fraction alone would also read signs,
+# spaces, underscores and exponents, and compute 10**exp for "1e999999999"
+_DURATION_RE = re.compile(r"[0-9]+[./][0-9]+")
 
 
 class TokenError(ValueError):
@@ -54,16 +53,14 @@ def render_pitch(pitch: int | None) -> str:
     return f"{PITCH_CLASS_NAMES[pitch_class]}{octave - 1}"
 
 
+_PITCHES = {render_pitch(pitch): pitch for pitch in (None, *range(128))}
+
+
 def parse_pitch(text: str) -> int | None:
-    if text == REST_NAME:
-        return None
-    match = _PITCH_RE.match(text)
-    if match is None:
-        raise TokenError(f"bad pitch name {text!r}")
-    pitch = (int(match.group(2)) + 1) * 12 + _NAME_TO_CLASS[match.group(1)]
-    if pitch > 127:
-        raise TokenError(f"pitch {text!r} exceeds MIDI 127")
-    return pitch
+    try:
+        return _PITCHES[text]
+    except KeyError:
+        raise TokenError(f"bad pitch name {text!r}") from None
 
 
 def render_duration(duration: Fraction) -> str:
@@ -87,16 +84,14 @@ def render_duration(duration: Fraction) -> str:
 
 
 def parse_duration(text: str) -> Fraction:
-    match = _DECIMAL_RE.match(text)
-    if match is not None:
-        whole, frac = match.groups()
-        value = Fraction(int(whole) * 10 ** len(frac) + int(frac), 10 ** len(frac))
-    else:
-        match = _FRACTION_RE.match(text)
-        if match is None:
-            raise TokenError(f"bad duration {text!r}")
-        value = Fraction(int(match.group(1)), int(match.group(2)))
-    if render_duration(value) != text:
+    if _DURATION_RE.fullmatch(text) is None:
+        raise TokenError(f"bad duration {text!r}")
+    try:
+        value = Fraction(text)
+        canonical = render_duration(value) == text
+    except (ValueError, ZeroDivisionError) as err:  # int's digit limit, n/0, or not positive
+        raise TokenError(f"bad duration {text!r}: {err}") from None
+    if not canonical:
         raise TokenError(f"non-canonical duration spelling {text!r}")
     return value
 

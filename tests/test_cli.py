@@ -490,6 +490,11 @@ def _swap_lstm1_w_shape(manifest: dict) -> None:
     entry["shape"].reverse()
 
 
+def _nan_norm_var(raw: bytes) -> bytes:
+    """A float32 NaN over the blob's last 4 bytes: the last tensor by name, norm/var."""
+    return raw[:-4] + np.float32("nan").tobytes()
+
+
 @pytest.mark.parametrize("damage, reason", [
     (lambda raw: raw[:1000], "truncated checkpoint"),
     (lambda raw: _edit_manifest(raw, _as_version_2), "format version 2 not supported"),
@@ -499,7 +504,10 @@ def _swap_lstm1_w_shape(manifest: dict) -> None:
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest["tensors"][0].update(name="nope")),
      "extra ['nope'], missing ['dense1/b']"),
     (lambda raw: _edit_manifest(raw, _swap_lstm1_w_shape), "lstm1/w has shape"),
-], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor", "swapped-shape"])
+    (_nan_norm_var, "tensor norm/var holds a non-finite value"),
+    (lambda raw: _edit_manifest(raw, lambda manifest: manifest["config"].update(window=20)), "has window 20"),
+], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor", "swapped-shape", "nan-tensor",
+        "window-over-seed"])
 def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -992,6 +1000,42 @@ def test_lock_file_blocks_second_writer(workspace, tmp_path):
     assert "locked by another command" in result.output
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag-under-a-file", "config-out-dir-is-a-file"])
+def test_output_directory_that_cannot_be_made_exits_2(workspace, tmp_path, via_config):
+    """click's file_okay=False check sees only --out, not a config's out_dir."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if via_config:
+        out = blocker
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"out_dir": str(out)}))
+        args = ["--config", config_file, "--corpus", workspace / "corpus", "--seeds", workspace / "seeds"]
+    else:
+        out = blocker / "sub"
+        args = dirs(workspace, out=str(out))
+    result = invoke(["ingest", *args])
+    assert result.exit_code == 2, result.output
+    (line,) = result.output.strip().splitlines()
+    assert line.startswith("Error: ") and str(out) in line
+    assert ("File exists" if via_config else "Not a directory") in line
+    assert blocker.read_text() == ""
+
+
+def test_lock_file_that_cannot_be_made_exits_2(workspace, tmp_path, monkeypatch):
+    real_open = os.open
+
+    def refuse_lock(path, *args, **kwargs):
+        if Path(path).name == ".lock":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_lock)
+    out = tmp_path / "out"
+    result = invoke(["ingest", *dirs(workspace, out=str(out))])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"Error: cannot create lock file {out / '.lock'}: Permission denied\n"
+
+
 def test_lock_names_its_holder_while_a_command_runs(workspace, tmp_path, monkeypatch):
     out = tmp_path / "out"
     seen = []
@@ -1099,6 +1143,7 @@ def test_selfcheck_fails_on_corrupted_checkpoint(pipeline, tmp_path):
         # extra trailing bytes no manifest shape accounts for
         (raw + b"\x00\x00\x00\x00", "shapes"),
         (_edit_manifest(raw, lambda manifest: manifest.pop("vocab")), "KeyError: 'vocab'"),
+        (_nan_norm_var(raw), "norm/var holds a non-finite value"),
     ]:
         corrupt.write_bytes(damaged)
         result = invoke(["selfcheck", "--ckpt", corrupt])

@@ -16,6 +16,7 @@ from jazzgen.tokenizer import (
     render_duration,
     render_pitch,
     render_token,
+    tick_line,
 )
 from oracle import detokenize, tokenize
 
@@ -34,7 +35,7 @@ def test_rest_pitch():
     assert parse_pitch("R") is None
 
 
-@pytest.mark.parametrize("bad", ["H4", "Cb4", "C", "C10", "G#9", "c4", "C04", "C♯4"])
+@pytest.mark.parametrize("bad", ["H4", "Cb4", "C", "C10", "G#9", "c4", "C04", "C♯4", "E#4", "B#3"])
 def test_bad_pitch_rejected(bad):
     with pytest.raises(TokenError):
         parse_pitch(bad)
@@ -61,7 +62,11 @@ def test_duration_rendering(duration, text):
 
 
 @pytest.mark.parametrize(
-    "bad", ["1/2", "2/4", "0.50", ".5", "1", "01.0", "1.", "0.0", "0/3", "-0.5", "3/3", "1e-1"]
+    "bad",
+    [
+        "1/2", "2/4", "0.50", ".5", "1", "01.0", "1.", "0.0", "0/3", "-0.5", "3/3", "1e-1", "1/0",
+        pytest.param("1" * 5000 + ".0", id="past-int-digit-limit"),
+    ],
 )
 def test_non_canonical_duration_rejected(bad):
     with pytest.raises(TokenError):
@@ -79,6 +84,11 @@ def test_parse_token_examples():
 def test_detokenize_error_names_token_and_position():
     with pytest.raises(TokenError, match=r"token 1.*Q9_1\.0"):
         detokenize(["C4_1.0", "Q9_1.0"])
+
+
+def test_tick_line_error_names_an_unrendered_pitch_and_its_position():
+    with pytest.raises(TokenError, match=r"token 1 \('E#4_1\.0'\)"):
+        tick_line(["C4_1.0", "E#4_1.0"])
 
 
 def test_build_vocabulary_requires_tokens():
@@ -110,6 +120,34 @@ pitches = st.one_of(st.none(), st.integers(0, 127))
 @given(pitches, durations)
 def test_token_text_bijective(pitch, duration):
     assert parse_token(render_token(pitch, duration)) == (pitch, duration)
+
+
+pitch_names = st.one_of(
+    st.just("R"),
+    st.builds("{}{}{}".format, st.sampled_from("ABCDEFGH"), st.sampled_from(["", "#", "b"]), st.integers(-2, 10)),
+)
+
+
+@st.composite
+def duration_spellings(draw):
+    """A rendered duration text or a variant of it: the value as an
+    unreduced ratio, or the text with trailing or leading zeros."""
+    duration = draw(durations)
+    text = render_duration(duration)
+    scale = draw(st.integers(1, 3))
+    zeros = "0" * draw(st.integers(1, 2))
+    ratio = f"{duration.numerator * scale}/{duration.denominator * scale}"
+    return draw(st.sampled_from([text, ratio, text + zeros, zeros + text]))
+
+
+@given(pitch_names, duration_spellings())
+def test_parse_token_accepts_only_what_render_token_writes(name, duration):
+    text = f"{name}_{duration}"
+    try:
+        pair = parse_token(text)
+    except TokenError:
+        return
+    assert render_token(*pair) == text
 
 
 @given(durations)
