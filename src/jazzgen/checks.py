@@ -133,7 +133,7 @@ def _check_metric_oracles() -> None:
         (tuple(range(60, 72)), 1.0, MAX_ENTROPY),
     )
     for pitches, gs, entropy in oracles:
-        report = evaluate_line("oracle", TickLine(1, pitches, (1,) * len(pitches)))
+        report = evaluate_line(TickLine(1, pitches, (1,) * len(pitches)))
         _require(report.mean_gs == gs, f"GS {report.mean_gs} of {pitches}, expected {gs}")
         _require(abs(report.entropy - entropy) < 1e-9, f"entropy {report.entropy} of {pitches}, expected {entropy}")
 

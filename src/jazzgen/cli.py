@@ -493,10 +493,13 @@ def run_generate(config: ExperimentConfig, models: tuple[str, ...], seed_ids: tu
             np.random.default_rng(derive_seed(config.global_seed, f"rnn-sample:{seed_id}"))
             for seed_id in seed_ids
         ]
-        outputs = generate_rnn(
-            ckpt, [seeds[seed_id] for seed_id in seed_ids], config.rnn_steps,
-            temperature=config.rnn.temperature, rngs=rngs,
-        )
+        try:
+            outputs = generate_rnn(
+                ckpt, [seeds[seed_id] for seed_id in seed_ids], config.rnn_steps,
+                temperature=config.rnn.temperature, rngs=rngs,
+            )
+        except ArithmeticError as err:  # finite weights that overflow while sampling
+            raise InputError(f"cannot sample {layout.checkpoint} ({err}); rerun train")
         rnn_outputs = dict(zip(seed_ids, outputs))
     continuations = []
     for seed_id in seed_ids:
@@ -539,9 +542,9 @@ def run_evaluate(config: ExperimentConfig) -> None:
         for model in MODEL_NAMES:
             line = lines[seed_id, model]
             try:
-                reports[model] = evaluate_line(f"{seed_id}_{model}", line)
-            except MetricError as err:
-                raise click.ClickException(f"{seed_id}_{model}: {err}")
+                reports[model] = evaluate_line(line)
+            except MetricError as err:  # a generation under two bars
+                raise InputError(f"{seed_id}_{model}: {err}")
             lengths[seed_id][model] = {
                 "tokens": len(line.ticks),
                 "quarters": sum(line.ticks) / line.division,

@@ -1,9 +1,9 @@
 """Groove pattern similarity and pitch class entropy of a tokenized line.
 
 A groove pattern is a 64-slot binary onset grid per bar; similarity between
-two bars is one minus the mean XOR of their grids.  The pitch histogram
-counts note onsets per pitch class (octave-free), and its base-2 entropy
-summarizes pitch diversity.
+two bars is one minus the mean XOR of their grids.  The pitch histogram is
+each pitch class's share of the note onsets (octave-free), a tuple of 12
+floats, and its base-2 entropy summarizes pitch diversity.
 
 Every score comes from one integer core: onsets are ticks on a grid of
 `division` ticks per quarter note, bars are 64-bit masks and disagreements
@@ -34,24 +34,6 @@ class MetricError(ValueError):
     """Metric is undefined for this input (e.g. fewer than two bars)."""
 
 
-@dataclass(frozen=True)
-class PitchHistogram:
-    h: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.h) != PITCH_CLASSES:
-            raise ValueError(f"histogram needs {PITCH_CLASSES} entries, got {len(self.h)}")
-        if any(value < 0 for value in self.h):
-            raise ValueError("histogram entries must be nonnegative")
-        total = sum(self.h)
-        if total != 0 and abs(total - 1.0) > 1e-12:
-            raise ValueError(f"histogram must sum to 1 (or be the empty sentinel), got {total}")
-
-    @property
-    def is_sentinel(self) -> bool:
-        return all(value == 0 for value in self.h)
-
-
 def _bar_masks(onsets: Iterable[int], span: int, division: int, bar_length: Fraction) -> list[int]:
     """One 64-bit onset mask per bar, tiled from tick 0 to span; a trailing
     partial bar counts.
@@ -79,34 +61,32 @@ def _groove(masks: Sequence[int]) -> tuple[float, list[float]]:
     return sum(agreements) / (GRID * len(agreements)), [count / GRID for count in agreements]
 
 
-def _histogram(pitches: Iterable[int]) -> PitchHistogram:
+def _histogram(pitches: Iterable[int]) -> tuple[float, ...]:
+    """Each pitch class's share of the onsets; all zero when there are none."""
     counts = [0] * PITCH_CLASSES
     for pitch in pitches:
         counts[pitch % PITCH_CLASSES] += 1
-    total = sum(counts)
-    if total == 0:
-        return PitchHistogram((0.0,) * PITCH_CLASSES)
-    return PitchHistogram(tuple(count / total for count in counts))
+    total = sum(counts) or 1
+    return tuple(count / total for count in counts)
 
 
-def histogram_entropy(histogram: PitchHistogram) -> float:
-    """H = −Σ h_i · log2 h_i with 0·log 0 = 0; the empty sentinel scores 0."""
-    if histogram.is_sentinel:
+def histogram_entropy(shares: Sequence[float]) -> float:
+    """H = −Σ h_i · log2 h_i with 0·log 0 = 0; all-zero shares score 0."""
+    if not any(shares):
         warnings.warn("entropy of an empty composition is reported as 0")
         return 0.0
-    return -sum(value * math.log2(value) for value in histogram.h if value > 0)
+    return -sum(value * math.log2(value) for value in shares if value > 0)
 
 
 @dataclass(frozen=True)
 class MetricReport:
-    composition_id: str
     mean_gs: float
     gs_series: tuple[float, ...]
     histogram: tuple[float, ...]
     entropy: float
 
 
-def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
+def evaluate_line(line: TickLine, bar_length: Fraction = BAR_LENGTH) -> MetricReport:
     """Mean GS over adjacent bar pairs with its series (needs >= 2 bars), the
     pitch class histogram of the note onsets (rests ignored) and its entropy
     of a tokenized line."""
@@ -114,10 +94,4 @@ def evaluate_line(composition_id: str, line: TickLine, bar_length: Fraction = BA
     onsets = [start for start, pitch in zip(starts, line.pitches) if pitch is not None]
     mean_gs, series = _groove(_bar_masks(onsets, starts[-1], line.division, bar_length))
     histogram = _histogram(pitch for pitch in line.pitches if pitch is not None)
-    return MetricReport(
-        composition_id=composition_id,
-        mean_gs=mean_gs,
-        gs_series=tuple(series),
-        histogram=histogram.h,
-        entropy=histogram_entropy(histogram),
-    )
+    return MetricReport(mean_gs, tuple(series), histogram, histogram_entropy(histogram))

@@ -272,6 +272,8 @@ def _parse_track(reader: _Reader, length: int):
                 open_notes[pitch] = tick
             elif kind == 0x8 or (kind == 0x9 and payload[1] == 0):
                 close(payload[0], tick)
+    if reader.pos > end_pos:  # its bytes would come from the next chunk
+        raise MidiParseError("event runs past the end of its track chunk", end_pos)
     for pitch in list(open_notes):
         close(pitch, tick)
     reader.pos = end_pos

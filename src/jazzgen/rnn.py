@@ -671,7 +671,7 @@ def generate_rnn(
     share the batch (its logits' last bits may). Temperatures at or below 1e-6 short-circuit to
     argmax, which lands on the lexicographically smallest token among ties
     because the vocabulary is sorted; without rngs, only argmax sampling
-    works.
+    works. A state or logits that overflow raise NumericalFault.
     """
     one_blas_thread()
     if steps < 0:
@@ -705,25 +705,29 @@ def generate_rnn(
     gates = np.empty((window, batch, 4 * hidden), dtype=dtype)
     tanh_cs = np.empty((window, batch, hidden), dtype=dtype)
     lo = hi = 0
-    for p in range(steps + window - 1):
-        if p < steps:  # window p starts here
-            if hi == slots:
-                live = hi - lo
-                states[:, :live] = states[:, lo:hi]
-                states[:, live:] = 0.0
-                lo, hi = 0, live
-            hi += 1
-        block = slice(lo, hi)
-        gate, tanh_c = gates[: hi - lo], tanh_cs[: hi - lo]
-        xw1 = t["lstm1/w"].T[tokens[:, p]]
-        lstm_cell(xw1, h1[block], c1[block], u1_t, t["lstm1/b"], gate, c1[block], tanh_c, h1[block])
-        xw2 = (h1[block].reshape(-1, hidden) @ t["lstm2/w"].T).reshape(gate.shape)
-        lstm_cell(xw2, h2[block], c2[block], u2_t, t["lstm2/b"], gate, c2[block], tanh_c, h2[block])
-        ensure_finite("lstm output", states[:, block])
-        if p >= window - 1:  # window p - window + 1 has read its last token
-            logits, _ = head(t, ckpt.config.dropout, h2[lo], training=False)
-            tokens[:, p + 1] = select_index(logits, temperature, rngs)
-            lo += 1
+    # finite weights can still overflow to inf and nan; ensure_finite reports
+    # that as NumericalFault, so numpy's own warnings on the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(steps + window - 1):
+            if p < steps:  # window p starts here
+                if hi == slots:
+                    live = hi - lo
+                    states[:, :live] = states[:, lo:hi]
+                    states[:, live:] = 0.0
+                    lo, hi = 0, live
+                hi += 1
+            block = slice(lo, hi)
+            gate, tanh_c = gates[: hi - lo], tanh_cs[: hi - lo]
+            xw1 = t["lstm1/w"].T[tokens[:, p]]
+            lstm_cell(xw1, h1[block], c1[block], u1_t, t["lstm1/b"], gate, c1[block], tanh_c, h1[block])
+            xw2 = (h1[block].reshape(-1, hidden) @ t["lstm2/w"].T).reshape(gate.shape)
+            lstm_cell(xw2, h2[block], c2[block], u2_t, t["lstm2/b"], gate, c2[block], tanh_c, h2[block])
+            ensure_finite("lstm output", states[:, block])
+            if p >= window - 1:  # window p - window + 1 has read its last token
+                logits, _ = head(t, ckpt.config.dropout, h2[lo], training=False)
+                ensure_finite("logits", logits)
+                tokens[:, p + 1] = select_index(logits, temperature, rngs)
+                lo += 1
     for output, picks in zip(outputs, tokens[:, window:].tolist()):
         output.extend(ckpt.vocab.tokens[index] for index in picks)
     return outputs

@@ -39,9 +39,9 @@ def _walk_pitches(rng: random.Random):
         index = min(max(index + step, 0), len(_SCALE) - 1)
 
 
-def make_phrase(rng: random.Random, bars: int = CORPUS_BARS) -> TickLine:
-    """One monophonic phrase filling exactly `bars` 4/4 measures."""
-    remaining = 4 * TICKS_PER_QUARTER * bars
+def make_phrase(rng: random.Random) -> TickLine:
+    """One monophonic phrase filling exactly CORPUS_BARS 4/4 measures."""
+    remaining = 4 * TICKS_PER_QUARTER * CORPUS_BARS
     pitches: list[int | None] = []
     ticks: list[int] = []
     walk = _walk_pitches(rng)
@@ -55,10 +55,10 @@ def make_phrase(rng: random.Random, bars: int = CORPUS_BARS) -> TickLine:
     return TickLine(TICKS_PER_QUARTER, tuple(pitches), tuple(ticks))
 
 
-def make_seed_phrase(rng: random.Random, n_notes: int = SEED_NOTES) -> TickLine:
-    """Sixteen pitched notes, no rests, for use as a generation seed."""
+def make_seed_phrase(rng: random.Random) -> TickLine:
+    """SEED_NOTES pitched notes, no rests, for use as a generation seed."""
     walk = _walk_pitches(rng)
-    ticks, pitches = zip(*((rng.choice(DURATIONS), next(walk)) for _ in range(n_notes)))
+    ticks, pitches = zip(*((rng.choice(DURATIONS), next(walk)) for _ in range(SEED_NOTES)))
     return TickLine(TICKS_PER_QUARTER, pitches, ticks)
 
 

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .midi_io import TickLine
 
@@ -174,9 +174,6 @@ class Vocabulary:
 
     def __contains__(self, text: str) -> bool:
         return text in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
 
     def encode(self, text: str) -> int:
         try:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from jazzgen.metrics import BAR_LENGTH, GRID, PitchHistogram, _bar_masks, _groove, _histogram
+from jazzgen.metrics import BAR_LENGTH, GRID, _bar_masks, _groove, _histogram
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickLine, read_line
 from jazzgen.neural import lstm_forward, softmax
 from jazzgen.rnn import head
@@ -86,10 +86,10 @@ def mean_groove_similarity(
     return _groove(_bar_masks(onsets, span, division, bar_length))
 
 
-def pitch_class_histogram(notes: Iterable[NoteEvent]) -> PitchHistogram:
-    """Onset-count histogram over the 12 pitch classes; rests are ignored.
+def pitch_class_histogram(notes: Iterable[NoteEvent]) -> tuple[float, ...]:
+    """Each of the 12 pitch classes' share of the note onsets; rests are ignored.
 
-    A composition with no pitched notes yields the all-zero sentinel.
+    A composition with no pitched notes yields 12 zeros.
     """
     return _histogram(ev.pitch for ev in notes if not ev.is_rest)
 

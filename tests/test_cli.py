@@ -2,6 +2,7 @@ import builtins
 import errno
 import io
 import json
+import math
 import os
 import re
 import select
@@ -138,6 +139,8 @@ def test_resolve_config_rejects_bad_order():
     (b"\xff\xfe{", "config.json: 'utf-8' codec can't decode byte 0xff"),
     (b'{"corpus_dir": ', "config.json: Expecting value"),
     (b"{", "config.json: Expecting property name"),
+    ([{"corpus_dir": "c"}], "config.json must hold a JSON object"),
+    ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"foo": 1}}, "unknown config key 'rnn.foo'"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
     monkeypatch.chdir(tmp_path)
@@ -161,6 +164,7 @@ def files_under(root):
     ("train", "--epochs", "0", "epochs must be positive"),
     ("train", "--temperature", "0", "temperature must be positive"),
     ("generate", "--temperature", "-3", "temperature must be positive"),
+    ("generate", "--rnn-steps", "-1", "generation lengths must be >= 0"),
 ])
 def test_bad_rnn_setting_exits_2_before_writing(workspace, pipeline, tmp_path, command, flag, value, message):
     out = tmp_path / "out"
@@ -288,6 +292,26 @@ def test_ingest_empty_corpus_exits_2(workspace, tmp_path):
     assert line.startswith("Error: no usable MIDI files")
 
 
+def _directory_without_midi(path):
+    path.mkdir()
+    (path / "notes.txt").write_text("not a seed")
+
+
+@pytest.mark.parametrize("label, make, message", [
+    ("corpus", lambda path: None, "Error: corpus directory {} does not exist"),
+    ("seeds", _directory_without_midi, "Error: no seed MIDI files in {}"),
+], ids=["missing-corpus", "seeds-without-midi"])
+def test_ingest_input_directory_without_files_exits_2(workspace, tmp_path, label, make, message):
+    given = tmp_path / label
+    make(given)
+    inputs = {"corpus": workspace / "corpus", "seeds": workspace / "seeds", label: given}
+    out = tmp_path / "out"
+    result = invoke(["ingest", "--corpus", inputs["corpus"], "--seeds", inputs["seeds"], "--out", out])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [message.format(given)]
+    assert list(out.iterdir()) == []
+
+
 def test_ingest_warns_and_continues_on_corrupt_file(workspace, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -304,10 +328,18 @@ def test_ingest_warns_and_continues_on_corrupt_file(workspace, tmp_path):
 
 # a note-on for pitch 0xC8: channel data bytes stop at 0x7F
 OUT_OF_RANGE_TRACK = bytes.fromhex("00 90 C8 40 60 80 C8 00 00 FF 2F 00")
+ONE_NOTE_TRACK = bytes.fromhex("00 90 3C 40 60 80 3C 00 00 FF 2F 00")
+# a chunk that ends inside a note-on, whose data bytes would be the next chunk's "MT"
+OVERRUN_TRACK = bytes.fromhex("00 90 3C 40 60 80 3C 00 00 90")
 UNREADABLE_ENTRIES = {
     "data-byte": lambda path: path.write_bytes(
         b"MThd" + struct.pack(">IHHH", 6, 0, 1, 96)
         + b"MTrk" + struct.pack(">I", len(OUT_OF_RANGE_TRACK)) + OUT_OF_RANGE_TRACK
+    ),
+    "overrun": lambda path: path.write_bytes(
+        b"MThd" + struct.pack(">IHHH", 6, 1, 2, 96)
+        + b"MTrk" + struct.pack(">I", len(OVERRUN_TRACK)) + OVERRUN_TRACK
+        + b"MTrk" + struct.pack(">I", len(ONE_NOTE_TRACK)) + ONE_NOTE_TRACK
     ),
     "directory": lambda path: path.mkdir(),
 }
@@ -521,6 +553,38 @@ def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_pa
     assert not (out / "generated").exists()
 
 
+def _overflowing_dense2(raw: bytes) -> bytes:
+    """The checkpoint with dense2/w at 3e38 and its row 0 at -3e38: finite
+    weights whose logits overflow to -inf and inf."""
+    offset = len(CHECKPOINT_MAGIC)
+    (manifest_len,) = struct.unpack_from("<I", raw, offset)
+    start = offset + 4 + manifest_len
+    cursor = start
+    for entry in json.loads(raw[offset + 4 : start])["tensors"]:  # the blob's order
+        size = 4 * math.prod(entry["shape"])
+        if entry["name"] == "dense2/w":
+            weights = np.full(entry["shape"], 3e38, dtype="<f4")
+            weights[0] = -3e38
+            return raw[:cursor] + weights.tobytes() + raw[cursor + size :]
+        cursor += size
+    raise AssertionError("no dense2/w tensor")
+
+
+@pytest.mark.parametrize("temperature", ["1", "1e-9"], ids=["sampled", "argmax"])
+def test_generate_with_overflowing_checkpoint_exits_2(workspace, pipeline, tmp_path, temperature):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline / "ingest", out / "ingest")
+    shutil.copytree(pipeline / "models", out / "models")
+    ckpt = out / "models" / "rnn.ckpt"
+    ckpt.write_bytes(_overflowing_dense2(ckpt.read_bytes()))
+    result = invoke(["generate", *dirs(workspace, out=str(out)), *TINY, "--model", "rnn", "--temperature", temperature])
+    assert result.exit_code == 2, result.output
+    assert result.output.strip().splitlines() == [
+        f"Error: cannot sample {ckpt} (logits contains non-finite values); rerun train"
+    ]
+    assert not (out / "generated").exists()
+
+
 def _edit_table(raw: bytes, edit) -> bytes:
     """The Markov table raw with edit applied to its JSON payload."""
     payload = json.loads(raw)
@@ -664,6 +728,7 @@ FAULTS = {
     "three-tokens": lambda path: path.write_text("\n".join(path.read_text().split()[:3]) + "\n"),
     "seed-2-copy": lambda path: shutil.copyfile(path.with_name(path.name.replace("seed_1", "seed_2")), path),
     "seeds-string": lambda path: path.write_text(json.dumps({**json.loads(path.read_text()), "seeds": "seed_1"})),
+    "no-seeds": lambda path: path.write_text(json.dumps({**json.loads(path.read_text()), "seeds": []})),
 }
 # a truncated token file can still be a valid one
 PARSED_FILE = ("deleted", "directory", "garbage", "truncated")
@@ -671,7 +736,7 @@ TOKEN_FILE = ("deleted", "directory", "garbage", "bad-token")
 GENERATE = ("generate", "--model", "both")
 # artifact -> (faults, commands that read it)
 ARTIFACTS = {
-    "ingest/manifest.json": ((*PARSED_FILE, "seeds-string"), [("train",), GENERATE, ("evaluate",)]),
+    "ingest/manifest.json": ((*PARSED_FILE, "seeds-string", "no-seeds"), [("train",), GENERATE, ("evaluate",)]),
     "ingest/vocab.json": (PARSED_FILE, [("train",)]),
     "ingest/tokens/corpus_01.tokens": (TOKEN_FILE, [("train",)]),
     "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE, ("evaluate",)]),
@@ -948,6 +1013,25 @@ def test_evaluate_missing_generation_listed(workspace, tmp_path):
     assert result.exit_code == 2
     assert "seed_1_markov" in result.output
     assert "seed_2_rnn" in result.output
+
+
+def test_evaluate_generation_under_two_bars_exits_2(workspace, tmp_path):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "seed_1.mid").write_bytes(write_midi(MidiDocument(4, 240, tuple(
+        NoteEvent(60, Fraction(1, 4), Fraction(i, 4)) for i in range(16)
+    ))))
+    out = tmp_path / "out"
+    args = ["--corpus", workspace / "corpus", "--seeds", seeds, "--out", out, *TINY,
+            "--markov-notes", "0", "--rnn-steps", "0"]
+    for command in ("ingest", "train", "generate"):
+        assert invoke_stage(command, args).exit_code == 0
+    result = invoke(["evaluate", *args])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [
+        "Error: seed_1_markov: groove similarity needs at least 2 bars, composition has 1"
+    ]
+    assert not (out / "report").exists()
 
 
 def test_evaluate_writes_report_bundle(workspace, pipeline):

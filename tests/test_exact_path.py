@@ -145,7 +145,7 @@ def reference_bar_bits(events, bar_length):
     return [tuple(bits) for bits in bars]
 
 
-def reference_report(composition_id, events, bar_length):
+def reference_report(events, bar_length):
     """GS and PCH entropy of (pitch, duration, onset) events, in Fractions."""
     bars = reference_bar_bits(events, bar_length) if events else []
     if len(bars) < 2:
@@ -164,7 +164,7 @@ def reference_report(composition_id, events, bar_length):
     else:
         histogram = tuple(float(Fraction(count, total)) for count in counts)
         entropy = -sum(value * math.log2(value) for value in histogram if value > 0)
-    return MetricReport(composition_id, mean, tuple(series), histogram, entropy)
+    return MetricReport(mean, tuple(series), histogram, entropy)
 
 
 def outcome(compute):
@@ -185,11 +185,11 @@ def random_texts(rnd, length, durations=LINE_DURATIONS):
     ]
 
 
-def public_report(composition_id, events, bar_length):
+def public_report(events, bar_length):
     """The scores of events from the public event functions."""
     mean, series = mean_groove_similarity(events, bar_length)
     histogram = pitch_class_histogram(events)
-    return MetricReport(composition_id, mean, tuple(series), histogram.h, histogram_entropy(histogram))
+    return MetricReport(mean, tuple(series), histogram, histogram_entropy(histogram))
 
 
 def marks(onset, bar_length, bar, slot):
@@ -257,8 +257,8 @@ def test_bar_and_grid_indices_match_fraction_reference(pairs, bar_length):
     for ev in events:
         expected = (math.floor(ev.onset / bar_length), reference_grid_index(ev.onset, bar_length))
         assert marks(ev.onset, bar_length, *expected)
-    want = outcome(lambda: reference_report("x", reference_events(pairs), bar_length))
-    assert outcome(lambda: public_report("x", events, bar_length)) == want
+    want = outcome(lambda: reference_report(reference_events(pairs), bar_length))
+    assert outcome(lambda: public_report(events, bar_length)) == want
 
 
 def test_grid_slot_ties_round_up_and_clamp():
@@ -278,9 +278,9 @@ def test_tick_line_bytes_and_scores_match_event_reference(length, rnd, bar_lengt
     events = reference_detokenize(texts)
     assert line.division == reference_division(events) == lcm_time_division(detokenize(texts))
     assert write_line(line, tempo) == reference_render(texts, tempo)
-    want = outcome(lambda: reference_report("x", events, bar_length))
-    assert outcome(lambda: evaluate_line("x", line, bar_length)) == want
-    assert outcome(lambda: public_report("x", detokenize(texts), bar_length)) == want
+    want = outcome(lambda: reference_report(events, bar_length))
+    assert outcome(lambda: evaluate_line(line, bar_length)) == want
+    assert outcome(lambda: public_report(detokenize(texts), bar_length)) == want
 
 
 @pytest.mark.parametrize("texts", [
@@ -293,8 +293,8 @@ def test_tick_line_bytes_and_scores_match_event_reference(length, rnd, bar_lengt
 ], ids=["empty", "one-bar", "only-rests", "trailing-rests", "two-bar-note", "sextuplet-then-rest"])
 def test_short_and_silent_lines_fail_and_warn_like_the_reference(texts):
     events = reference_detokenize(texts)
-    want = outcome(lambda: reference_report("x", events, Fraction(4)))
-    assert outcome(lambda: evaluate_line("x", tick_line(texts))) == want
+    want = outcome(lambda: reference_report(events, Fraction(4)))
+    assert outcome(lambda: evaluate_line(tick_line(texts))) == want
     assert write_line(tick_line(texts), 240) == reference_render(texts, 240)
 
 
@@ -319,8 +319,8 @@ def test_division_overflow_matches_reference_and_scoring_ignores_it(length, rnd,
     events = reference_detokenize(texts)
     assert outcome(lambda: write_line(tick_line(texts), 240)) == outcome(lambda: reference_render(texts, 240))
     # the SMF limit bounds MIDI only; scores take any grid
-    want = outcome(lambda: reference_report("x", events, bar_length))
-    assert outcome(lambda: evaluate_line("x", tick_line(texts), bar_length)) == want
+    want = outcome(lambda: reference_report(events, bar_length))
+    assert outcome(lambda: evaluate_line(tick_line(texts), bar_length)) == want
 
 
 def test_division_overflow_names_the_first_running_lcm():
@@ -341,8 +341,8 @@ def test_division_overflow_names_the_first_running_lcm():
 )
 def test_events_with_gaps_and_overlaps_score_like_the_reference(triples, bar_length):
     events = [NoteEvent(pitch, duration, onset) for pitch, duration, onset in triples]
-    want = outcome(lambda: reference_report("x", triples, bar_length))
-    assert outcome(lambda: public_report("x", events, bar_length)) == want
+    want = outcome(lambda: reference_report(triples, bar_length))
+    assert outcome(lambda: public_report(events, bar_length)) == want
 
 
 def test_parse_token_memoizes_canonical_texts():

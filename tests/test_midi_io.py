@@ -10,6 +10,7 @@ from jazzgen.midi_io import (
     MidiDocument,
     MidiParseError,
     NoteEvent,
+    TickLine,
     TickResolutionError,
     encode_vlq,
     lcm_time_division,
@@ -252,3 +253,48 @@ def test_channel_data_byte_above_0x7f_is_a_parse_error(track, offset):
         read_both(data)
     assert raised.value.offset == offset
     assert data[offset] >= 0x80
+
+
+ONE_NOTE = "00 90 3C 40" "60 80 3C 00" "00 FF 2F 00"  # pitch 60 for 96 ticks
+ONE_NOTE_LINE = TickLine(96, (60,), (96,))
+
+
+def one_note_file(fmt=0, n_tracks=1, division=96, before=b""):
+    return header_chunk(fmt, n_tracks, division) + before + track_chunk(bytes.fromhex(ONE_NOTE))
+
+
+@pytest.mark.parametrize(
+    "data,expected",
+    [
+        # the header ends at byte 14 and a first track's events start at byte 22
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("00 90 3C")),
+         ("unexpected end of file, wanted 2 bytes", 24)),
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("80 80 80 80 00 90 3C 40")),
+         ("variable-length quantity longer than 4 bytes", 26)),
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("00 3C 40" + ONE_NOTE)),
+         ("data byte without running status", 24)),
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("00 FF 51 02 07 A1" + ONE_NOTE)),
+         ("tempo meta event length 2, expected 3", 28)),
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("00 F1 00" + ONE_NOTE)), ("unknown status byte 0xF1", 24)),
+        (b"MThd" + struct.pack(">IHHH", 5, 0, 1, 96), ("header chunk length 5, expected at least 6", 8)),
+        (one_note_file(fmt=2), ("unsupported SMF format 2", 14)),
+        (one_note_file(division=0xE250), ("SMPTE time division is not supported", 14)),
+        (one_note_file(division=0), ("time division must be positive", 14)),
+        # the second note-on's data bytes lie past the chunk's 10: they would be the next chunk's "MT"
+        (header_chunk(1, 2, 96) + track_chunk(bytes.fromhex("00 90 3C 40" "60 80 3C 00" "00 90"))
+         + track_chunk(bytes.fromhex(ONE_NOTE)), ("event runs past the end of its track chunk", 32)),
+        (header_chunk(0, 1, 96) + track_chunk(bytes.fromhex("00 F0 03 43 12 F7" + ONE_NOTE)), ONE_NOTE_LINE),
+        (one_note_file(fmt=1, n_tracks=2, before=b"XFIH" + struct.pack(">I", 3) + b"abc"), ONE_NOTE_LINE),
+        (one_note_file(fmt=1, n_tracks=3), ONE_NOTE_LINE),
+    ],
+    ids=["eof-in-event", "long-vlq", "no-running-status", "tempo-length", "status-0xF1", "short-header",
+         "format-2", "smpte", "division-0", "overrun", "sysex-skipped", "alien-chunk-skipped", "fewer-tracks"],
+)
+def test_reader_rejects_with_message_and_offset_or_reads_the_line(data, expected):
+    if isinstance(expected, TickLine):
+        assert read_line(data) == (expected, 120)
+        return
+    message, offset = expected
+    with pytest.raises(MidiParseError) as raised:
+        read_line(data)
+    assert (str(raised.value), raised.value.offset) == (f"{message} (byte offset {offset})", offset)
