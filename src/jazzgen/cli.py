@@ -23,7 +23,6 @@ import click
 import numpy as np
 
 from .checks import SELF_CHECKS
-from .files import write_all
 from .markov import (
     build_transition_table,
     encode_transition_table,
@@ -139,9 +138,10 @@ def resolve_config(config_path: str | None, flags: dict) -> ExperimentConfig:
     """Merge config file values with flag overrides into a validated config."""
     data: dict = {}
     if config_path:
+        # unreadable, not UTF-8, not JSON, or nested past the recursion limit
         try:
             data = json.loads(Path(config_path).read_text())
-        except (OSError, ValueError) as err:  # unreadable, not UTF-8, or not JSON
+        except (OSError, ValueError, RecursionError) as err:
             raise InputError(f"cannot read config file {config_path}: {err}")
         if not isinstance(data, dict):
             raise InputError(f"config file {config_path} must hold a JSON object")
@@ -238,7 +238,7 @@ class Layout:
             raise InputError(f"missing {path}; run {stage} first")
         try:
             return load(path.read_bytes())
-        except (OSError, ValueError, LookupError, TypeError) as err:
+        except (OSError, ValueError, LookupError, TypeError, RecursionError) as err:
             reason = getattr(err, "strerror", None) or f"{type(err).__name__}: {err}"
             raise InputError(f"cannot read {path} ({reason}); rerun {stage}") from None
 
@@ -297,22 +297,46 @@ def output_lock(out_dir: Path):
 
 
 def commit(files: dict[Path, bytes]) -> None:
-    """A stage's one write: every output, all or none (files.write_all), in
-    directories made as needed. Any OSError, a failed mkdir included, is one
-    Error: line naming the file, exit 1, and removes the directories made
-    here that it leaves empty, so the stage still reads as never run."""
+    """A stage's one write: every output, all or none, in directories made as
+    needed. A stage that dies mid-write must not leave a half-file that a
+    later stage loads, nor a mix of new and old outputs. So every file goes to
+    a temporary file beside its target first; only once all are written does
+    os.replace rename each over its target in one step, so readers see an old
+    file or a new one. A failed write leaves every path as it was; files
+    renamed before a failed rename stay renamed, the rest as they were.
+
+    Any exception deletes the temporary files not yet renamed. An OSError, a
+    failed mkdir included, is then one Error: line naming the path, exit 1,
+    and removes the directories made here that it leaves empty, so the stage
+    still reads as never run; any other exception propagates."""
     made: list[Path] = []
+    temps: dict[Path, Path] = {}
     try:
         for directory in dict.fromkeys(path.parent for path in files):
-            for missing in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
-                missing.mkdir()
-                made.append(missing)
-        write_all(files)
-    except OSError as err:
+            target = directory  # the path named should exists() itself fail
+            for target in reversed([d for d in (directory, *directory.parents) if not d.exists()]):
+                target.mkdir()
+                made.append(target)
+        for target, data in files.items():
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            # O_EXCL never follows or reuses another file; 0o666 lets the
+            # umask set the mode, as a plain open() would
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps[target] = temp
+            with open(fd, "wb") as handle:
+                handle.write(data)
+        for target in list(temps):
+            os.replace(temps[target], target)
+            del temps[target]
+    except BaseException as err:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        if not isinstance(err, OSError):
+            raise
         for directory in reversed(made):  # deepest first
             with suppress(OSError):
                 directory.rmdir()
-        raise click.ClickException(f"cannot write {err.filename}: {err.strerror}")
+        raise click.ClickException(f"cannot write {target}: {err.strerror or err}") from None
 
 
 def json_bytes(obj) -> bytes:

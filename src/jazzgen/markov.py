@@ -161,11 +161,12 @@ def load_transition_table(data: bytes) -> TransitionTable:
         # generate writes every symbol out as a token, so each must parse
         for symbol in sorted(set(unigram).union(*counts, *counts.values())):
             parse_token(symbol)
-    except (ValueError, LookupError, TypeError, AttributeError) as err:
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as err:
         # JSON and Unicode decoding errors are ValueErrors, and so are a
         # symbol that is no token, a count or order that is no positive
         # integer and a state of the wrong length; a wrong shape fails on a
-        # missing key or a non-container
+        # missing key or a non-container, and JSON nested past the
+        # recursion limit on RecursionError
         raise TableError(f"{type(err).__name__}: {err}") from None
     if not table.unigram:
         raise TableError("table holds no symbols")

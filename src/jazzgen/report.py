@@ -74,14 +74,18 @@ def write_comparison_csv(rows: Sequence[ComparisonRow]) -> str:
 
 
 def read_comparison_csv(text: str) -> list[ComparisonRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
+    """The rows of a table write_comparison_csv wrote, or ValueError."""
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as err:  # a field past csv.field_size_limit(), for one
+        raise ValueError(str(err)) from None
+    if not records:
         raise ValueError("empty comparison table")
+    header, *records = records
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected header {header!r}")
     rows = []
-    for record in reader:
+    for record in records:
         if not record:
             continue
         if len(record) != len(CSV_HEADER):

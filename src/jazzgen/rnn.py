@@ -485,6 +485,8 @@ class _Helper:
         self.status: int | None = None
 
     def start(self, config: RnnConfig, handoff: _Handoff, layer_one: _LayerOne) -> None:
+        """Fork the helper. A fork that fails (EAGAIN at a process limit,
+        ENOMEM) is a warning: pid stays unset, and train runs both halves."""
         parent = os.getpid()
         # blocked across the fork, so an interrupt finds self.pid set
         blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
@@ -492,6 +494,9 @@ class _Helper:
             self.pid = os.fork()
             if self.pid == 0:
                 self._run(config, handoff, layer_one, parent)
+        except OSError as err:
+            warnings.warn(f"cannot fork the layer-1 helper ({err.strerror or err}); training in one process")
+            return
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         handoff.check_peer = self.check
@@ -551,10 +556,11 @@ def train(
     halves that hand one (B, H) slice per step across the layer boundary.
     Where two_process_training() holds, a forked helper runs layer 1, a step
     ahead of layer 2 going forward and a step behind it going back; the
-    helper is killed and reaped before train returns or raises. Elsewhere
-    both halves run here in dependency order. Either way each half runs the
-    same arithmetic, so the results are equal bit for bit, and the first
-    NumericalFault is the one the serial order meets first.
+    helper is killed and reaped before train returns or raises. Elsewhere,
+    or where the fork fails, both halves run here in dependency order.
+    Either way each half runs the same arithmetic, so the results are equal
+    bit for bit, and the first NumericalFault is the one the serial order
+    meets first.
     """
     one_blas_thread()
     inputs, targets = make_training_windows(sequences, vocab, config.window)
@@ -770,7 +776,7 @@ def load_checkpoint(data: bytes) -> Checkpoint:
         raise CheckpointError("truncated checkpoint: manifest cut short")
     try:
         manifest = json.loads(data[offset : offset + manifest_len])
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # RecursionError: nested past the recursion limit
         raise CheckpointError(f"manifest is not valid JSON: {err}") from None
     offset += manifest_len
     version = manifest.get("format_version") if isinstance(manifest, dict) else None

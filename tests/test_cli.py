@@ -22,7 +22,7 @@ import pytest
 from click.testing import CliRunner
 
 import jazzgen.rnn
-from jazzgen import cli, files, metrics, neural
+from jazzgen import cli, metrics, neural
 from jazzgen.cli import SETTINGS, ExperimentConfig, derive_seed, main, resolve_config
 from jazzgen.midi_io import MidiDocument, NoteEvent, TickResolutionError, lcm_time_division, write_midi
 from jazzgen.report import CSV_HEADER
@@ -42,6 +42,10 @@ TINY = [
     "--markov-notes", "30",
     "--rnn-steps", "20",
 ]
+
+
+# JSON nested past the interpreter's recursion limit
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 
 
 def invoke(args):
@@ -140,6 +144,7 @@ def test_resolve_config_rejects_bad_order():
     (b'{"corpus_dir": ', "config.json: Expecting value"),
     (b"{", "config.json: Expecting property name"),
     ([{"corpus_dir": "c"}], "config.json must hold a JSON object"),
+    pytest.param(DEEP_JSON, "config.json: maximum recursion depth exceeded", id="deep-json"),
     ({"corpus_dir": "c", "seeds_dir": "s", "out_dir": "o", "rnn": {"foo": 1}}, "unknown config key 'rnn.foo'"),
 ])
 def test_malformed_config_file_exits_2(tmp_path, monkeypatch, content, message):
@@ -522,6 +527,13 @@ def _swap_lstm1_w_shape(manifest: dict) -> None:
     entry["shape"].reverse()
 
 
+def _deep_manifest(raw: bytes) -> bytes:
+    """The checkpoint raw with DEEP_JSON in place of its manifest."""
+    offset = len(CHECKPOINT_MAGIC)
+    (manifest_len,) = struct.unpack_from("<I", raw, offset)
+    return CHECKPOINT_MAGIC + struct.pack("<I", len(DEEP_JSON)) + DEEP_JSON + raw[offset + 4 + manifest_len :]
+
+
 def _nan_norm_var(raw: bytes) -> bytes:
     """A float32 NaN over the blob's last 4 bytes: the last tensor by name, norm/var."""
     return raw[:-4] + np.float32("nan").tobytes()
@@ -530,6 +542,7 @@ def _nan_norm_var(raw: bytes) -> bytes:
 @pytest.mark.parametrize("damage, reason", [
     (lambda raw: raw[:1000], "truncated checkpoint"),
     (lambda raw: _edit_manifest(raw, _as_version_2), "format version 2 not supported"),
+    (_deep_manifest, "manifest is not valid JSON: maximum recursion depth exceeded"),
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest.pop("vocab")), "KeyError: 'vocab'"),
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest["config"].update(epochs=0)),
      "epochs must be positive"),
@@ -538,8 +551,8 @@ def _nan_norm_var(raw: bytes) -> bytes:
     (lambda raw: _edit_manifest(raw, _swap_lstm1_w_shape), "lstm1/w has shape"),
     (_nan_norm_var, "tensor norm/var holds a non-finite value"),
     (lambda raw: _edit_manifest(raw, lambda manifest: manifest["config"].update(window=20)), "has window 20"),
-], ids=["truncated", "version-2", "no-vocab", "zero-epochs", "renamed-tensor", "swapped-shape", "nan-tensor",
-        "window-over-seed"])
+], ids=["truncated", "version-2", "deep-manifest", "no-vocab", "zero-epochs", "renamed-tensor", "swapped-shape",
+        "nan-tensor", "window-over-seed"])
 def test_generate_with_unreadable_checkpoint_exits_2(workspace, pipeline, tmp_path, damage, reason):
     out = tmp_path / "out"
     shutil.copytree(pipeline / "ingest", out / "ingest")
@@ -721,6 +734,7 @@ FAULTS = {
     "deleted": Path.unlink,
     "directory": _replace_with_directory,
     "garbage": lambda path: path.write_bytes(b"\xff\xfe{ Q9_1.0"),
+    "deep-json": lambda path: path.write_bytes(DEEP_JSON),
     "truncated": _truncate_to_half,
     "bad-token": lambda path: path.write_text("C4_1.0 Q9_1.0\n"),
     "one-token": lambda path: path.write_text("C4_1.0\n"),
@@ -732,15 +746,16 @@ FAULTS = {
 }
 # a truncated token file can still be a valid one
 PARSED_FILE = ("deleted", "directory", "garbage", "truncated")
+JSON_FILE = (*PARSED_FILE, "deep-json")
 TOKEN_FILE = ("deleted", "directory", "garbage", "bad-token")
 GENERATE = ("generate", "--model", "both")
 # artifact -> (faults, commands that read it)
 ARTIFACTS = {
-    "ingest/manifest.json": ((*PARSED_FILE, "seeds-string", "no-seeds"), [("train",), GENERATE, ("evaluate",)]),
-    "ingest/vocab.json": (PARSED_FILE, [("train",)]),
+    "ingest/manifest.json": ((*JSON_FILE, "seeds-string", "no-seeds"), [("train",), GENERATE, ("evaluate",)]),
+    "ingest/vocab.json": (JSON_FILE, [("train",)]),
     "ingest/tokens/corpus_01.tokens": (TOKEN_FILE, [("train",)]),
     "ingest/seeds/seed_1.tokens": ((*TOKEN_FILE, "one-token"), [GENERATE, ("evaluate",)]),
-    "models/markov.json": (PARSED_FILE, [("generate", "--model", "markov")]),
+    "models/markov.json": (JSON_FILE, [("generate", "--model", "markov")]),
     "models/rnn.ckpt": (PARSED_FILE, [("generate", "--model", "rnn")]),
     # a generation must begin with its own seed's tokens
     "generated/seed_1_rnn.tokens": ((*TOKEN_FILE, "emptied", "three-tokens", "seed-2-copy"), [("evaluate",)]),
@@ -786,7 +801,7 @@ class FullDisk:
 
 
 def fail_write(monkeypatch, nth):
-    """Make the nth file jazzgen.files opens land on a full disk; returns
+    """Make the nth file cli.commit opens land on a full disk; returns
     the list of handles opened so far."""
     opened = []
     real_open = open
@@ -795,7 +810,7 @@ def fail_write(monkeypatch, nth):
         opened.append(real_open(*args, **kwargs))
         return FullDisk(opened[-1]) if len(opened) == nth else opened[-1]
 
-    monkeypatch.setattr(files, "open", open_nth_on_full_disk, raising=False)
+    monkeypatch.setattr(cli, "open", open_nth_on_full_disk, raising=False)
     return opened
 
 
@@ -892,6 +907,29 @@ def test_a_stopped_training_helper_is_one_error_line(workspace, pipeline, tmp_pa
     assert files_under(out / "models") == before
 
 
+def test_a_failed_fork_trains_in_one_process_after_one_warning_line(workspace, pipeline, tmp_path, monkeypatch):
+    forks = []
+
+    def fork_at_a_process_limit():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork_at_a_process_limit)
+    checkpoints = []
+    for two_processes in (False, True):
+        out = tmp_path / f"out-{two_processes}"
+        shutil.copytree(pipeline / "ingest", out / "ingest")
+        monkeypatch.setattr(jazzgen.rnn, "two_process_training", lambda: two_processes)
+        result = invoke_stage("train", [*dirs(workspace, out=str(out)), *TINY])
+        assert result.exit_code == 0, result.output
+        checkpoints.append((out / "models" / "rnn.ckpt").read_bytes())
+    assert len(forks) == 1
+    # after the size-1 batch warning, the one line the failed fork prints
+    _, line = result.stderr.splitlines()
+    assert line == "warning: cannot fork the layer-1 helper (Resource temporarily unavailable); training in one process"
+    assert checkpoints[0] == checkpoints[1]
+
+
 def test_failed_first_train_write_leaves_no_models_directory(workspace, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert invoke(["ingest", *dirs(workspace, out=str(out))]).exit_code == 0
@@ -906,15 +944,15 @@ def test_failed_first_train_write_leaves_no_models_directory(workspace, tmp_path
     assert "run train first" in result.output
 
 
-def test_every_output_file_is_written_through_write_all(workspace, tmp_path, monkeypatch):
+def test_every_output_file_is_written_through_commit(workspace, tmp_path, monkeypatch):
     written = []
-    real_write_all = cli.write_all
+    real_commit = cli.commit
 
-    def recording_write_all(files):
+    def recording_commit(files):
         written.extend(files)
-        real_write_all(files)
+        real_commit(files)
 
-    monkeypatch.setattr(cli, "write_all", recording_write_all)
+    monkeypatch.setattr(cli, "commit", recording_commit)
     out = tmp_path / "out"
     for command in ("ingest", "train", "generate", "evaluate"):
         result = invoke_stage(command, [*dirs(workspace, out=str(out)), *TINY])
@@ -1073,6 +1111,11 @@ def test_evaluate_table_rejects_malformed_csv(tmp_path):
     result = invoke(["evaluate", "--table", bad])
     assert result.exit_code == 2
     assert result.output == f"Error: bad table {bad}: no rows to summarize\n"
+    # a seed id past the csv module's 131,072-character field limit
+    bad.write_text(",".join(CSV_HEADER) + "\n" + "s" * 131_073 + ",1,2,3,4\n")
+    result = invoke(["evaluate", "--table", bad])
+    assert result.exit_code == 2
+    assert result.output == f"Error: bad table {bad}: field larger than field limit (131072)\n"
 
 
 def test_lock_file_blocks_second_writer(workspace, tmp_path):

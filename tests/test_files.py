@@ -5,10 +5,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from click import ClickException
 from click.testing import CliRunner
 
-from jazzgen.cli import main
-from jazzgen.files import write_all
+from jazzgen import cli
+from jazzgen.cli import commit, main
 from jazzgen.synthetic import write_corpus, write_seeds
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -16,14 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # The file-size limit makes the kernel refuse a write once 1 KiB is on disk:
 # a real failure part way through, not a mocked one. The payload is well past it.
 FAIL_PART_WAY = """
-import errno, resource, signal, sys
-from jazzgen.files import write_all
+import errno, os, resource, signal, sys
+from pathlib import Path
+from click import ClickException
+from jazzgen.cli import commit
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+target = Path(sys.argv[1])
 try:
-    write_all({sys.argv[1] + '.small': b's', sys.argv[1]: b'n' * 65536})
-except OSError as err:
-    sys.exit(3 if err.errno == errno.EFBIG else 4)
+    commit({target.with_name(target.name + '.small'): b's', target: b'n' * 65536})
+except ClickException as err:
+    sys.exit(3 if err.message == f'cannot write {target}: {os.strerror(errno.EFBIG)}' else 4)
 """
 
 # the same limit around a whole jazzgen command, after its imports
@@ -76,37 +80,55 @@ def test_train_failing_part_way_keeps_earlier_models_and_no_temp(tmp_path):
     assert files_under(out) == before
 
 
-def test_write_all_creates_file_with_umask_mode(tmp_path):
-    write_all({tmp_path / "artifact": b"x"})
+def test_commit_creates_file_with_umask_mode(tmp_path):
+    commit({tmp_path / "artifact": b"x"})
     plain = tmp_path / "plain"
     plain.write_bytes(b"x")
     assert (tmp_path / "artifact").stat().st_mode == plain.stat().st_mode
 
 
-def test_write_all_writes_every_file_and_leaves_no_temp(tmp_path):
+def test_commit_writes_every_file_and_leaves_no_temp(tmp_path):
     (tmp_path / "a").write_bytes(b"old")
-    write_all({tmp_path / "a": b"new a", tmp_path / "b": b"new b"})
+    commit({tmp_path / "a": b"new a", tmp_path / "b": b"new b"})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a": b"new a", "b": b"new b"}
 
 
-def test_write_all_error_names_the_file_and_writes_none(tmp_path):
+def test_commit_error_names_the_file_and_writes_none(tmp_path):
     (tmp_path / "a").write_bytes(b"old")
-    unwritable = tmp_path / "missing" / "b"
-    with pytest.raises(FileNotFoundError) as err:
-        write_all({tmp_path / "a": b"new a", unwritable: b"new b"})
-    assert err.value.filename == str(unwritable)
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a": b"old"}
+    (tmp_path / "blocker").write_bytes(b"a file, not a directory")
+    unwritable = tmp_path / "blocker" / "b"
+    with pytest.raises(ClickException) as err:
+        commit({tmp_path / "a": b"new a", unwritable: b"new b"})
+    assert err.value.message == f"cannot write {unwritable}: Not a directory"
+    assert files_under(tmp_path) == {Path("a"): b"old", Path("blocker"): b"a file, not a directory"}
 
 
-def test_write_all_failed_rename_names_the_target_and_removes_the_rest(tmp_path):
+def test_commit_failed_rename_names_the_target_and_removes_the_rest(tmp_path):
     (tmp_path / "a").write_bytes(b"old a")
     (tmp_path / "b").mkdir()
     (tmp_path / "b" / "inside").write_bytes(b"kept")
     (tmp_path / "c").write_bytes(b"old c")
-    with pytest.raises(IsADirectoryError) as err:
-        write_all({tmp_path / "a": b"new a", tmp_path / "b": b"new b", tmp_path / "c": b"new c"})
-    assert err.value.filename == str(tmp_path / "b")
+    with pytest.raises(ClickException) as err:
+        commit({tmp_path / "a": b"new a", tmp_path / "b": b"new b", tmp_path / "c": b"new c"})
+    assert err.value.message == f"cannot write {tmp_path / 'b'}: Is a directory"
     # a was renamed before the failure and stays renamed; c was not reached
     assert files_under(tmp_path) == {
         Path("a"): b"new a", Path("b/inside"): b"kept", Path("c"): b"old c",
     }
+
+
+def test_an_interrupted_commit_deletes_its_temporaries_and_keeps_its_directories(tmp_path, monkeypatch):
+    opened = []
+
+    def interrupt_the_second(fd, *args, **kwargs):
+        if opened:
+            os.close(fd)
+            raise KeyboardInterrupt
+        opened.append(open(fd, *args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", interrupt_the_second, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        commit({tmp_path / "new" / "a": b"new a", tmp_path / "new" / "b": b"new b"})
+    # the directory commit made stays, empty: only an OSError removes it
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("new")]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jazzgen.markov import (
     SAVE_BATCH,
     EmptyTableError,
+    TableError,
     TransitionTable,
     build_transition_table,
     encode_transition_table,
@@ -126,6 +127,11 @@ def test_save_load_round_trip():
     assert loaded.counts == table.counts
     assert loaded.unigram == table.unigram
     assert generate_markov(loaded, ["C4_1.0"], 10) == generate_markov(table, ["C4_1.0"], 10)
+
+
+def test_load_rejects_json_nested_past_the_recursion_limit():
+    with pytest.raises(TableError, match="^RecursionError: maximum recursion depth exceeded"):
+        load_transition_table(b"[" * 200_000 + b"]" * 200_000)
 
 
 def test_save_is_byte_deterministic(tmp_path):

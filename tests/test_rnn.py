@@ -843,6 +843,12 @@ def _rewrite_manifest(raw: bytes, mutate) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<I", len(encoded)) + encoded + raw[offset + 4 + manifest_len :]
 
 
+def test_checkpoint_rejects_a_manifest_nested_past_the_recursion_limit():
+    deep = b"[" * 200_000 + b"]" * 200_000
+    with pytest.raises(CheckpointError, match="^manifest is not valid JSON: maximum recursion depth exceeded"):
+        load_checkpoint(CHECKPOINT_MAGIC + struct.pack("<I", len(deep)) + deep)
+
+
 def test_checkpoint_rejects_version_mismatch(memorized):
     _, _, ckpt, _ = memorized
 
